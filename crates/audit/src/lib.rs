@@ -1,6 +1,7 @@
 //! The online consensus auditor: safety/liveness oracles evaluated against
 //! the telemetry registry while a run is in progress, plus end-of-run exact
-//! checks fed by the harnesses, and a crash-dump flight recorder.
+//! checks fed from a run's report ([`feed_auditor`]), and a crash-dump flight
+//! recorder.
 //!
 //! Four oracles, each a falsifiable invariant of the reproduction:
 //!
@@ -397,6 +398,45 @@ impl Auditor {
             polls: self.polls,
         }
     }
+}
+
+/// What a finished run hands the role-change provenance oracle: `()` for
+/// families whose roles do not change through a replicated log, or the
+/// committed command log for those that do. Implemented here, on plain
+/// types, so a substrate crate names its evidence without depending on the
+/// auditor and a generic runner feeds it without knowing the substrate.
+pub trait Provenance {
+    /// Replay the evidence into `auditor`.
+    fn replay(&self, auditor: &mut Auditor);
+}
+
+impl Provenance for () {
+    fn replay(&self, _: &mut Auditor) {}
+}
+
+impl<C> Provenance for Vec<(u64, ConfigCommand<C>)> {
+    fn replay(&self, auditor: &mut Auditor) {
+        auditor.check_provenance(self);
+    }
+}
+
+/// Replay a finished run's exact evidence — the audit sections of an
+/// `rsm::RunReport`, from either runtime — into `auditor`: every replica's
+/// `(ordinal, fingerprint)` checkpoint history on `surface` (the gauge pairs
+/// a live poll samples only show each replica's latest commit; the stored
+/// sequences cover the whole run), then the provenance evidence.
+pub fn feed_auditor(
+    auditor: &mut Auditor,
+    surface: &'static str,
+    checkpoints: &[Vec<(u64, u64)>],
+    provenance: &impl Provenance,
+) {
+    for (replica, history) in checkpoints.iter().enumerate() {
+        for &(ordinal, fingerprint) in history {
+            auditor.record_checkpoint(surface, replica, ordinal, fingerprint);
+        }
+    }
+    provenance.replay(auditor);
 }
 
 fn is_monotone_surface(name: &str) -> bool {

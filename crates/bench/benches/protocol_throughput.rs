@@ -16,13 +16,14 @@
 use bench::Deployment;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hotstuff::{HotStuffConfig, Pacemaker};
-use kauri::{KauriBinsPolicy, KauriConfig, TreePolicy};
-use lab::{run_hotstuff, run_kauri, PbftHarness, PbftHarnessConfig};
-use netsim::{Duration, FaultPlan, MatrixLatency};
+use kauri::{KauriBinsPolicy, KauriCluster, KauriConfig};
+use lab::harness::{colocated_latency, run};
+use netsim::{Duration, FaultPlan, LatencyModel, MatrixLatency};
 use optitree::OptiTreePolicy;
-use pbft::StaticPolicy;
-use rsm::SystemConfig;
+use pbft::{PbftConfig, StaticPolicy};
+use rsm::{Cluster, SystemConfig};
 use std::time::Instant;
+use telemetry::Instrumented;
 
 const SIZES: [usize; 3] = [7, 25, 100];
 
@@ -38,46 +39,48 @@ fn latency(n: usize, rtt: &[f64]) -> Box<MatrixLatency> {
     Box::new(MatrixLatency::from_rtt_millis(n, rtt))
 }
 
-fn run_pbft(n: usize, rtt: &[f64]) -> u64 {
-    let f = (n - 1) / 3;
-    let cfg = PbftHarnessConfig::new(n, f, 2 * n, rtt.to_vec()).run_for(sim_run_for(n));
-    PbftHarness::run(&cfg, "static", |_| Box::new(StaticPolicy)).events
+/// Simulator events one fault-free run of `cluster` processes.
+fn events(cluster: &(impl Cluster + Instrumented), latency: Box<dyn LatencyModel>) -> u64 {
+    run(cluster, latency, FaultPlan::none()).1
 }
 
-fn run_hotstuff_bench(n: usize, rtt: &[f64]) -> u64 {
+fn pbft_events(n: usize, rtt: &[f64]) -> u64 {
+    let (f, clients) = ((n - 1) / 3, 2 * n);
+    let cfg = PbftConfig::new(n, f, clients, |_| Box::new(StaticPolicy)).run_for(sim_run_for(n));
+    events(&cfg, Box::new(colocated_latency(rtt, n, clients)))
+}
+
+fn hotstuff_events(n: usize, rtt: &[f64]) -> u64 {
     let mut cfg = HotStuffConfig::new(n, Pacemaker::Fixed { leader: 0 });
     cfg.run_for = sim_run_for(n);
-    run_hotstuff(&cfg, latency(n, rtt), FaultPlan::none()).events
+    events(&cfg, latency(n, rtt))
 }
 
-fn run_kauri_bench(n: usize, rtt: &[f64]) -> u64 {
+fn kauri_events(n: usize, rtt: &[f64]) -> u64 {
     let mut cfg = KauriConfig::new(n);
     cfg.run_for = sim_run_for(n);
-    run_kauri(&cfg, latency(n, rtt), FaultPlan::none(), |_| {
-        Box::new(KauriBinsPolicy::new(n, 4, 1)) as Box<dyn TreePolicy>
-    })
-    .events
+    let cluster = KauriCluster::new(cfg, |_| Box::new(KauriBinsPolicy::new(n, 4, 1)));
+    events(&cluster, latency(n, rtt))
 }
 
-fn run_optitree_bench(n: usize, rtt: &[f64]) -> u64 {
+fn optitree_events(n: usize, rtt: &[f64]) -> u64 {
     let system = SystemConfig::new(n);
     let mut cfg = KauriConfig::new(n);
     cfg.run_for = sim_run_for(n);
-    let rtt_owned = rtt.to_vec();
-    run_kauri(&cfg, latency(n, rtt), FaultPlan::none(), move |_| {
-        Box::new(OptiTreePolicy::new(system, rtt_owned.clone(), 7)) as Box<dyn TreePolicy>
-    })
-    .events
+    let cluster = KauriCluster::new(cfg, |_| {
+        Box::new(OptiTreePolicy::new(system, rtt.to_vec(), 7))
+    });
+    events(&cluster, latency(n, rtt))
 }
 
 type FamilyRunner = fn(usize, &[f64]) -> u64;
 
 fn bench_protocols(c: &mut Criterion) {
     let families: [(&str, FamilyRunner); 4] = [
-        ("pbft_static", run_pbft),
-        ("hotstuff_fixed", run_hotstuff_bench),
-        ("kauri_pipeline", run_kauri_bench),
-        ("optitree_pipeline", run_optitree_bench),
+        ("pbft_static", pbft_events),
+        ("hotstuff_fixed", hotstuff_events),
+        ("kauri_pipeline", kauri_events),
+        ("optitree_pipeline", optitree_events),
     ];
     let mut group = c.benchmark_group("protocol_throughput_europe21");
     group.sample_size(10);

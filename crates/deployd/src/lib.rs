@@ -1,13 +1,17 @@
 //! deployd: launch real-clock localhost clusters of the consensus substrates.
 //!
-//! This is the deployment counterpart of the `lab` simulation harnesses: the
-//! *same* replica structs (`hotstuff::HotStuffNode`, `kauri::KauriNode`) that
-//! the simulator drives are handed to [`runtime::RealCluster`], which runs
-//! them over real TCP sockets on 127.0.0.1 with wall-clock timers. Nothing in
-//! the protocol code changes — the node API is runtime-agnostic, and the wire
-//! bound (`Serialize`/`Deserialize` on the message enum) is the only opt-in.
+//! This is the deployment counterpart of `lab::harness::run`: the *same*
+//! [`rsm::Cluster`] value the simulator accepts (a `HotStuffConfig`, a
+//! `KauriCluster`) builds the same replica structs, and [`run_on`] hands them
+//! to [`runtime::RealCluster`], which runs them over real TCP sockets on
+//! 127.0.0.1 with wall-clock timers, then reads them back through the
+//! cluster's own report. Nothing in the protocol code changes — the node API
+//! is runtime-agnostic, and the wire bound (`Serialize`/`Deserialize` on the
+//! message enum) is the only opt-in. [`run_cluster`] is the flag-driven front:
+//! it turns a [`DeployConfig`] into the protocol configuration and calls
+//! [`run_on`].
 //!
-//! Load comes from the same `traffic` crate the simulation harnesses use: an
+//! Load comes from the same `traffic` crate the simulation scenarios use: an
 //! open-loop arrival schedule pre-generated against the run horizon. Arrival
 //! offsets that the simulator interprets as virtual microseconds are here
 //! wall-clock microseconds since cluster launch — the schedule is identical,
@@ -34,10 +38,10 @@
 pub mod ops;
 
 use crypto::Digest;
-use hotstuff::{HotStuffConfig, HotStuffNode, Pacemaker};
-use kauri::{KauriBinsPolicy, KauriConfig, KauriNode, TreePolicy};
-use rsm::{RunSummary, TrafficSpec};
-use runtime::{Duration, RealCluster, SimTime};
+use hotstuff::{HotStuffConfig, Pacemaker};
+use kauri::{KauriBinsPolicy, KauriCluster, KauriConfig, TreePolicy};
+use rsm::{Cluster, RunSummary, TrafficSpec};
+use runtime::{Duration, Node, RealCluster, SimTime, WireMsg};
 use telemetry::Telemetry;
 use traffic::{SharedTrafficQueue, TrafficReport};
 
@@ -146,7 +150,7 @@ impl DeployConfig {
         let ingress = vec![1.0; self.clients];
         let queue =
             SharedTrafficQueue::generate(&spec, &ingress, self.seed, SimTime::ZERO + self.run_for);
-        // Same discipline as the simulation harnesses: the queue records its
+        // Same discipline as the simulation scenarios: the queue records its
         // admission/dispatch counters and client spans into the run's
         // registry, so live scrapes and knee attribution see the client path.
         queue.set_telemetry(self.telemetry.clone());
@@ -163,8 +167,9 @@ pub struct RealRunReport {
     pub n: usize,
     /// Wall-clock seconds actually elapsed between launch and shutdown.
     pub wall_secs: f64,
-    /// Throughput / latency summary measured at the best-progressed replica
-    /// (same [`rsm::CommitStats`] readings the simulation harnesses report).
+    /// Throughput / latency summary from the cluster's own report — the same
+    /// vantage point and [`rsm::CommitStats`] readings a simulated run of the
+    /// same configuration reports.
     pub summary: RunSummary,
     /// Per-replica `<substrate>.node.commits` telemetry counters — the
     /// agreement oracles' view of progress (all zero when telemetry is
@@ -214,10 +219,100 @@ pub fn run_cluster(
     config: &DeployConfig,
     should_stop: &dyn Fn() -> bool,
 ) -> std::io::Result<RealRunReport> {
+    let queue = config.traffic_queue();
     match config.substrate {
-        Substrate::HotStuff => run_hotstuff_cluster(config, should_stop),
-        Substrate::Kauri => run_kauri_cluster(config, should_stop),
+        Substrate::HotStuff => {
+            let mut hs = HotStuffConfig::new(config.n, Pacemaker::Fixed { leader: 0 });
+            hs.batch_size = config.batch_size;
+            hs.run_for = config.run_for;
+            hs.traffic = queue.clone();
+            hs.telemetry = config.telemetry.clone();
+            run_on(config, &hs, queue, should_stop, |roles| roles.view_digests)
+        }
+        Substrate::Kauri => {
+            let mut ka = KauriConfig::new(config.n);
+            ka.batch_size = config.batch_size;
+            ka.run_for = config.run_for;
+            ka.traffic = queue.clone();
+            ka.telemetry = config.telemetry.clone();
+            // Identically-seeded policies so every replica derives the same
+            // trees — the same discipline the simulation scenarios apply.
+            let (n, branch, seed) = (config.n, ka.branch, config.seed);
+            let cluster = KauriCluster::new(ka, move |_| {
+                Box::new(KauriBinsPolicy::new(n, branch, seed)) as Box<dyn TreePolicy>
+            });
+            run_on(config, &cluster, queue, should_stop, |_| Vec::new())
+        }
     }
+}
+
+/// Launch `cluster` — any [`rsm::Cluster`], the same value
+/// `lab::harness::run` accepts — on real sockets, wait out the run under the
+/// live monitor, shut down, read the replicas back through the cluster's own
+/// report, and seal the audit. This is the only launch path: it never names
+/// a protocol. `config` supplies what the deployment (not the protocol)
+/// owns: run length, telemetry, flight recorder, audit feed, and the
+/// substrate name metrics are filed under. `view_digests` picks the
+/// HotStuff-style digest sequences out of the roles section for the
+/// [`RealRunReport::digests_agree`] check (empty for families without one).
+pub fn run_on<C>(
+    config: &DeployConfig,
+    cluster: &C,
+    queue: Option<SharedTrafficQueue>,
+    should_stop: &dyn Fn() -> bool,
+    view_digests: impl FnOnce(C::Roles) -> Vec<Vec<(u64, Digest)>>,
+) -> std::io::Result<RealRunReport>
+where
+    C: Cluster,
+    C::Node: Send + 'static,
+    <C::Node as Node>::Msg: WireMsg + Clone,
+    C::Provenance: audit::Provenance,
+{
+    // One-second telemetry windows, on the wall clock (the simulator uses the
+    // same cadence on virtual time, so the series line up side by side).
+    config.telemetry.install_timeseries(1_000_000);
+    let mut auditor = config.auditor();
+    let recorder = config.flight_recorder();
+    let commits_metric = format!("{}.node.commits", config.substrate.name());
+    let started = std::time::Instant::now();
+    let running = RealCluster::launch(cluster.build())?;
+    wait_out(
+        config,
+        should_stop,
+        queue.as_ref(),
+        &commits_metric,
+        &mut auditor,
+        recorder.as_ref(),
+    );
+    let mut nodes = running.shutdown();
+    let wall_secs = started.elapsed().as_secs_f64();
+    config
+        .telemetry
+        .tick_timeseries(started.elapsed().as_micros() as u64);
+
+    let run_secs = wall_secs.max(1.0) as u64;
+    let report = cluster.report(&mut nodes, run_secs);
+    audit::feed_auditor(
+        &mut auditor,
+        report.oracle,
+        &report.checkpoints,
+        &report.provenance,
+    );
+    let snapshot = config.telemetry.registry_snapshot();
+    let mut real = RealRunReport {
+        substrate: config.substrate,
+        n: config.n,
+        wall_secs,
+        summary: report.summary,
+        per_replica_commits: (0..config.n)
+            .map(|id| snapshot.counter(&commits_metric, Some(id)))
+            .collect(),
+        traffic: queue.map(|q| q.report(run_secs)),
+        view_digests: view_digests(report.roles),
+        audit: audit::AuditReport::default(),
+    };
+    finish_audit(config, &mut real, auditor, recorder.as_ref());
+    Ok(real)
 }
 
 /// Sleep out the run in ~50 ms slices, returning early if asked to stop.
@@ -290,8 +385,8 @@ fn wait_out(
     }
 }
 
-/// Replay nothing further: seal the auditor over the final registry (strict
-/// conservation), record whether the exact digest sequences agreed, publish
+/// Seal the auditor over the final registry (strict conservation), record
+/// whether the exact digest sequences agreed, publish
 /// the verdict everywhere it is served from, and dump the flight ring if the
 /// run failed its oracles.
 fn finish_audit(
@@ -317,178 +412,6 @@ fn finish_audit(
         }
     }
     report.audit = verdict;
-}
-
-fn commit_counters(telemetry: &Telemetry, prefix: &str, n: usize) -> Vec<u64> {
-    let name = format!("{prefix}.node.commits");
-    let snapshot = telemetry.registry_snapshot();
-    (0..n).map(|id| snapshot.counter(&name, Some(id))).collect()
-}
-
-fn run_hotstuff_cluster(
-    config: &DeployConfig,
-    should_stop: &dyn Fn() -> bool,
-) -> std::io::Result<RealRunReport> {
-    let queue = config.traffic_queue();
-    let mut hs = HotStuffConfig::new(config.n, Pacemaker::Fixed { leader: 0 });
-    hs.batch_size = config.batch_size;
-    hs.run_for = config.run_for;
-    hs.traffic = queue.clone();
-    hs.telemetry = config.telemetry.clone();
-
-    let nodes: Vec<HotStuffNode> = (0..config.n)
-        .map(|id| {
-            HotStuffNode::new(id, hs.system, hs.pacemaker, hs.batch_size)
-                .with_traffic(hs.traffic.clone())
-                .with_telemetry(hs.telemetry.clone())
-        })
-        .collect();
-
-    // One-second telemetry windows, on the wall clock (the simulator uses the
-    // same cadence on virtual time, so the series line up side by side).
-    config.telemetry.install_timeseries(1_000_000);
-    let mut auditor = config.auditor();
-    let recorder = config.flight_recorder();
-    let started = std::time::Instant::now();
-    let cluster = RealCluster::launch(nodes)?;
-    wait_out(
-        config,
-        should_stop,
-        queue.as_ref(),
-        "hotstuff.node.commits",
-        &mut auditor,
-        recorder.as_ref(),
-    );
-    let mut nodes = cluster.shutdown();
-    let wall_secs = started.elapsed().as_secs_f64();
-    config
-        .telemetry
-        .tick_timeseries(started.elapsed().as_micros() as u64);
-
-    let view_digests: Vec<Vec<(u64, Digest)>> = nodes.iter().map(|nd| nd.view_digests()).collect();
-    // Exact checkpoint replay: the gauge pairs the live poll sampled only
-    // show each replica's latest commit; the stored sequences cover every
-    // view, so post-shutdown the prefix-agreement oracle sees the full run.
-    for (replica, digests) in view_digests.iter().enumerate() {
-        for (view, digest) in digests {
-            auditor.record_checkpoint(
-                "hotstuff",
-                replica,
-                *view,
-                telemetry::fingerprint48(&digest.0),
-            );
-        }
-    }
-    let observer = (0..config.n)
-        .max_by_key(|&i| nodes[i].stats.blocks())
-        .unwrap_or(0);
-    let summary = nodes[observer].stats.summary((wall_secs.max(1.0)) as u64);
-    let mut report = RealRunReport {
-        substrate: Substrate::HotStuff,
-        n: config.n,
-        wall_secs,
-        summary,
-        per_replica_commits: commit_counters(&config.telemetry, "hotstuff", config.n),
-        traffic: queue.map(|q| q.report(wall_secs.max(1.0) as u64)),
-        view_digests,
-        audit: audit::AuditReport::default(),
-    };
-    finish_audit(config, &mut report, auditor, recorder.as_ref());
-    Ok(report)
-}
-
-fn run_kauri_cluster(
-    config: &DeployConfig,
-    should_stop: &dyn Fn() -> bool,
-) -> std::io::Result<RealRunReport> {
-    let queue = config.traffic_queue();
-    let mut ka = KauriConfig::new(config.n);
-    ka.batch_size = config.batch_size;
-    ka.run_for = config.run_for;
-    ka.traffic = queue.clone();
-    ka.telemetry = config.telemetry.clone();
-
-    // Identically-seeded policies so every replica derives the same trees —
-    // the same discipline the simulation harness applies.
-    let branch = ka.branch;
-    let seed = config.seed;
-    let n = config.n;
-    let policy_factory =
-        move |_: usize| Box::new(KauriBinsPolicy::new(n, branch, seed)) as Box<dyn TreePolicy>;
-    let initial_tree = policy_factory(usize::MAX).next_tree(n, branch);
-    let nodes: Vec<KauriNode> = (0..n)
-        .map(|id| {
-            let mut policy = policy_factory(id);
-            let tree = policy.next_tree(n, branch);
-            debug_assert_eq!(tree.root, initial_tree.root);
-            KauriNode::new(
-                id,
-                ka.system,
-                tree,
-                policy,
-                ka.batch_size,
-                ka.pipeline,
-                ka.branch,
-                ka.reconfig_delay,
-            )
-            .with_traffic(ka.traffic.clone())
-            .with_telemetry(ka.telemetry.clone())
-        })
-        .collect();
-
-    config.telemetry.install_timeseries(1_000_000);
-    let mut auditor = config.auditor();
-    let recorder = config.flight_recorder();
-    let started = std::time::Instant::now();
-    let cluster = RealCluster::launch(nodes)?;
-    wait_out(
-        config,
-        should_stop,
-        queue.as_ref(),
-        "kauri.node.commits",
-        &mut auditor,
-        recorder.as_ref(),
-    );
-    let mut nodes = cluster.shutdown();
-    let wall_secs = started.elapsed().as_secs_f64();
-    config
-        .telemetry
-        .tick_timeseries(started.elapsed().as_micros() as u64);
-
-    // Exact checkpoint replay: every adoption each replica chained, plus
-    // role-change provenance from the best-informed replica's config log.
-    for (id, node) in nodes.iter().enumerate() {
-        for &(epoch, chain) in node.config_checkpoints() {
-            auditor.record_checkpoint("kauri.config", id, epoch, chain);
-        }
-    }
-    let informed = (0..n)
-        .max_by_key(|&id| {
-            let log = nodes[id].config_log();
-            (log.len(), log.epoch(), std::cmp::Reverse(id))
-        })
-        .unwrap_or(0);
-    let commands: Vec<_> = nodes[informed]
-        .config_log()
-        .commands_from(0)
-        .map(|(seq, cmd)| (seq, cmd.clone()))
-        .collect();
-    auditor.check_provenance(&commands);
-
-    let observer = (0..n).max_by_key(|&i| nodes[i].stats.blocks()).unwrap_or(0);
-    let summary = nodes[observer].stats.summary(wall_secs.max(1.0) as u64);
-    let mut report = RealRunReport {
-        substrate: Substrate::Kauri,
-        n,
-        wall_secs,
-        summary,
-        per_replica_commits: commit_counters(&config.telemetry, "kauri", n),
-        traffic: queue.map(|q| q.report(wall_secs.max(1.0) as u64)),
-        view_digests: Vec::new(),
-        audit: audit::AuditReport::default(),
-    };
-    finish_audit(config, &mut report, auditor, recorder.as_ref());
-    Ok(report)
 }
 
 /// One point of a measured throughput–latency curve.

@@ -9,7 +9,7 @@
 //! thread each over full-mesh length-prefixed TCP on 127.0.0.1 with
 //! wall-clock timers (see `runtime::RealCluster`). Load is the traffic
 //! crate's open-loop arrival schedule; telemetry is the same handle the
-//! simulation harnesses install, so `--trace` produces a Perfetto/Chrome
+//! simulated runs install, so `--trace` produces a Perfetto/Chrome
 //! trace on a wall-clock axis directly comparable to a simulated one.
 //!
 //! SIGTERM / SIGINT end the run early with a clean shutdown (replicas are

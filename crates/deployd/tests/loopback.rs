@@ -91,48 +91,63 @@ fn loopback_early_stop_shuts_down_cleanly() {
     );
 }
 
-/// Satellite: the sim-vs-real comparison. The same open-loop workload is
-/// offered to the simulated cluster (netsim virtual time) and the deployed
-/// cluster (wall clock); below the saturation knee both must commit
+/// Satellite: the sim-vs-real comparison. ONE `HotStuffConfig` value is the
+/// cluster both runners get — `deployd::run_on` over localhost sockets and
+/// wall-clock timers, `lab::harness::run` over netsim virtual time — with the
+/// same open-loop schedule regenerated for each (a traffic queue is consumed
+/// by the run that drains it). Below the saturation knee both must commit
 /// essentially all of it, and their committed/offered ratios must sit in the
 /// same generous band. This is the like-for-like anchor for the measured
 /// throughput–latency knee.
 #[test]
 fn sim_vs_real_committed_ratio_within_tolerance() {
     let n = 4;
-    let rate = 200.0;
     let secs = 2;
+    let base = {
+        let mut hs = hotstuff::HotStuffConfig::new(n, hotstuff::Pacemaker::Fixed { leader: 0 });
+        hs.batch_size = 100;
+        hs.run_for = Duration::from_secs(secs);
+        hs
+    };
+    let spec = rsm::TrafficSpec::poisson(200.0)
+        .with_clients(4)
+        .with_batching(base.batch_size, Duration::from_millis(40))
+        .with_slo(Duration::from_secs(1));
+    let offered_to = |runner: &dyn Fn(&hotstuff::HotStuffConfig)| {
+        let queue = traffic::SharedTrafficQueue::generate(
+            &spec,
+            &[1.0; 4],
+            7,
+            runtime::SimTime::from_secs(secs),
+        );
+        let mut cluster = base.clone();
+        cluster.traffic = Some(queue.clone());
+        runner(&cluster);
+        let tr = queue.report(secs);
+        (tr.committed as f64 / tr.offered.max(1) as f64, tr)
+    };
 
     // Real: localhost sockets, wall-clock timers.
-    let mut cfg = DeployConfig::new(Substrate::HotStuff, n);
-    cfg.run_for = Duration::from_secs(secs);
-    cfg.rate = rate;
-    let real = run_cluster(&cfg, &never_stop).expect("cluster launches");
-    let real_tr = real.traffic.expect("queue attached");
-    let real_ratio = real_tr.committed as f64 / real_tr.offered.max(1) as f64;
-
-    // Sim: the identical workload shape against the netsim harness with a
-    // small uniform network latency standing in for loopback.
-    let spec = rsm::TrafficSpec::poisson(rate)
-        .with_clients(4)
-        .with_batching(100, netsim::Duration::from_millis(40))
-        .with_slo(netsim::Duration::from_secs(1));
-    let queue = traffic::SharedTrafficQueue::generate(
-        &spec,
-        &[1.0; 4],
-        7,
-        netsim::SimTime::from_secs(secs),
-    );
-    let mut sim_cfg = hotstuff::HotStuffConfig::new(n, hotstuff::Pacemaker::Fixed { leader: 0 });
-    sim_cfg.run_for = netsim::Duration::from_secs(secs);
-    sim_cfg.traffic = Some(queue.clone());
-    lab::run_hotstuff(
-        &sim_cfg,
-        Box::new(netsim::UniformLatency::new(n, netsim::Duration::from_millis(1))),
-        netsim::FaultPlan::none(),
-    );
-    let sim_tr = queue.report(secs);
-    let sim_ratio = sim_tr.committed as f64 / sim_tr.offered.max(1) as f64;
+    let (real_ratio, real_tr) = offered_to(&|cluster| {
+        let mut cfg = DeployConfig::new(Substrate::HotStuff, n);
+        cfg.run_for = cluster.run_for;
+        deployd::run_on(
+            &cfg,
+            cluster,
+            cluster.traffic.clone(),
+            &never_stop,
+            |roles| roles.view_digests,
+        )
+        .expect("cluster launches");
+    });
+    // Sim: a small uniform network latency standing in for loopback.
+    let (sim_ratio, sim_tr) = offered_to(&|cluster| {
+        lab::harness::run(
+            cluster,
+            Box::new(netsim::UniformLatency::new(n, Duration::from_millis(1))),
+            netsim::FaultPlan::none(),
+        );
+    });
 
     // Generous band: below the knee both worlds commit ≥ 70 % of offered
     // load and agree within 30 percentage points.

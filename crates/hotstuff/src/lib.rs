@@ -16,8 +16,10 @@
 //! in the simulator and over real sockets alike.
 
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+pub mod cluster;
 pub mod node;
 pub mod pacemaker;
 
-pub use node::{HotStuffConfig, HotStuffMessage, HotStuffNode};
+pub use cluster::{HotStuffConfig, HotStuffRoles};
+pub use node::{HotStuffMessage, HotStuffNode};
 pub use pacemaker::Pacemaker;

@@ -1,5 +1,5 @@
-//! The chained HotStuff replica (the simulation harness lives in
-//! `lab::harness::hotstuff`).
+//! The chained HotStuff replica (its run configuration and report live in
+//! [`crate::cluster`]; the runners are `lab::harness::run` and `deployd`).
 //!
 //! Protocol sketch (chained HotStuff with implicit pacemaker progress):
 //!
@@ -20,10 +20,8 @@
 
 use crate::pacemaker::Pacemaker;
 use crypto::{Digest, Hashable};
-use rsm::{
-    misbehavior, Block, BlockSource, CommitStats, DelayStage, MisbehaviorPlan, SystemConfig,
-};
-use runtime::{Context, Duration, Node, NodeId, SimTime, TimerId};
+use rsm::{misbehavior, Block, BlockSource, CommitStats, DelayStage, SystemConfig};
+use runtime::{Context, Node, NodeId, SimTime, TimerId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use telemetry::{Stage, Telemetry};
@@ -389,41 +387,6 @@ impl Node for HotStuffNode {
             if let Some(view) = self.pending_view.take() {
                 self.propose(ctx, view);
             }
-        }
-    }
-}
-
-/// Configuration of a HotStuff experiment run.
-#[derive(Debug, Clone)]
-pub struct HotStuffConfig {
-    /// System size and fault threshold.
-    pub system: SystemConfig,
-    /// Leader-selection policy.
-    pub pacemaker: Pacemaker,
-    /// Commands per block (the paper uses 1000).
-    pub batch_size: usize,
-    /// Virtual run duration (the paper uses 120 s).
-    pub run_for: Duration,
-    /// Scripted protocol-level misbehavior (proposal-delay attacks).
-    pub misbehavior: MisbehaviorPlan,
-    /// Open-loop traffic source shared by every (rotating) leader; `None`
-    /// keeps the saturated paper workload.
-    pub traffic: Option<SharedTrafficQueue>,
-    /// Telemetry handle installed on every replica (disabled by default).
-    pub telemetry: Telemetry,
-}
-
-impl HotStuffConfig {
-    /// The paper's default setup for `n` replicas with a fixed leader.
-    pub fn new(n: usize, pacemaker: Pacemaker) -> Self {
-        HotStuffConfig {
-            system: SystemConfig::new(n),
-            pacemaker,
-            batch_size: 1000,
-            run_for: Duration::from_secs(120),
-            misbehavior: MisbehaviorPlan::none(),
-            traffic: None,
-            telemetry: Telemetry::disabled(),
         }
     }
 }

@@ -1,0 +1,233 @@
+//! A Kauri (or any [`TreePolicy`]-driven) run as a value: the configuration
+//! plus its policy factory, how they become a replica set, and how the
+//! finished replicas are read back into a [`RunReport`].
+
+use crate::node::{KauriNode, TreeCommand};
+use crate::policy::TreePolicy;
+use crate::tree::Tree;
+use configlog::SuspicionPair;
+use rsm::{Cluster, MisbehaviorPlan, RunReport, RunSummary, SystemConfig};
+use runtime::Duration;
+use telemetry::{Instrumented, Telemetry};
+use traffic::SharedTrafficQueue;
+
+/// Configuration of a Kauri experiment run.
+pub struct KauriConfig {
+    /// System size and fault threshold.
+    pub system: SystemConfig,
+    /// Tree branch factor (the paper uses `b = (√(4n−3) − 1)/2`).
+    pub branch: usize,
+    /// Number of concurrently pipelined views (the paper uses 3; 1 disables
+    /// pipelining).
+    pub pipeline: usize,
+    /// Commands per block.
+    pub batch_size: usize,
+    /// Virtual run duration.
+    pub run_for: Duration,
+    /// Delay between a tree failure and the new root resuming proposals
+    /// (models the configuration search, e.g. 1 s of simulated annealing).
+    pub reconfig_delay: Duration,
+    /// Scripted protocol-level misbehavior (proposal-delay attacks).
+    pub misbehavior: MisbehaviorPlan,
+    /// Open-loop traffic source shared by every (rotating) root; `None`
+    /// keeps the saturated paper workload.
+    pub traffic: Option<SharedTrafficQueue>,
+    /// Telemetry handle installed on every replica (disabled by default).
+    pub telemetry: Telemetry,
+}
+
+impl KauriConfig {
+    /// The paper's defaults for `n` replicas.
+    pub fn new(n: usize) -> Self {
+        let system = SystemConfig::new(n);
+        KauriConfig {
+            branch: system.tree_branch_factor(),
+            system,
+            pipeline: 3,
+            batch_size: 1000,
+            run_for: Duration::from_secs(120),
+            reconfig_delay: Duration::from_secs(1),
+            misbehavior: MisbehaviorPlan::none(),
+            traffic: None,
+            telemetry: Telemetry::disabled(),
+        }
+    }
+
+    /// Disable pipelining.
+    pub fn without_pipelining(mut self) -> Self {
+        self.pipeline = 1;
+        self
+    }
+}
+
+/// A tree-overlay cluster: the run configuration plus the policy every
+/// replica selects trees with. `policy(id)` must produce identically-seeded
+/// policies so replicas agree on successor trees.
+pub struct KauriCluster<F> {
+    /// The run configuration.
+    pub config: KauriConfig,
+    /// Per-replica tree-policy factory.
+    pub policy: F,
+}
+
+impl<F: Fn(usize) -> Box<dyn TreePolicy>> KauriCluster<F> {
+    /// Pair a configuration with its policy factory.
+    pub fn new(config: KauriConfig, policy: F) -> Self {
+        KauriCluster { config, policy }
+    }
+}
+
+/// The tree families' section of a [`RunReport`]: the role history the
+/// configuration log recorded.
+pub struct KauriRoles {
+    /// Number of tree reconfigurations observed (max over replicas).
+    pub reconfigurations: usize,
+    /// The tree the observer's configuration log holds at the end of the run
+    /// (the last *committed* configuration).
+    pub final_tree: Tree,
+    /// Tree epochs the observer adopted through the log (excluding genesis).
+    pub adopted_epochs: usize,
+    /// Suspicion pairs committed through the log (the observer's view).
+    pub committed_pairs: Vec<SuspicionPair>,
+    /// Replicas the observer's policy excludes from internal positions at
+    /// the end of the run.
+    pub excluded: Vec<usize>,
+}
+
+impl<F> Instrumented for KauriCluster<F> {
+    fn telemetry(&self) -> &Telemetry {
+        &self.config.telemetry
+    }
+}
+
+impl<F: Fn(usize) -> Box<dyn TreePolicy>> Cluster for KauriCluster<F> {
+    type Node = KauriNode;
+    type Roles = KauriRoles;
+    /// The observer's committed configuration commands in log order
+    /// (identical across replicas when the adoption oracle holds).
+    type Provenance = Vec<(u64, TreeCommand)>;
+
+    fn run_for(&self) -> Duration {
+        self.config.run_for
+    }
+
+    fn build(&self) -> Vec<KauriNode> {
+        let config = &self.config;
+        let n = config.system.n;
+        // All replicas start from the same initial tree: the first tree of a
+        // fresh policy instance.
+        let initial_tree = (self.policy)(usize::MAX).next_tree(n, config.branch);
+        (0..n)
+            .map(|id| {
+                let mut policy = (self.policy)(id);
+                // Consume the initial tree so the policy's next call yields tree #2.
+                let tree = policy.next_tree(n, config.branch);
+                debug_assert_eq!(tree.root, initial_tree.root);
+                KauriNode::new(
+                    id,
+                    config.system,
+                    tree,
+                    policy,
+                    config.batch_size,
+                    config.pipeline,
+                    config.branch,
+                    config.reconfig_delay,
+                )
+                .with_delays(config.misbehavior.stages_for(id))
+                .with_traffic(config.traffic.clone())
+                .with_telemetry(config.telemetry.clone())
+            })
+            .collect()
+    }
+
+    fn report(
+        &self,
+        nodes: &mut [KauriNode],
+        run_secs: u64,
+    ) -> RunReport<KauriRoles, Vec<(u64, TreeCommand)>> {
+        // Aggregate statistics across all replicas (each commit is recorded only
+        // at the root that proposed it, so summing does not double-count).
+        let mut total_commands = 0u64;
+        let mut total_blocks = 0u64;
+        let mut latency_weighted = 0.0;
+        let mut throughput_timeline = vec![0u64; run_secs as usize + 1];
+        let mut latency_timeline = Vec::new();
+        let mut reconfigurations = 0;
+        for node in nodes.iter_mut() {
+            let s = node.stats.summary(run_secs);
+            total_commands += s.committed_commands;
+            total_blocks += s.committed_blocks;
+            latency_weighted += s.mean_latency_ms * s.committed_blocks as f64;
+            latency_timeline.extend_from_slice(node.stats.latency_timeline().points());
+            for (slot, &c) in throughput_timeline
+                .iter_mut()
+                .zip(node.throughput.buckets())
+            {
+                *slot += c;
+            }
+            reconfigurations = reconfigurations.max(node.reconfig_times.len());
+        }
+        let checkpoints = nodes
+            .iter()
+            .map(|node| node.config_checkpoints().to_vec())
+            .collect();
+        // Each commit is recorded once (at the root that proposed the view);
+        // merge the per-root timelines into global commit order. The sort key is
+        // total because commit times and latencies are finite by construction.
+        latency_timeline.sort_by(|a, b| a.partial_cmp(b).expect("finite timeline points"));
+        let mean_latency_ms = if total_blocks > 0 {
+            latency_weighted / total_blocks as f64
+        } else {
+            0.0
+        };
+        // Span-based throughput over the merged commit timeline (first → last
+        // commit across all roots), falling back to the nominal horizon for
+        // degenerate spans — mirroring `CommitStats::mean_throughput`.
+        let span_secs = match (latency_timeline.first(), latency_timeline.last()) {
+            (Some(&(first, _)), Some(&(last, _))) if last > first => last - first,
+            _ => run_secs as f64,
+        };
+        let summary = RunSummary {
+            throughput_ops: total_commands as f64 / run_secs as f64,
+            sustained_ops: total_commands as f64 / span_secs,
+            mean_latency_ms,
+            p50_latency_ms: mean_latency_ms,
+            p99_latency_ms: mean_latency_ms,
+            latency_ci95_ms: 0.0,
+            committed_blocks: total_blocks,
+            committed_commands: total_commands,
+        };
+        // Configuration-log diagnostics from the best-informed replica: the
+        // longest committed log (lowest id on ties). A replica crashed by the
+        // fault plan freezes early and must not be the vantage point, or the
+        // report would show the genesis tree for a run that in fact rotated.
+        let observer = nodes
+            .iter()
+            .enumerate()
+            .max_by_key(|(id, node)| {
+                let log = node.config_log();
+                (log.len(), log.epoch(), std::cmp::Reverse(*id))
+            })
+            .map(|(_, node)| node)
+            .expect("at least one replica");
+        let log = observer.config_log();
+        RunReport {
+            summary,
+            latency_timeline,
+            throughput_timeline,
+            oracle: "kauri.config",
+            checkpoints,
+            provenance: log
+                .commands_from(0)
+                .map(|(seq, cmd)| (seq, cmd.clone()))
+                .collect(),
+            roles: KauriRoles {
+                reconfigurations,
+                final_tree: log.current().config.clone(),
+                adopted_epochs: log.epochs().filter(|a| a.epoch > 0).count(),
+                committed_pairs: log.pairs().to_vec(),
+                excluded: observer.policy().excluded(),
+            },
+        }
+    }
+}

@@ -19,10 +19,12 @@
 //! protocol.
 
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+pub mod cluster;
 pub mod node;
 pub mod policy;
 pub mod tree;
 
-pub use node::{KauriConfig, KauriMessage, KauriNode, TreeCommand};
+pub use cluster::{KauriCluster, KauriConfig, KauriRoles};
+pub use node::{KauriMessage, KauriNode, TreeCommand};
 pub use policy::{KauriBinsPolicy, TreePolicy};
 pub use tree::Tree;

@@ -1,4 +1,5 @@
-//! The Kauri replica (the simulation harness lives in `lab::harness::kauri`).
+//! The Kauri replica (its run configuration and report live in
+//! [`crate::cluster`]; the runners are `lab::harness::run` and `deployd`).
 //!
 //! Message flow per view: the root disseminates a proposal to its
 //! intermediate nodes, which forward it to their leaves; leaves vote to their
@@ -45,9 +46,7 @@ use crate::policy::TreePolicy;
 use crate::tree::Tree;
 use configlog::{ConfigCommand, ConfigLog, PhaseFilter, SuspicionPair};
 use crypto::{Digest, Hashable};
-use rsm::{
-    misbehavior, Block, BlockSource, CommitStats, DelayStage, MisbehaviorPlan, SystemConfig,
-};
+use rsm::{misbehavior, Block, BlockSource, CommitStats, DelayStage, SystemConfig};
 use runtime::{Context, Duration, Node, NodeId, RateCounter, SimTime, TimerId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -1285,54 +1284,5 @@ impl Node for KauriNode {
             }
             _ => {}
         }
-    }
-}
-
-/// Configuration of a Kauri experiment run.
-pub struct KauriConfig {
-    /// System size and fault threshold.
-    pub system: SystemConfig,
-    /// Tree branch factor (the paper uses `b = (√(4n−3) − 1)/2`).
-    pub branch: usize,
-    /// Number of concurrently pipelined views (the paper uses 3; 1 disables
-    /// pipelining).
-    pub pipeline: usize,
-    /// Commands per block.
-    pub batch_size: usize,
-    /// Virtual run duration.
-    pub run_for: Duration,
-    /// Delay between a tree failure and the new root resuming proposals
-    /// (models the configuration search, e.g. 1 s of simulated annealing).
-    pub reconfig_delay: Duration,
-    /// Scripted protocol-level misbehavior (proposal-delay attacks).
-    pub misbehavior: MisbehaviorPlan,
-    /// Open-loop traffic source shared by every (rotating) root; `None`
-    /// keeps the saturated paper workload.
-    pub traffic: Option<SharedTrafficQueue>,
-    /// Telemetry handle installed on every replica (disabled by default).
-    pub telemetry: Telemetry,
-}
-
-impl KauriConfig {
-    /// The paper's defaults for `n` replicas.
-    pub fn new(n: usize) -> Self {
-        let system = SystemConfig::new(n);
-        KauriConfig {
-            branch: system.tree_branch_factor(),
-            system,
-            pipeline: 3,
-            batch_size: 1000,
-            run_for: Duration::from_secs(120),
-            reconfig_delay: Duration::from_secs(1),
-            misbehavior: MisbehaviorPlan::none(),
-            traffic: None,
-            telemetry: Telemetry::disabled(),
-        }
-    }
-
-    /// Disable pipelining.
-    pub fn without_pipelining(mut self) -> Self {
-        self.pipeline = 1;
-        self
     }
 }

@@ -5,11 +5,11 @@
 //! attack → crash → recovery. Scripts are declarative; [`AdversaryScript::compile`]
 //! lowers them onto the concrete run: network-level stages become windowed
 //! faults in netsim's [`FaultPlan`], and protocol-level stages (the
-//! proposal-delay attack) become replica behaviours every substrate runner
-//! installs. Targets may be symbolic (`OptimizedLeader`, tree intermediates,
-//! the sequence of tree roots) and are resolved against the scenario's
-//! topology at compile time, exactly the way the hand-written figure
-//! harnesses used to probe them.
+//! proposal-delay attack) become the `rsm::MisbehaviorPlan` every family's
+//! configuration carries. Targets may be symbolic (`OptimizedLeader`, tree
+//! intermediates, the sequence of tree roots) and are resolved against the
+//! scenario's topology at compile time, exactly the way the hand-written
+//! figure harnesses used to probe them.
 
 use crate::scenario::Substrate;
 use netsim::{Duration, FaultPlan, FaultWindow, NodeFault, SimTime};
@@ -180,8 +180,8 @@ impl AdversaryScript {
                     assert!(
                         ctx.substrate.protocol_delay_supported(),
                         "substrate {} has no protocol-level proposal-delay hook; \
-                         wire rsm::MisbehaviorPlan through its runner (see \
-                         hotstuff::node / kauri::node) or script an explicit \
+                         wire rsm::MisbehaviorPlan through its Cluster::build (see \
+                         hotstuff::cluster / kauri::cluster) or script an explicit \
                          network-level Attack::DelayOutgoing instead",
                         ctx.substrate.label()
                     );
@@ -247,12 +247,12 @@ impl AdversaryScript {
 pub struct CompiledAdversary {
     /// Network-level faults, handed to the simulator.
     pub faults: FaultPlan,
-    /// Protocol-level delay attacks, installed as replica behaviours by the
-    /// substrate runner (PBFT behaviours, `rsm::MisbehaviorPlan` elsewhere).
+    /// Protocol-level delay attacks, installed on every family's
+    /// configuration as one `rsm::MisbehaviorPlan`.
     pub delay_attacks: Vec<DelayAttack>,
 }
 
-/// A protocol-level proposal-delay attack, consumed by the substrate runner.
+/// A protocol-level proposal-delay attack, one entry of the run's misbehavior plan.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayAttack {
     /// The attacking replica.

@@ -1,404 +1,165 @@
-//! A ready-made experiment harness for the PBFT family: builds a simulation
-//! of `n` replicas plus co-located clients over a city RTT matrix, runs it
-//! for a configured virtual duration, and reports client-observed latency
-//! timelines (Fig 7) and replica-side throughput/latency.
+//! The PBFT family through the one harness: `n` replicas plus co-located
+//! clients over a city RTT matrix, client-observed latency timelines (Fig 7)
+//! and replica-side throughput/latency.
 
-use netsim::{
-    Duration, FaultPlan, FaultWindow, MatrixLatency, SimTime, Simulation, SimulationConfig,
-    TimeSeries,
-};
-use pbft::policy::ReconfigPolicy;
-use pbft::replica::{ClientState, DelayStage, PbftNode, ReplicaBehavior, ReplicaState};
-use rsm::RunSummary;
+use super::{colocated_latency, run};
+use netsim::{Duration, FaultPlan, SimTime};
+use pbft::{AwarePolicy, PbftConfig, PbftRoles, ReconfigPolicy, StaticPolicy};
+use rsm::RunReport;
 
-/// Configuration of one PBFT simulation run.
-pub struct PbftHarnessConfig {
-    /// Number of replicas.
-    pub n: usize,
-    /// Fault threshold.
-    pub f: usize,
-    /// Number of clients (client `i` is co-located with replica `i % n`).
-    pub clients: usize,
-    /// Virtual run duration.
-    pub run_for: Duration,
-    /// Symmetric replica-to-replica RTT matrix in milliseconds (n × n).
-    pub rtt_matrix_ms: Vec<f64>,
-    /// Per-replica behavior (length `n`).
-    pub behaviors: Vec<ReplicaBehavior>,
-    /// Network-level faults (crashes, delay/inflation stages, drops).
-    pub faults: FaultPlan,
-    /// Open-loop traffic source. When set, `clients` must be 0 (the load is
-    /// geo-placed open-loop clients compiled into the queue, not simulated
-    /// closed-loop client nodes) and leaders pull batches from the queue.
-    pub traffic: Option<traffic::SharedTrafficQueue>,
-    /// Telemetry handle installed on every replica (disabled by default).
-    pub telemetry: telemetry::Telemetry,
-}
-
-impl PbftHarnessConfig {
-    /// A correct-replica configuration over the given RTT matrix.
-    pub fn new(n: usize, f: usize, clients: usize, rtt_matrix_ms: Vec<f64>) -> Self {
-        assert_eq!(rtt_matrix_ms.len(), n * n, "RTT matrix must be n*n");
-        PbftHarnessConfig {
-            n,
-            f,
-            clients,
-            run_for: Duration::from_secs(180),
-            rtt_matrix_ms,
-            behaviors: vec![ReplicaBehavior::Correct; n],
-            faults: FaultPlan::none(),
-            traffic: None,
-            telemetry: telemetry::Telemetry::disabled(),
-        }
-    }
-
-    /// Drive the run from an open-loop traffic queue (replaces the
-    /// closed-loop clients).
-    pub fn with_traffic(mut self, traffic: traffic::SharedTrafficQueue) -> Self {
-        assert_eq!(
-            self.clients, 0,
-            "open-loop traffic replaces the simulated clients; configure clients = 0"
-        );
-        self.traffic = Some(traffic);
-        self
-    }
-
-    /// Make one replica perform the Pre-Prepare delay attack from `after` on.
-    pub fn with_delay_attacker(self, replica: usize, delay: Duration, after: SimTime) -> Self {
-        self.with_delay_attacker_during(replica, delay, after, SimTime::MAX)
-    }
-
-    /// Add a delay-attack stage active in `[after, until)` — the phased
-    /// variant used by adversary scripts. Stages on the same replica
-    /// accumulate, so a script can attack, go quiet, and attack again.
-    pub fn with_delay_attacker_during(
-        mut self,
-        replica: usize,
-        delay: Duration,
-        after: SimTime,
-        until: SimTime,
-    ) -> Self {
-        let stage = DelayStage {
-            delay,
-            window: FaultWindow {
-                from: after,
-                until: (until != SimTime::MAX).then_some(until),
-            },
-        };
-        match &mut self.behaviors[replica] {
-            ReplicaBehavior::DelayPropose { stages } => stages.push(stage),
-            b => {
-                *b = ReplicaBehavior::DelayPropose {
-                    stages: vec![stage],
-                }
+/// A 4-replica matrix with a fast cluster {1,2,3} and a slow replica 0.
+fn skewed_matrix(n: usize) -> Vec<f64> {
+    let mut m = vec![0.0; n * n];
+    for a in 0..n {
+        for b in 0..n {
+            if a == b {
+                continue;
             }
+            let slow = a == 0 || b == 0;
+            m[a * n + b] = if slow { 120.0 } else { 20.0 };
         }
-        self
     }
-
-    /// Install a network-level fault plan.
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Override the run duration.
-    pub fn run_for(mut self, d: Duration) -> Self {
-        self.run_for = d;
-        self
-    }
+    m
 }
 
-/// Results of one run.
-#[derive(Debug)]
-pub struct PbftRunReport {
-    /// End-to-end latency timeline per client (seconds, ms).
-    pub client_latency: Vec<TimeSeries>,
-    /// Requests completed per client.
-    pub client_completed: Vec<u64>,
-    /// Consensus-side summary from the first correct replica.
-    pub replica_summary: RunSummary,
-    /// Times (in seconds) at which replica 1 reconfigured, with the new leader.
-    pub reconfigurations: Vec<(f64, usize)>,
-    /// Name of the policy that produced the run.
-    pub policy_name: &'static str,
-    /// Per-replica `(seq, digest fingerprint)` commit history — the exact
-    /// agreement checkpoints the post-run auditor compares across replicas.
-    pub commit_checkpoints: Vec<Vec<(u64, u64)>>,
-    /// Simulator events processed during the run (engine-throughput metric).
-    pub events: u64,
+/// Run `config` over the skewed matrix, fault-free.
+fn run_skewed<F: Fn(usize) -> Box<dyn ReconfigPolicy>>(
+    config: &PbftConfig<F>,
+) -> RunReport<PbftRoles> {
+    let latency = colocated_latency(&skewed_matrix(config.n), config.n, config.clients);
+    run(config, Box::new(latency), FaultPlan::none()).0
 }
 
-impl PbftRunReport {
-    /// Mean client latency (ms) over a virtual-time window `[from, to)` seconds.
-    pub fn mean_client_latency(&self, from: f64, to: f64) -> f64 {
-        let vals: Vec<f64> = self
-            .client_latency
-            .iter()
-            .map(|ts| ts.mean_in_window(from, to))
-            .filter(|&v| v > 0.0)
-            .collect();
-        if vals.is_empty() {
-            0.0
-        } else {
-            vals.iter().sum::<f64>() / vals.len() as f64
-        }
-    }
+#[test]
+fn static_run_commits_requests() {
+    let config =
+        PbftConfig::new(4, 1, 2, |_| Box::new(StaticPolicy)).run_for(Duration::from_secs(20));
+    let report = run_skewed(&config);
+    assert!(report.summary.committed_blocks > 10);
+    assert!(report.roles.client_completed.iter().all(|&c| c > 5));
+    assert!(report.roles.reconfigurations.is_empty());
+    assert!(report.roles.mean_client_latency(1.0, 20.0) > 0.0);
 }
 
-/// The harness itself.
-pub struct PbftHarness;
-
-impl PbftHarness {
-    /// Build the (n + clients)-node one-way latency matrix: clients share the
-    /// city of the replica they are co-located with.
-    fn build_latency(config: &PbftHarnessConfig) -> MatrixLatency {
-        let n = config.n;
-        let total = n + config.clients;
-        let city_of = |node: usize| if node < n { node } else { (node - n) % n };
-        let mut rtt = vec![0.0; total * total];
-        for a in 0..total {
-            for b in 0..total {
-                if a == b {
-                    continue;
-                }
-                let (ca, cb) = (city_of(a), city_of(b));
-                // Same city: 2 ms local RTT; otherwise city RTT.
-                rtt[a * total + b] = if ca == cb {
-                    2.0
-                } else {
-                    config.rtt_matrix_ms[ca * n + cb]
-                };
-            }
-        }
-        MatrixLatency::from_rtt_millis(total, &rtt)
-    }
-
-    /// Run the protocol with the given per-replica policy factory.
-    pub fn run(
-        config: &PbftHarnessConfig,
-        policy_name: &'static str,
-        mut policy_factory: impl FnMut(usize) -> Box<dyn ReconfigPolicy>,
-    ) -> PbftRunReport {
-        let n = config.n;
-        let mut nodes: Vec<PbftNode> = Vec::with_capacity(n + config.clients);
-        for id in 0..n {
-            nodes.push(PbftNode::Replica(
-                ReplicaState::new(
-                    id,
-                    n,
-                    config.f,
-                    policy_factory(id),
-                    config.behaviors[id].clone(),
-                )
-                .with_traffic(config.traffic.clone())
-                .with_telemetry(config.telemetry.clone()),
-            ));
-        }
-        for c in 0..config.clients {
-            nodes.push(PbftNode::Client(ClientState::new(c as u64, n, config.f)));
-        }
-
-        let latency = Self::build_latency(config);
-        let mut sim = Simulation::new(nodes, Box::new(latency))
-            .with_faults(config.faults.clone())
-            .with_telemetry(config.telemetry.clone())
-            .with_config(SimulationConfig {
-                horizon: SimTime::ZERO + config.run_for,
-                max_events: 500_000_000,
-            });
-        sim.run();
-        sim.record_engine_metrics(&config.telemetry);
-
-        // Collect results.
-        let mut client_latency = Vec::new();
-        let mut client_completed = Vec::new();
-        let mut replica_summary = None;
-        let mut reconfigurations = Vec::new();
-        let mut commit_checkpoints = Vec::new();
-        for id in 0..sim.len() {
-            match sim.node_mut(id) {
-                PbftNode::Replica(r) => {
-                    commit_checkpoints.push(r.commit_checkpoints().to_vec());
-                    if id == 1 {
-                        reconfigurations = r
-                            .reconfigs
-                            .iter()
-                            .map(|e| (e.at.as_secs_f64(), e.config.leader))
-                            .collect();
-                    }
-                    if replica_summary.is_none() && config.behaviors[id] == ReplicaBehavior::Correct
-                    {
-                        replica_summary =
-                            Some(r.stats.summary(config.run_for.as_micros() / 1_000_000));
-                    }
-                }
-                PbftNode::Client(c) => {
-                    client_latency.push(c.latency.clone());
-                    client_completed.push(c.completed);
-                }
-            }
-        }
-
-        PbftRunReport {
-            client_latency,
-            client_completed,
-            replica_summary: replica_summary.expect("at least one correct replica"),
-            reconfigurations,
-            policy_name,
-            commit_checkpoints,
-            events: sim.events_processed(),
-        }
-    }
+#[test]
+fn aware_reconfigures_away_from_slow_leader() {
+    let config = PbftConfig::new(4, 1, 2, |_| {
+        Box::new(AwarePolicy::new(4, 1, SimTime::from_secs(15)))
+    })
+    .run_for(Duration::from_secs(60));
+    let report = run_skewed(&config);
+    assert!(
+        !report.roles.reconfigurations.is_empty(),
+        "Aware should optimise once the matrix is complete"
+    );
+    let (_, new_leader) = report.roles.reconfigurations[0];
+    assert_ne!(new_leader, 0, "slow replica should lose the leader role");
+    // Latency after optimisation should beat latency before it.
+    let before = report.roles.mean_client_latency(2.0, 14.0);
+    let after = report.roles.mean_client_latency(30.0, 60.0);
+    assert!(
+        after < before,
+        "expected improvement, before={before:.1}ms after={after:.1}ms"
+    );
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pbft::policy::{AwarePolicy, StaticPolicy};
-
-    /// A 4-replica matrix with a fast cluster {1,2,3} and a slow replica 0.
-    fn skewed_matrix(n: usize) -> Vec<f64> {
-        let mut m = vec![0.0; n * n];
-        for a in 0..n {
-            for b in 0..n {
-                if a == b {
-                    continue;
-                }
-                let slow = a == 0 || b == 0;
-                m[a * n + b] = if slow { 120.0 } else { 20.0 };
-            }
-        }
-        m
-    }
-
-    #[test]
-    fn static_run_commits_requests() {
-        let config =
-            PbftHarnessConfig::new(4, 1, 2, skewed_matrix(4)).run_for(Duration::from_secs(20));
-        let report = PbftHarness::run(&config, "bft-smart", |_| Box::new(StaticPolicy));
-        assert!(report.replica_summary.committed_blocks > 10);
-        assert!(report.client_completed.iter().all(|&c| c > 5));
-        assert!(report.reconfigurations.is_empty());
-        assert!(report.mean_client_latency(1.0, 20.0) > 0.0);
-    }
-
-    #[test]
-    fn aware_reconfigures_away_from_slow_leader() {
-        let config =
-            PbftHarnessConfig::new(4, 1, 2, skewed_matrix(4)).run_for(Duration::from_secs(60));
-        let report = PbftHarness::run(&config, "aware", |_| {
-            Box::new(AwarePolicy::new(4, 1, SimTime::from_secs(15)))
-        });
-        assert!(
-            !report.reconfigurations.is_empty(),
-            "Aware should optimise once the matrix is complete"
+/// Two delay stages on the same replica accumulate (attack → quiet →
+/// attack): the quiet gap between them must return to clean latency.
+#[test]
+fn phased_delay_attacker_goes_quiet_between_stages() {
+    let mut cfg =
+        PbftConfig::new(4, 1, 2, |_| Box::new(StaticPolicy)).run_for(Duration::from_secs(40));
+    cfg.misbehavior
+        .delay_proposals_during(
+            0,
+            Duration::from_millis(500),
+            SimTime::from_secs(5),
+            SimTime::from_secs(12),
+        )
+        .delay_proposals_during(
+            0,
+            Duration::from_millis(500),
+            SimTime::from_secs(25),
+            SimTime::from_secs(33),
         );
-        let (_, new_leader) = report.reconfigurations[0];
-        assert_ne!(new_leader, 0, "slow replica should lose the leader role");
-        // Latency after optimisation should beat latency before it.
-        let before = report.mean_client_latency(2.0, 14.0);
-        let after = report.mean_client_latency(30.0, 60.0);
-        assert!(
-            after < before,
-            "expected improvement, before={before:.1}ms after={after:.1}ms"
-        );
-    }
+    let report = run_skewed(&cfg);
+    let first = report.roles.mean_client_latency(6.0, 12.0);
+    let quiet = report.roles.mean_client_latency(14.0, 24.0);
+    let second = report.roles.mean_client_latency(26.0, 33.0);
+    assert!(
+        first > quiet * 2.0,
+        "first stage should inflate: first={first:.1}ms quiet={quiet:.1}ms"
+    );
+    assert!(
+        second > quiet * 2.0,
+        "second stage should inflate again: second={second:.1}ms quiet={quiet:.1}ms"
+    );
+}
 
-    /// Two delay stages on the same replica accumulate (attack → quiet →
-    /// attack): the quiet gap between them must return to clean latency.
-    #[test]
-    fn phased_delay_attacker_goes_quiet_between_stages() {
-        let cfg = PbftHarnessConfig::new(4, 1, 2, skewed_matrix(4))
-            .run_for(Duration::from_secs(40))
-            .with_delay_attacker_during(
-                0,
-                Duration::from_millis(500),
-                SimTime::from_secs(5),
-                SimTime::from_secs(12),
-            )
-            .with_delay_attacker_during(
-                0,
-                Duration::from_millis(500),
-                SimTime::from_secs(25),
-                SimTime::from_secs(33),
-            );
-        let report = PbftHarness::run(&cfg, "bft-smart", |_| Box::new(StaticPolicy));
-        let first = report.mean_client_latency(6.0, 12.0);
-        let quiet = report.mean_client_latency(14.0, 24.0);
-        let second = report.mean_client_latency(26.0, 33.0);
-        assert!(
-            first > quiet * 2.0,
-            "first stage should inflate: first={first:.1}ms quiet={quiet:.1}ms"
-        );
-        assert!(
-            second > quiet * 2.0,
-            "second stage should inflate again: second={second:.1}ms quiet={quiet:.1}ms"
-        );
-    }
+#[test]
+fn open_loop_traffic_commits_offered_load_below_saturation() {
+    let spec = rsm::TrafficSpec::poisson(300.0)
+        .with_clients(4)
+        .with_batching(60, Duration::from_millis(40));
+    let queue = traffic::SharedTrafficQueue::generate(
+        &spec,
+        &[1.0, 5.0, 10.0, 20.0],
+        17,
+        SimTime::from_secs(20),
+    );
+    let mut config =
+        PbftConfig::new(4, 1, 0, |_| Box::new(StaticPolicy)).run_for(Duration::from_secs(22));
+    config.traffic = Some(queue.clone());
+    let report = run_skewed(&config);
+    let tr = queue.report(20);
+    assert!(tr.offered > 4_500, "~6000 arrivals, got {}", tr.offered);
+    assert_eq!(tr.rejected, 0, "no backpressure below saturation");
+    assert!(
+        tr.committed >= tr.offered - 200,
+        "committed {} of {}",
+        tr.committed,
+        tr.offered
+    );
+    // Rounds keep rolling (heartbeats between batches), and committed
+    // traffic blocks are demand-sized.
+    assert!(report.summary.committed_blocks > 20);
+    assert!(
+        report.roles.client_completed.is_empty(),
+        "no client nodes in traffic mode"
+    );
+    // e2e covers ingress + queueing + consensus + reply: well above the
+    // bare consensus latency, bounded by the batching delay + rounds.
+    assert!(tr.e2e_mean_ms > report.summary.mean_latency_ms);
+}
 
-    #[test]
-    fn open_loop_traffic_commits_offered_load_below_saturation() {
-        use netsim::Duration as D;
-        let spec = rsm::TrafficSpec::poisson(300.0)
-            .with_clients(4)
-            .with_batching(60, D::from_millis(40));
-        let queue = traffic::SharedTrafficQueue::generate(
-            &spec,
-            &[1.0, 5.0, 10.0, 20.0],
-            17,
-            SimTime::from_secs(20),
-        );
-        let config = PbftHarnessConfig::new(4, 1, 0, skewed_matrix(4))
-            .run_for(Duration::from_secs(22))
-            .with_traffic(queue.clone());
-        let report = PbftHarness::run(&config, "bft-smart", |_| Box::new(StaticPolicy));
-        let tr = queue.report(20);
-        assert!(tr.offered > 4_500, "~6000 arrivals, got {}", tr.offered);
-        assert_eq!(tr.rejected, 0, "no backpressure below saturation");
-        assert!(
-            tr.committed >= tr.offered - 200,
-            "committed {} of {}",
-            tr.committed,
-            tr.offered
-        );
-        // Rounds keep rolling (heartbeats between batches), and committed
-        // traffic blocks are demand-sized.
-        assert!(report.replica_summary.committed_blocks > 20);
-        assert!(
-            report.client_completed.is_empty(),
-            "no client nodes in traffic mode"
-        );
-        // e2e covers ingress + queueing + consensus + reply: well above the
-        // bare consensus latency, bounded by the batching delay + rounds.
-        assert!(tr.e2e_mean_ms > report.replica_summary.mean_latency_ms);
-    }
+#[test]
+#[should_panic(expected = "clients = 0")]
+fn traffic_mode_rejects_simulated_clients() {
+    let spec = rsm::TrafficSpec::poisson(100.0).with_clients(2);
+    let queue = traffic::SharedTrafficQueue::generate(&spec, &[1.0, 1.0], 0, SimTime::from_secs(1));
+    let mut config = PbftConfig::new(4, 1, 2, |_| Box::new(StaticPolicy));
+    config.traffic = Some(queue);
+    run_skewed(&config);
+}
 
-    #[test]
-    #[should_panic(expected = "clients = 0")]
-    fn traffic_mode_rejects_simulated_clients() {
-        let spec = rsm::TrafficSpec::poisson(100.0).with_clients(2);
-        let queue =
-            traffic::SharedTrafficQueue::generate(&spec, &[1.0, 1.0], 0, SimTime::from_secs(1));
-        let _ = PbftHarnessConfig::new(4, 1, 2, skewed_matrix(4)).with_traffic(queue);
-    }
+#[test]
+fn delay_attack_inflates_latency_for_static_policy() {
+    let config =
+        || PbftConfig::new(4, 1, 2, |_| Box::new(StaticPolicy)).run_for(Duration::from_secs(40));
+    let clean = run_skewed(&config());
+    let mut attacked_cfg = config();
+    attacked_cfg.misbehavior.delay_proposals_during(
+        0,
+        Duration::from_millis(500),
+        SimTime::from_secs(10),
+        SimTime::MAX,
+    );
+    let attacked = run_skewed(&attacked_cfg);
 
-    #[test]
-    fn delay_attack_inflates_latency_for_static_policy() {
-        let base =
-            PbftHarnessConfig::new(4, 1, 2, skewed_matrix(4)).run_for(Duration::from_secs(40));
-        let clean = PbftHarness::run(&base, "bft-smart", |_| Box::new(StaticPolicy));
-
-        let attacked_cfg = PbftHarnessConfig::new(4, 1, 2, skewed_matrix(4))
-            .run_for(Duration::from_secs(40))
-            .with_delay_attacker(0, Duration::from_millis(500), SimTime::from_secs(10));
-        let attacked = PbftHarness::run(&attacked_cfg, "bft-smart", |_| Box::new(StaticPolicy));
-
-        let clean_late = clean.mean_client_latency(15.0, 40.0);
-        let attacked_late = attacked.mean_client_latency(15.0, 40.0);
-        assert!(
-            attacked_late > clean_late * 1.5,
-            "attack should inflate latency: clean={clean_late:.1}ms attacked={attacked_late:.1}ms"
-        );
-    }
+    let clean_late = clean.roles.mean_client_latency(15.0, 40.0);
+    let attacked_late = attacked.roles.mean_client_latency(15.0, 40.0);
+    assert!(
+        attacked_late > clean_late * 1.5,
+        "attack should inflate latency: clean={clean_late:.1}ms attacked={attacked_late:.1}ms"
+    );
 }

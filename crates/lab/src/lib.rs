@@ -50,10 +50,6 @@ pub mod scenario;
 pub mod topology;
 
 pub use adversary::{AdversaryScript, Attack, CompileContext, CompiledAdversary, DelayAttack, Stage, Target};
-pub use harness::{
-    run_hotstuff, run_kauri, HotStuffReport, KauriReport, PbftHarness, PbftHarnessConfig,
-    PbftRunReport,
-};
 pub use results::{
     ci95, mean, timeline_mean, CellMetrics, CellReport, MetricSummary, PointReport, ScenarioReport,
 };

@@ -15,11 +15,11 @@
 //! stream from `mix_seed(seed, point)`.
 
 use crate::adversary::{AdversaryScript, CompileContext};
-use crate::harness::{run_hotstuff, run_kauri, PbftHarness, PbftHarnessConfig};
+use crate::harness::{colocated_latency, run};
 use crate::results::{ci95, mean, timeline_mean, CellMetrics};
 use crate::topology::Topology;
 use hotstuff::{HotStuffConfig, Pacemaker};
-use kauri::{KauriBinsPolicy, KauriConfig, TreePolicy};
+use kauri::{KauriBinsPolicy, KauriCluster, KauriConfig, TreePolicy};
 use netsim::{Duration, MatrixLatency, SimTime};
 use optiaware::OptiAwarePolicy;
 use optilog::{AnnealingParams, CandidateSelector, SelectionStrategy, SuspicionGraph};
@@ -27,11 +27,11 @@ use optitree::{
     search_tree, simulate_suspicion_attack, tree_score, AttackVariant, KauriSaPolicy,
     OptiTreePolicy, TreeSearchSpace,
 };
-use pbft::{AwarePolicy, ReconfigPolicy, StaticPolicy};
+use pbft::{AwarePolicy, PbftConfig, ReconfigPolicy, StaticPolicy};
 use rand::rngs::StdRng;
 use rand::seq::index;
 use rand::{Rng, SeedableRng};
-use rsm::{SystemConfig, TrafficSpec, WorkloadSpec};
+use rsm::{MisbehaviorPlan, RunReport, SystemConfig, TrafficSpec, WorkloadSpec};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 use telemetry::Telemetry;
@@ -115,9 +115,10 @@ impl Substrate {
     }
 
     /// True if the substrate implements the protocol-level proposal-delay
-    /// behaviour (`Attack::DelayProposals`). Every current substrate does —
-    /// the PBFT family through `ReplicaBehavior::DelayPropose`, HotStuff and
-    /// the trees through `rsm::MisbehaviorPlan`. The match is deliberately
+    /// behaviour (`Attack::DelayProposals`). Every current substrate does,
+    /// through the `rsm::MisbehaviorPlan` on its configuration (the PBFT
+    /// replica turns its stages into `ReplicaBehavior::DelayPropose`). The
+    /// match is deliberately
     /// exhaustive: adding a substrate forces an explicit decision here, and
     /// answering `false` makes adversary compilation fail loudly instead of
     /// silently substituting a network-level delay (see
@@ -358,17 +359,26 @@ impl ProtocolScenario {
         });
 
         let mut metrics = CellMetrics::new();
-        // The post-cell consensus auditor: each branch feeds it the exact
-        // per-replica checkpoint histories its harness collected; after the
-        // branch it balances conservation against the registry and lands its
-        // verdict in the cell as `audit.*` gauges (deterministic inputs, so
-        // BENCH json stays byte-identical across `--threads`).
+        // The post-cell consensus auditor: `record_common` feeds it the exact
+        // per-replica checkpoint histories (and provenance evidence) of the
+        // run's report; after the run it balances conservation against the
+        // registry and lands its verdict in the cell as `audit.*` gauges
+        // (deterministic inputs, so BENCH json stays byte-identical across
+        // `--threads`).
         let mut auditor = audit::Auditor::new();
-        // Every branch produces a latency-window closure, so `LatencyWindow`
-        // metrics work uniformly across substrates: the PBFT family reports
-        // client-observed latency (its clients are part of the simulation),
-        // HotStuff and the trees report the per-commit consensus-latency
-        // timeline their runners now expose.
+        // The script's protocol-level delay attacks as the one plan every
+        // family's configuration carries.
+        let mut misbehavior = MisbehaviorPlan::none();
+        for atk in &compiled.delay_attacks {
+            misbehavior.delay_proposals_during(atk.replica, atk.delay, atk.from, atk.until);
+        }
+        let faults = compiled.faults;
+        // Every arm builds its family's configuration, runs it through the
+        // one harness, and produces a latency-window closure, so
+        // `LatencyWindow` metrics work uniformly across substrates: the PBFT
+        // family reports client-observed latency (its clients are part of the
+        // simulation), HotStuff and the trees report the per-commit
+        // consensus-latency timeline of the common report.
         let window_mean: Box<dyn Fn(f64, f64) -> f64> = if substrate.is_pbft() {
             // Open-loop cells replace the simulated closed-loop clients with
             // the traffic queue's geo-placed population.
@@ -377,43 +387,30 @@ impl ProtocolScenario {
             } else {
                 self.workload.clients_for(n)
             };
-            let mut cfg = PbftHarnessConfig::new(n, f, clients, rtt.clone())
-                .run_for(self.duration)
-                .with_faults(compiled.faults.clone());
-            cfg.telemetry = telemetry.clone();
-            if let Some(queue) = &traffic {
-                cfg = cfg.with_traffic(queue.clone());
-            }
-            for atk in &compiled.delay_attacks {
-                cfg = cfg.with_delay_attacker_during(atk.replica, atk.delay, atk.from, atk.until);
-            }
             let optimize_after = self.optimize_after;
-            let report = PbftHarness::run(&cfg, substrate.label(), |id| {
+            let mut cfg = PbftConfig::new(n, f, clients, |id| {
                 substrate.pbft_policy(id, n, f, optimize_after)
-            });
-            for (replica, cps) in report.commit_checkpoints.iter().enumerate() {
-                for &(seq, fp) in cps {
-                    auditor.record_checkpoint("pbft", replica, seq, fp);
-                }
-            }
-            let s = &report.replica_summary;
+            })
+            .run_for(self.duration);
+            cfg.misbehavior = misbehavior;
+            cfg.traffic = traffic.clone();
+            cfg.telemetry = telemetry.clone();
+            let latency = Box::new(colocated_latency(&rtt, n, clients));
+            let (report, _) = run(&cfg, latency, faults);
+            record_common(&report, &mut metrics, &mut auditor);
+            let roles = report.roles;
             metrics
-                .set("throughput_ops", s.throughput_ops)
-                .set("sustained_ops", s.sustained_ops)
-                .set("latency_ms", s.mean_latency_ms)
-                .set("p50_ms", s.p50_latency_ms)
-                .set("p99_ms", s.p99_latency_ms)
-                .set("blocks", s.committed_blocks as f64)
                 .set(
                     "client_ops",
-                    report.client_completed.iter().sum::<u64>() as f64,
+                    roles.client_completed.iter().sum::<u64>() as f64,
                 )
-                .set("reconfigurations", report.reconfigurations.len() as f64);
-            Box::new(move |from, to| report.mean_client_latency(from, to))
+                .set("reconfigurations", roles.reconfigurations.len() as f64);
+            Box::new(move |from, to| roles.mean_client_latency(from, to))
         } else if substrate.is_tree() {
             let mut cfg = KauriConfig::new(n);
             cfg.run_for = self.duration;
             cfg.batch_size = self.workload.batch_size;
+            cfg.misbehavior = misbehavior;
             cfg.traffic = traffic.clone();
             cfg.telemetry = telemetry.clone();
             if substrate == Substrate::OptiTreeNoPipeline {
@@ -422,37 +419,18 @@ impl ProtocolScenario {
             if let Some(d) = self.reconfig_delay {
                 cfg.reconfig_delay = d;
             }
-            for atk in &compiled.delay_attacks {
-                cfg.misbehavior
-                    .delay_proposals_during(atk.replica, atk.delay, atk.from, atk.until);
-            }
             // The run's initial tree, reproduced through the same seeded
             // policy: the reference for the role-retention metrics below.
             let initial_tree = substrate
                 .tree_policy(n, rtt.clone(), policy_seed)
                 .next_tree(n, SystemConfig::new(n).tree_branch_factor());
-            let rtt_for_policy = rtt.clone();
-            let report = run_kauri(
-                &cfg,
-                Box::new(MatrixLatency::from_rtt_millis(n, &rtt)),
-                compiled.faults.clone(),
-                move |_| substrate.tree_policy(n, rtt_for_policy.clone(), policy_seed),
-            );
-            for (replica, cps) in report.config_checkpoints.iter().enumerate() {
-                for &(epoch, chain) in cps {
-                    auditor.record_checkpoint("kauri.config", replica, epoch, chain);
-                }
-            }
-            auditor.check_provenance(&report.config_commands);
-            let s = &report.summary;
-            metrics
-                .set("throughput_ops", s.throughput_ops)
-                .set("sustained_ops", s.sustained_ops)
-                .set("latency_ms", s.mean_latency_ms)
-                .set("p50_ms", s.p50_latency_ms)
-                .set("p99_ms", s.p99_latency_ms)
-                .set("blocks", s.committed_blocks as f64)
-                .set("reconfigurations", report.reconfigurations as f64);
+            let latency = Box::new(MatrixLatency::from_rtt_millis(n, &rtt));
+            let cluster = KauriCluster::new(cfg, move |_| {
+                substrate.tree_policy(n, rtt.clone(), policy_seed)
+            });
+            let (report, _) = run(&cluster, latency, faults);
+            record_common(&report, &mut metrics, &mut auditor);
+            let roles = &report.roles;
             // Role bookkeeping from the configuration log: the suspicion-
             // pair evidence committed through it, the policy's exclusions,
             // and whether roles survived where they should (an innocent
@@ -460,31 +438,32 @@ impl ProtocolScenario {
             // internal position).
             let yes_no = |b: bool| if b { 1.0 } else { 0.0 };
             metrics
-                .set("committed_pairs", report.committed_pairs.len() as f64)
-                .set("adopted_epochs", report.adopted_epochs as f64)
-                .set("excluded_count", report.excluded.len() as f64)
+                .set("reconfigurations", roles.reconfigurations as f64)
+                .set("committed_pairs", roles.committed_pairs.len() as f64)
+                .set("adopted_epochs", roles.adopted_epochs as f64)
+                .set("excluded_count", roles.excluded.len() as f64)
                 .set(
                     "root_retained",
-                    yes_no(report.final_tree.root == initial_tree.root),
+                    yes_no(roles.final_tree.root == initial_tree.root),
                 )
                 .set(
                     "initial_root_excluded",
-                    yes_no(report.excluded.contains(&initial_tree.root)),
+                    yes_no(roles.excluded.contains(&initial_tree.root)),
                 );
             if let Some(atk) = compiled.delay_attacks.first() {
                 metrics
                     .set(
                         "attacker_excluded",
-                        yes_no(report.excluded.contains(&atk.replica)),
+                        yes_no(roles.excluded.contains(&atk.replica)),
                     )
                     .set(
                         "attacker_internal_final",
-                        yes_no(report.final_tree.internal_nodes().contains(&atk.replica)),
+                        yes_no(roles.final_tree.internal_nodes().contains(&atk.replica)),
                     )
                     .set(
                         "pairs_accuse_attacker",
                         yes_no(
-                            report
+                            roles
                                 .committed_pairs
                                 .iter()
                                 .any(|p| !p.reciprocal && p.accused == atk.replica),
@@ -511,31 +490,13 @@ impl ProtocolScenario {
             let mut cfg = HotStuffConfig::new(n, pacemaker);
             cfg.run_for = self.duration;
             cfg.batch_size = self.workload.batch_size;
+            cfg.misbehavior = misbehavior;
             cfg.traffic = traffic.clone();
             cfg.telemetry = telemetry.clone();
-            for atk in &compiled.delay_attacks {
-                cfg.misbehavior
-                    .delay_proposals_during(atk.replica, atk.delay, atk.from, atk.until);
-            }
-            let report = run_hotstuff(
-                &cfg,
-                Box::new(MatrixLatency::from_rtt_millis(n, &rtt)),
-                compiled.faults.clone(),
-            );
-            for (replica, cps) in report.commit_checkpoints.iter().enumerate() {
-                for &(view, fp) in cps {
-                    auditor.record_checkpoint("hotstuff", replica, view, fp);
-                }
-            }
-            let s = &report.summary;
-            metrics
-                .set("throughput_ops", s.throughput_ops)
-                .set("sustained_ops", s.sustained_ops)
-                .set("latency_ms", s.mean_latency_ms)
-                .set("p50_ms", s.p50_latency_ms)
-                .set("p99_ms", s.p99_latency_ms)
-                .set("blocks", s.committed_blocks as f64)
-                .set("views", report.views as f64);
+            let latency = Box::new(MatrixLatency::from_rtt_millis(n, &rtt));
+            let (report, _) = run(&cfg, latency, faults);
+            record_common(&report, &mut metrics, &mut auditor);
+            metrics.set("views", report.roles.views as f64);
             metrics.set_series("latency_timeline", report.latency_timeline.clone());
             let tl = report.latency_timeline;
             Box::new(move |from, to| timeline_mean(&tl, from, to))
@@ -663,6 +624,29 @@ impl ProtocolScenario {
         append_breakdown_metrics(&mut metrics, &paths, &self.windows);
         metrics
     }
+}
+
+/// The metrics path every family shares: the six consensus-side summary
+/// metrics of the common report, and the one audit feed.
+fn record_common<R, P: audit::Provenance>(
+    report: &RunReport<R, P>,
+    metrics: &mut CellMetrics,
+    auditor: &mut audit::Auditor,
+) {
+    audit::feed_auditor(
+        auditor,
+        report.oracle,
+        &report.checkpoints,
+        &report.provenance,
+    );
+    let s = &report.summary;
+    metrics
+        .set("throughput_ops", s.throughput_ops)
+        .set("sustained_ops", s.sustained_ops)
+        .set("latency_ms", s.mean_latency_ms)
+        .set("p50_ms", s.p50_latency_ms)
+        .set("p99_ms", s.p99_latency_ms)
+        .set("blocks", s.committed_blocks as f64);
 }
 
 /// Fold attributed [`CommandPath`]s into `breakdown.*` cell metrics: the

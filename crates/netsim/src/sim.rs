@@ -176,6 +176,12 @@ impl<N: Node, S: EventScheduler<N::Msg>> Simulation<N, S> {
         self.nodes.iter()
     }
 
+    /// All nodes, mutably, in node-id order (percentile queries on a node's
+    /// statistics sort in place, so reading a run back needs `&mut`).
+    pub fn nodes_mut(&mut self) -> &mut [N] {
+        &mut self.nodes
+    }
+
     /// Number of events processed so far.
     pub fn events_processed(&self) -> u64 {
         self.events_processed

@@ -23,14 +23,16 @@
 //! end-to-end latency, which is what Fig 7 plots.
 
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+pub mod cluster;
 pub mod messages;
 pub mod policy;
 pub mod replica;
 pub mod score;
 pub mod weights;
 
+pub use cluster::{PbftConfig, PbftRoles};
 pub use messages::{PbftMessage, Phase};
 pub use policy::{AwarePolicy, PbftRoundRecord, ReconfigPolicy, StaticPolicy};
-pub use replica::{ClientState, DelayStage, PbftNode, ReplicaBehavior, ReplicaState};
+pub use replica::{ClientState, PbftNode, ReplicaBehavior, ReplicaState};
 pub use score::{predict_round_latency, predict_message_delays, weighted_quorum_time};
 pub use weights::WeightConfig;

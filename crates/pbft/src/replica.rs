@@ -13,8 +13,8 @@ use crate::messages::{PbftMessage, Phase};
 use crate::policy::{PbftRoundRecord, ReconfigPolicy};
 use crate::weights::WeightConfig;
 use crypto::{Digest, Hashable};
-use rsm::{Block, Command, CommitStats};
-use runtime::{Context, Duration, FaultWindow, Node, NodeId, SimTime, TimeSeries, TimerId};
+use rsm::{Block, Command, CommitStats, DelayStage};
+use runtime::{Context, Duration, Node, NodeId, SimTime, TimeSeries, TimerId};
 use std::collections::{BTreeMap, BTreeSet};
 use telemetry::{Stage, Telemetry};
 use traffic::SharedTrafficQueue;
@@ -24,15 +24,6 @@ const TIMER_PROBE_START: u64 = 1;
 const TIMER_PROBE_COLLECT: u64 = 2;
 const TIMER_PROPOSE_RETRY: u64 = 3;
 const TIMER_DELAYED_PROPOSE: u64 = 4;
-
-/// One phase of the Pre-Prepare delay attack.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DelayStage {
-    /// Extra delay added to every proposal while the stage is active.
-    pub delay: Duration,
-    /// When the stage is active.
-    pub window: FaultWindow,
-}
 
 /// How a replica behaves.
 #[derive(Debug, Clone, PartialEq)]

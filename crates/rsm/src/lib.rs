@@ -23,10 +23,14 @@
 //!   proposal-delay attack) that every substrate installs as a replica
 //!   behaviour, so the same adversary script drives PBFT, HotStuff, and the
 //!   tree overlays.
+//! * [`Cluster`] / [`RunReport`] — the one contract between a consensus
+//!   family and its runners: build the replicas, read them back into the
+//!   same report shape in the simulator and over real sockets.
 
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 pub mod app;
 pub mod block;
+pub mod cluster;
 pub mod config;
 pub mod log;
 pub mod misbehavior;
@@ -35,6 +39,7 @@ pub mod workload;
 
 pub use app::{Application, CounterApp, KvApp, NullApp};
 pub use block::{Block, Command};
+pub use cluster::{Cluster, RunReport};
 pub use config::{RoleAssignment, SystemConfig};
 pub use log::AppendLog;
 pub use misbehavior::{DelayStage, MisbehaviorPlan};

@@ -20,8 +20,7 @@ use runtime::{Duration, FaultWindow, SimTime};
 use std::collections::BTreeMap;
 
 /// One phase of a proposal-delay attack. The first stage whose window
-/// contains the send time applies (mirroring the PBFT substrate's
-/// behaviour stages).
+/// contains the send time applies.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayStage {
     /// Extra hold applied to each proposal sent while the stage is active.
@@ -42,19 +41,11 @@ impl DelayStage {
             },
         }
     }
-
-    /// The hold this stage applies at `now` (zero when inactive).
-    pub fn hold_at(&self, now: SimTime) -> Duration {
-        if self.window.contains(now) {
-            self.delay
-        } else {
-            Duration::ZERO
-        }
-    }
 }
 
 /// Scripted protocol-level misbehavior for one run: per-replica delay
-/// stages, queried by the substrate at every proposal send.
+/// stages, handed to each replica when its cluster is built and queried
+/// through [`hold_at`] at every proposal send.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MisbehaviorPlan {
     stages: BTreeMap<usize, Vec<DelayStage>>,
@@ -93,12 +84,6 @@ impl MisbehaviorPlan {
     pub fn stages_for(&self, replica: usize) -> Vec<DelayStage> {
         self.stages.get(&replica).cloned().unwrap_or_default()
     }
-
-    /// The hold `replica` applies to a proposal sent at `now`: the delay of
-    /// the first active stage, or zero.
-    pub fn proposal_hold(&self, replica: usize, now: SimTime) -> Duration {
-        hold_at(self.stages.get(&replica).map_or(&[][..], |v| v), now)
-    }
 }
 
 /// The hold a stage list applies at `now`: the first active stage wins.
@@ -114,11 +99,16 @@ pub fn hold_at(stages: &[DelayStage], now: SimTime) -> Duration {
 mod tests {
     use super::*;
 
+    /// The hold `replica` applies at `now`, the way a substrate asks.
+    fn proposal_hold(plan: &MisbehaviorPlan, replica: usize, now: SimTime) -> Duration {
+        hold_at(&plan.stages_for(replica), now)
+    }
+
     #[test]
     fn empty_plan_never_holds() {
         let plan = MisbehaviorPlan::none();
         assert!(plan.is_empty());
-        assert!(plan.proposal_hold(0, SimTime::from_secs(10)).is_zero());
+        assert!(proposal_hold(&plan, 0, SimTime::from_secs(10)).is_zero());
         assert!(plan.stages_for(3).is_empty());
     }
 
@@ -131,12 +121,12 @@ mod tests {
             SimTime::from_secs(10),
             SimTime::from_secs(20),
         );
-        assert!(plan.proposal_hold(2, SimTime::from_secs(9)).is_zero());
-        assert_eq!(plan.proposal_hold(2, SimTime::from_secs(10)).as_millis(), 400);
-        assert_eq!(plan.proposal_hold(2, SimTime::from_secs(19)).as_millis(), 400);
-        assert!(plan.proposal_hold(2, SimTime::from_secs(20)).is_zero());
+        assert!(proposal_hold(&plan, 2, SimTime::from_secs(9)).is_zero());
+        assert_eq!(proposal_hold(&plan, 2, SimTime::from_secs(10)).as_millis(), 400);
+        assert_eq!(proposal_hold(&plan, 2, SimTime::from_secs(19)).as_millis(), 400);
+        assert!(proposal_hold(&plan, 2, SimTime::from_secs(20)).is_zero());
         // Other replicas are unaffected.
-        assert!(plan.proposal_hold(0, SimTime::from_secs(15)).is_zero());
+        assert!(proposal_hold(&plan, 0, SimTime::from_secs(15)).is_zero());
     }
 
     #[test]
@@ -154,9 +144,9 @@ mod tests {
             SimTime::from_secs(12),
             SimTime::MAX,
         );
-        assert_eq!(plan.proposal_hold(1, SimTime::from_secs(6)).as_millis(), 100);
-        assert!(plan.proposal_hold(1, SimTime::from_secs(9)).is_zero());
-        assert_eq!(plan.proposal_hold(1, SimTime::from_secs(500)).as_millis(), 700);
+        assert_eq!(proposal_hold(&plan, 1, SimTime::from_secs(6)).as_millis(), 100);
+        assert!(proposal_hold(&plan, 1, SimTime::from_secs(9)).is_zero());
+        assert_eq!(proposal_hold(&plan, 1, SimTime::from_secs(500)).as_millis(), 700);
         assert_eq!(plan.stages_for(1).len(), 2);
     }
 

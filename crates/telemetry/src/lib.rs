@@ -52,6 +52,16 @@ pub struct Telemetry {
     inner: Option<Arc<Inner>>,
 }
 
+/// A run description that carries the telemetry handle its replicas record
+/// into. The runtime-agnostic runners read the handle through this trait —
+/// to tick its sampler on their clock and drain their own engine metrics
+/// into the same registry — without knowing which protocol configuration
+/// they were handed.
+pub trait Instrumented {
+    /// The handle installed on every replica of the run.
+    fn telemetry(&self) -> &Telemetry;
+}
+
 impl Telemetry {
     /// The no-op handle: nothing is recorded, every call is a branch on a
     /// `None` and a return.

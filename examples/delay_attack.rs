@@ -4,10 +4,10 @@
 //!
 //! Run with: `cargo run --example delay_attack`
 
-use netsim::{Duration, SimTime};
+use lab::harness::{colocated_latency, run};
+use netsim::{Duration, FaultPlan, SimTime};
 use optiaware::OptiAwarePolicy;
-use lab::{PbftHarness, PbftHarnessConfig};
-use pbft::{AwarePolicy, ReconfigPolicy};
+use pbft::{AwarePolicy, PbftConfig, ReconfigPolicy};
 
 fn main() {
     let n = 7;
@@ -29,20 +29,32 @@ fn main() {
     }
     let attack_start = SimTime::from_secs(40);
     let optimize_after = SimTime::from_secs(15);
-    let run = Duration::from_secs(90);
+    let run_for = Duration::from_secs(90);
 
     let run_system = |name: &str, factory: &dyn Fn(usize) -> Box<dyn ReconfigPolicy>| {
-        let config = PbftHarnessConfig::new(n, f, 4, rtt.clone())
-            .run_for(run)
-            .with_delay_attacker(0, Duration::from_millis(400), attack_start);
-        let report = PbftHarness::run(&config, "delay-attack", |id| factory(id));
-        let recovered = report.mean_client_latency(70.0, 90.0);
+        let clients = 4;
+        let mut config = PbftConfig::new(n, f, clients, factory).run_for(run_for);
+        // The attack is a protocol-level behaviour on the cluster's
+        // misbehavior plan — the same carrier HotStuff and the trees use.
+        config.misbehavior.delay_proposals_during(
+            0,
+            Duration::from_millis(400),
+            attack_start,
+            SimTime::MAX,
+        );
+        let (report, _events) = run(
+            &config,
+            Box::new(colocated_latency(&rtt, n, clients)),
+            FaultPlan::none(),
+        );
+        let roles = report.roles;
+        let recovered = roles.mean_client_latency(70.0, 90.0);
         println!(
             "{name:<10}  optimized {:>7.1} ms   under attack {:>7.1} ms   after recovery {:>7.1} ms   reconfigs {:?}",
-            report.mean_client_latency(20.0, 40.0),
-            report.mean_client_latency(42.0, 60.0),
+            roles.mean_client_latency(20.0, 40.0),
+            roles.mean_client_latency(42.0, 60.0),
             recovered,
-            report.reconfigurations,
+            roles.reconfigurations,
         );
         recovered
     };

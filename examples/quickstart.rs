@@ -3,9 +3,9 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use lab::{PbftHarness, PbftHarnessConfig};
-use netsim::{CityDataset, Duration};
-use pbft::StaticPolicy;
+use lab::harness::{colocated_latency, run};
+use netsim::{CityDataset, Duration, FaultPlan};
+use pbft::{PbftConfig, StaticPolicy};
 use rsm::{Application, Command, KvApp};
 use rsm::app::KvOp;
 
@@ -22,18 +22,26 @@ fn main() {
         }
     }
 
-    // 2. Run the replicated state machine for 20 virtual seconds with four
-    //    co-located clients issuing requests in a closed loop.
-    let config = PbftHarnessConfig::new(n, 2, 4, rtt).run_for(Duration::from_secs(20));
-    let report = PbftHarness::run(&config, "quickstart", |_| Box::new(StaticPolicy));
+    // 2. Describe the cluster — 7 replicas with the static policy, four
+    //    co-located clients issuing requests in a closed loop, 20 virtual
+    //    seconds — and run it through the one simulation harness. (The same
+    //    `rsm::Cluster` value is what `deployd::run_on` launches on sockets.)
+    let clients = 4;
+    let config = PbftConfig::new(n, 2, clients, |_| Box::new(StaticPolicy))
+        .run_for(Duration::from_secs(20));
+    let (report, _events) = run(
+        &config,
+        Box::new(colocated_latency(&rtt, n, clients)),
+        FaultPlan::none(),
+    );
 
     println!("== consensus summary ==");
-    println!("{}", report.replica_summary.render("pbft / europe (n=7)"));
+    println!("{}", report.summary.render("pbft / europe (n=7)"));
     println!(
         "client latency (steady state): {:.1} ms",
-        report.mean_client_latency(2.0, 20.0)
+        report.roles.mean_client_latency(2.0, 20.0)
     );
-    for (i, done) in report.client_completed.iter().enumerate() {
+    for (i, done) in report.roles.client_completed.iter().enumerate() {
         println!("client {i}: {done} requests completed");
     }
 

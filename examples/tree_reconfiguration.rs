@@ -2,8 +2,8 @@
 //!
 //! Run with: `cargo run --example tree_reconfiguration`
 
-use kauri::{KauriConfig, TreePolicy};
-use lab::run_kauri;
+use kauri::{KauriCluster, KauriConfig, TreePolicy};
+use lab::harness::run;
 use netsim::{CityDataset, Duration, FaultPlan, MatrixLatency, SimTime};
 use optitree::OptiTreePolicy;
 use rsm::SystemConfig;
@@ -33,15 +33,21 @@ fn main() {
     cfg.run_for = Duration::from_secs(45);
     cfg.reconfig_delay = Duration::from_secs(1); // the simulated-annealing search
 
-    let rtt_clone = rtt.clone();
-    let report = run_kauri(
-        &cfg,
+    // The cluster is the configuration plus the policy every replica selects
+    // trees with; the harness runs it without knowing it is a tree.
+    let cluster = KauriCluster::new(cfg, |_| {
+        Box::new(OptiTreePolicy::new(system, rtt.clone(), 7))
+    });
+    let (report, _events) = run(
+        &cluster,
         Box::new(MatrixLatency::from_rtt_millis(n, &rtt)),
         faults,
-        move |_| Box::new(OptiTreePolicy::new(system, rtt_clone.clone(), 7)) as Box<dyn TreePolicy>,
     );
 
-    println!("root {first_root} crashed at t=15s; reconfigurations: {}", report.reconfigurations);
+    println!(
+        "root {first_root} crashed at t=15s; reconfigurations: {}",
+        report.roles.reconfigurations
+    );
     println!("throughput per second:");
     for (sec, ops) in report.throughput_timeline.iter().enumerate() {
         println!("  t={sec:>2}s  {ops:>8} op/s");

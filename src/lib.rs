@@ -26,8 +26,9 @@
 //!   t-bounded-conformity reconfiguration.
 //! * [`optiaware`] — OptiLog applied to Aware (§5).
 //! * [`optitree`] — OptiLog applied to Kauri (§6).
-//! * [`lab`] — declarative scenarios, adversary scripts, and the
-//!   simulation harnesses that drive each substrate through `netsim`.
+//! * [`lab`] — declarative scenarios, adversary scripts, and the one
+//!   simulation harness (`lab::harness::run`) that drives any
+//!   `rsm::Cluster` through `netsim`.
 //!
 //! See `examples/quickstart.rs` for a first end-to-end run.
 

@@ -3,16 +3,16 @@
 
 use optilog_suite::*;
 
-use kauri::{KauriBinsPolicy, KauriConfig, TreePolicy};
+use kauri::{KauriBinsPolicy, KauriCluster, KauriConfig};
 use hotstuff::{HotStuffConfig, Pacemaker};
-use lab::{run_hotstuff, run_kauri, PbftHarness, PbftHarnessConfig};
-use netsim::{CityDataset, Duration, FaultPlan, MatrixLatency, SimTime};
+use lab::harness::{colocated_latency, run};
+use netsim::{CityDataset, Duration, FaultPlan, LatencyModel, MatrixLatency, SimTime};
 use optiaware::OptiAwarePolicy;
 use optilog::{AnnealingParams, SuspicionMonitorParams};
 use optilog::pipeline::OptiLogInstance;
 use optitree::{search_tree, tree_score, OptiTreePolicy, TreeSearchSpace};
-use pbft::{AwarePolicy, StaticPolicy};
-use rsm::SystemConfig;
+use pbft::{AwarePolicy, PbftConfig, PbftRoles, ReconfigPolicy, StaticPolicy};
+use rsm::{RunReport, SystemConfig};
 
 fn europe_rtt(n: usize) -> Vec<f64> {
     let ds = CityDataset::worldwide();
@@ -27,16 +27,30 @@ fn europe_rtt(n: usize) -> Vec<f64> {
     m
 }
 
+fn matrix(n: usize, rtt: &[f64]) -> Box<dyn LatencyModel> {
+    Box::new(MatrixLatency::from_rtt_millis(n, rtt))
+}
+
+/// A fault-free PBFT run over `rtt` with the configured clients co-located.
+fn sim_pbft<F: Fn(usize) -> Box<dyn ReconfigPolicy>>(
+    config: &PbftConfig<F>,
+    rtt: &[f64],
+) -> RunReport<PbftRoles> {
+    let latency = colocated_latency(rtt, config.n, config.clients);
+    run(config, Box::new(latency), FaultPlan::none()).0
+}
+
 // ---- per-substrate smoke tests: every protocol commits over the city
 // ---- dataset's latency matrix, end to end through netsim.
 
 #[test]
 fn smoke_pbft_commits_over_city_matrix() {
     let n = 7;
-    let config = PbftHarnessConfig::new(n, 2, 2, europe_rtt(n)).run_for(Duration::from_secs(5));
-    let report = PbftHarness::run(&config, "smoke-pbft", |_| Box::new(StaticPolicy));
+    let config =
+        PbftConfig::new(n, 2, 2, |_| Box::new(StaticPolicy)).run_for(Duration::from_secs(5));
+    let report = sim_pbft(&config, &europe_rtt(n));
     assert!(
-        report.replica_summary.committed_blocks > 0,
+        report.summary.committed_blocks > 0,
         "pbft committed nothing: {report:?}"
     );
 }
@@ -48,7 +62,7 @@ fn smoke_hotstuff_commits_over_city_matrix() {
     for pacemaker in [Pacemaker::Fixed { leader: 0 }, Pacemaker::RoundRobin] {
         let mut cfg = HotStuffConfig::new(n, pacemaker);
         cfg.run_for = Duration::from_secs(5);
-        let report = run_hotstuff(&cfg, Box::new(MatrixLatency::from_rtt_millis(n, &rtt)), FaultPlan::none());
+        let report = run(&cfg, matrix(n, &rtt), FaultPlan::none()).0;
         assert!(
             report.summary.committed_blocks > 0,
             "hotstuff ({pacemaker:?}) committed nothing"
@@ -62,12 +76,8 @@ fn smoke_kauri_commits_over_city_matrix() {
     let rtt = europe_rtt(n);
     let mut cfg = KauriConfig::new(n);
     cfg.run_for = Duration::from_secs(5);
-    let report = run_kauri(
-        &cfg,
-        Box::new(MatrixLatency::from_rtt_millis(n, &rtt)),
-        FaultPlan::none(),
-        |_| Box::new(KauriBinsPolicy::new(n, 3, 1)) as Box<dyn TreePolicy>,
-    );
+    let cluster = KauriCluster::new(cfg, |_| Box::new(KauriBinsPolicy::new(n, 3, 1)));
+    let report = run(&cluster, matrix(n, &rtt), FaultPlan::none()).0;
     assert!(
         report.summary.committed_blocks > 0,
         "kauri committed nothing"
@@ -77,10 +87,11 @@ fn smoke_kauri_commits_over_city_matrix() {
 #[test]
 fn pbft_over_city_latencies_commits_client_requests() {
     let n = 7;
-    let config = PbftHarnessConfig::new(n, 2, 3, europe_rtt(n)).run_for(Duration::from_secs(15));
-    let report = PbftHarness::run(&config, "integration", |_| Box::new(StaticPolicy));
-    assert!(report.replica_summary.committed_blocks > 10);
-    assert!(report.client_completed.iter().all(|&c| c > 3));
+    let config =
+        PbftConfig::new(n, 2, 3, |_| Box::new(StaticPolicy)).run_for(Duration::from_secs(15));
+    let report = sim_pbft(&config, &europe_rtt(n));
+    assert!(report.summary.committed_blocks > 10);
+    assert!(report.roles.client_completed.iter().all(|&c| c > 3));
 }
 
 #[test]
@@ -94,22 +105,19 @@ fn optiaware_recovers_from_delay_attack_while_aware_does_not() {
         .0
         .leader;
     let attack = SimTime::from_secs(40);
-    let run = Duration::from_secs(100);
     let optimize_after = SimTime::from_secs(15);
-
-    let aware_cfg = PbftHarnessConfig::new(n, f, 3, rtt.clone())
-        .run_for(run)
-        .with_delay_attacker(attacker, Duration::from_millis(400), attack);
-    let aware = PbftHarness::run(&aware_cfg, "aware", |_| {
-        Box::new(AwarePolicy::new(n, f, optimize_after))
-    });
-
-    let opti_cfg = PbftHarnessConfig::new(n, f, 3, rtt.clone())
-        .run_for(run)
-        .with_delay_attacker(attacker, Duration::from_millis(400), attack);
-    let opti = PbftHarness::run(&opti_cfg, "optiaware", |id| {
-        Box::new(OptiAwarePolicy::new(id, n, f, 1.0, optimize_after))
-    });
+    let attacked = |policy: &dyn Fn(usize) -> Box<dyn ReconfigPolicy>| {
+        let mut cfg = PbftConfig::new(n, f, 3, policy).run_for(Duration::from_secs(100));
+        cfg.misbehavior.delay_proposals_during(
+            attacker,
+            Duration::from_millis(400),
+            attack,
+            SimTime::MAX,
+        );
+        sim_pbft(&cfg, &rtt).roles
+    };
+    let aware = attacked(&|_| Box::new(AwarePolicy::new(n, f, optimize_after)));
+    let opti = attacked(&|id| Box::new(OptiAwarePolicy::new(id, n, f, 1.0, optimize_after)));
 
     // By the end of the run OptiAware must be no worse than Aware: either it
     // detected the attack and reassigned the leader, or its suspicion-driven
@@ -203,26 +211,27 @@ fn tree_protocols_commit_and_pipeline_on_emulated_wan() {
 
     let mut hs_cfg = HotStuffConfig::new(n, Pacemaker::Fixed { leader: 0 });
     hs_cfg.run_for = Duration::from_secs(20);
-    let hs = run_hotstuff(&hs_cfg, Box::new(MatrixLatency::from_rtt_millis(n, &rtt)), FaultPlan::none());
+    let hs = run(&hs_cfg, matrix(n, &rtt), FaultPlan::none()).0;
 
     let mut kauri_cfg = KauriConfig::new(n);
     kauri_cfg.run_for = Duration::from_secs(20);
-    let kauri = run_kauri(
-        &kauri_cfg,
-        Box::new(MatrixLatency::from_rtt_millis(n, &rtt)),
+    let kauri = run(
+        &KauriCluster::new(kauri_cfg, |_| Box::new(KauriBinsPolicy::new(n, 4, 1))),
+        matrix(n, &rtt),
         FaultPlan::none(),
-        |_| Box::new(KauriBinsPolicy::new(n, 4, 1)) as Box<dyn TreePolicy>,
-    );
+    )
+    .0;
 
     let mut opti_cfg = KauriConfig::new(n);
     opti_cfg.run_for = Duration::from_secs(20);
-    let rtt_clone = rtt.clone();
-    let opti = run_kauri(
-        &opti_cfg,
-        Box::new(MatrixLatency::from_rtt_millis(n, &rtt)),
+    let opti = run(
+        &KauriCluster::new(opti_cfg, |_| {
+            Box::new(OptiTreePolicy::new(system, rtt.clone(), 7))
+        }),
+        matrix(n, &rtt),
         FaultPlan::none(),
-        move |_| Box::new(OptiTreePolicy::new(system, rtt_clone.clone(), 7)) as Box<dyn TreePolicy>,
-    );
+    )
+    .0;
 
     assert!(hs.summary.committed_blocks > 10);
     assert!(kauri.summary.committed_blocks > 10);
