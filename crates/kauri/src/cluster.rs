@@ -7,7 +7,7 @@ use crate::policy::TreePolicy;
 use crate::tree::Tree;
 use configlog::SuspicionPair;
 use rsm::{Cluster, MisbehaviorPlan, RunReport, RunSummary, SystemConfig};
-use runtime::Duration;
+use runtime::{Duration, Histogram};
 use telemetry::{Instrumented, Telemetry};
 use traffic::SharedTrafficQueue;
 
@@ -187,12 +187,19 @@ impl<F: Fn(usize) -> Box<dyn TreePolicy>> Cluster for KauriCluster<F> {
             (Some(&(first, _)), Some(&(last, _))) if last > first => last - first,
             _ => run_secs as f64,
         };
+        // Percentiles over the merged timeline, with the same
+        // rank-interpolating definition the single-root summaries use
+        // (timeline points are whole microseconds rendered as ms).
+        let mut merged = Histogram::new();
+        for &(_, ms) in &latency_timeline {
+            merged.record(Duration::from_micros((ms * 1_000.0).round() as u64));
+        }
         let summary = RunSummary {
             throughput_ops: total_commands as f64 / run_secs as f64,
             sustained_ops: total_commands as f64 / span_secs,
             mean_latency_ms,
-            p50_latency_ms: mean_latency_ms,
-            p99_latency_ms: mean_latency_ms,
+            p50_latency_ms: merged.median().as_millis_f64(),
+            p99_latency_ms: merged.percentile(0.99).as_millis_f64(),
             latency_ci95_ms: 0.0,
             committed_blocks: total_blocks,
             committed_commands: total_commands,

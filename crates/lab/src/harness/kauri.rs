@@ -209,6 +209,17 @@ fn delaying_intermediate_holds_forwarded_payloads() {
         attacked_mid > clean_mid + 200.0,
         "held forwards should inflate commit latency: clean={clean_mid:.1}ms attacked={attacked_mid:.1}ms"
     );
+    // The aggregate's percentiles come from the merged commit timeline, not
+    // from the mean: under the hold the distribution is skewed, so they
+    // must straddle it.
+    let s = &attacked.summary;
+    assert!(
+        s.p99_latency_ms > s.p50_latency_ms && s.p50_latency_ms > 0.0,
+        "p50 {} p99 {}",
+        s.p50_latency_ms,
+        s.p99_latency_ms
+    );
+    assert!(s.p99_latency_ms >= s.mean_latency_ms);
     // Outside the stage the two runs are equally fast.
     let attacked_late = mean_in(&attacked, 16.0, 20.0);
     assert!(
