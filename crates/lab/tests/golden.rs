@@ -25,18 +25,29 @@ const SEED: u64 = 12;
 /// the withholding root out) so the protocol-specific report sections carry
 /// more than zeros.
 fn cell(substrate: Substrate, target: Target, delay_ms: u64) -> CellMetrics {
-    let mut scenario = ProtocolScenario::new(
-        vec![substrate],
-        vec![Topology::with_n(Deployment::Europe21, 7)],
-    )
-    .with_adversaries(vec![AdversaryScript::named("delay").during(
+    cell_with(substrate, target, delay_ms, |script| script)
+}
+
+/// [`cell`] with further stages appended to its adversary script.
+fn cell_with(
+    substrate: Substrate,
+    target: Target,
+    delay_ms: u64,
+    more: impl FnOnce(AdversaryScript) -> AdversaryScript,
+) -> CellMetrics {
+    let script = AdversaryScript::named("delay").during(
         SimTime::from_secs(3),
         SimTime::from_secs(7),
         Attack::DelayProposals {
             target,
             delay: Duration::from_millis(delay_ms),
         },
-    )])
+    );
+    let mut scenario = ProtocolScenario::new(
+        vec![substrate],
+        vec![Topology::with_n(Deployment::Europe21, 7)],
+    )
+    .with_adversaries(vec![more(script)])
     .with_traffic_axis(vec![TrafficSpec::poisson(400.0)
         .with_clients(8)
         .with_batching(40, Duration::from_millis(40))])
@@ -159,4 +170,25 @@ fn cells_exercise_load_attack_and_roles() {
             _ => {}
         }
     }
+}
+
+/// The PBFT role history is read at the same observer as the summary, not
+/// at a fixed replica id: crashing replica 1 after the first (t ≈ 2 s)
+/// reconfiguration must not hide the reassignment that answers the attack.
+#[test]
+fn crashing_replica_one_does_not_truncate_the_reconfiguration_history() {
+    let golden = cell(Substrate::OptiAware, Target::OptimizedLeader, 400);
+    let crashed = cell_with(Substrate::OptiAware, Target::OptimizedLeader, 400, |script| {
+        script.at(
+            SimTime::from_millis(2_800),
+            Attack::Crash {
+                target: Target::Replica(1),
+            },
+        )
+    });
+    assert_eq!(golden.values["reconfigurations"], 2.0);
+    assert_eq!(
+        crashed.values["reconfigurations"], 2.0,
+        "the post-crash reassignment must still be reported"
+    );
 }

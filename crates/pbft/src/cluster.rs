@@ -63,7 +63,8 @@ pub struct PbftRoles {
     pub client_latency: Vec<TimeSeries>,
     /// Requests completed per client.
     pub client_completed: Vec<u64>,
-    /// Times (in seconds) at which replica 1 reconfigured, with the new leader.
+    /// Times (in seconds) at which the observer (the first correct replica)
+    /// reconfigured, with the new leader.
     pub reconfigurations: Vec<(f64, usize)>,
 }
 
@@ -134,17 +135,16 @@ impl<F: Fn(usize) -> Box<dyn ReconfigPolicy>> Cluster for PbftConfig<F> {
             match node {
                 PbftNode::Replica(r) => {
                     checkpoints.push(r.commit_checkpoints().to_vec());
-                    if id == 1 {
+                    // The vantage point — for the consensus-side summary and
+                    // for the role history alike — is the first correct
+                    // replica: a delaying leader's own statistics hide the
+                    // gap it opens for everyone else.
+                    if observed.is_none() && self.misbehavior.stages_for(id).is_empty() {
                         roles.reconfigurations = r
                             .reconfigs
                             .iter()
                             .map(|e| (e.at.as_secs_f64(), e.config.leader))
                             .collect();
-                    }
-                    // The consensus-side vantage point is the first correct
-                    // replica: a delaying leader's own statistics hide the
-                    // gap it opens for everyone else.
-                    if observed.is_none() && self.misbehavior.stages_for(id).is_empty() {
                         observed = Some((
                             r.stats.summary(run_secs),
                             r.stats.latency_timeline().points().to_vec(),
