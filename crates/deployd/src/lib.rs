@@ -39,7 +39,7 @@ pub mod ops;
 
 use crypto::Digest;
 use hotstuff::{HotStuffConfig, Pacemaker};
-use kauri::{KauriBinsPolicy, KauriCluster, KauriConfig, TreePolicy};
+use kauri::{KauriBinsPolicy, KauriCluster, KauriConfig};
 use rsm::{Cluster, RunSummary, TrafficSpec};
 use runtime::{Duration, Node, RealCluster, SimTime, WireMsg};
 use telemetry::Telemetry;
@@ -238,9 +238,8 @@ pub fn run_cluster(
             // Identically-seeded policies so every replica derives the same
             // trees — the same discipline the simulation scenarios apply.
             let (n, branch, seed) = (config.n, ka.branch, config.seed);
-            let cluster = KauriCluster::new(ka, move |_| {
-                Box::new(KauriBinsPolicy::new(n, branch, seed)) as Box<dyn TreePolicy>
-            });
+            let cluster =
+                KauriCluster::new(ka, move |_| Box::new(KauriBinsPolicy::new(n, branch, seed)));
             run_on(config, &cluster, queue, should_stop, |_| Vec::new())
         }
     }
@@ -274,8 +273,9 @@ where
     let mut auditor = config.auditor();
     let recorder = config.flight_recorder();
     let commits_metric = format!("{}.node.commits", config.substrate.name());
+    let nodes = cluster.build();
     let started = std::time::Instant::now();
-    let running = RealCluster::launch(cluster.build())?;
+    let running = RealCluster::launch(nodes)?;
     wait_out(
         config,
         should_stop,
@@ -386,9 +386,8 @@ fn wait_out(
 }
 
 /// Seal the auditor over the final registry (strict conservation), record
-/// whether the exact digest sequences agreed, publish
-/// the verdict everywhere it is served from, and dump the flight ring if the
-/// run failed its oracles.
+/// whether the exact digest sequences agreed, publish the verdict everywhere
+/// it is served from, and dump the flight ring if the run failed its oracles.
 fn finish_audit(
     config: &DeployConfig,
     report: &mut RealRunReport,

@@ -153,11 +153,11 @@ impl<F: Fn(usize) -> Box<dyn TreePolicy>> Cluster for KauriCluster<F> {
         let mut throughput_timeline = vec![0u64; run_secs as usize + 1];
         let mut latency_timeline = Vec::new();
         let mut reconfigurations = 0;
-        for node in nodes.iter_mut() {
-            let s = node.stats.summary(run_secs);
-            total_commands += s.committed_commands;
-            total_blocks += s.committed_blocks;
-            latency_weighted += s.mean_latency_ms * s.committed_blocks as f64;
+        for node in nodes.iter() {
+            let blocks = node.stats.blocks();
+            total_commands += node.stats.commands();
+            total_blocks += blocks;
+            latency_weighted += node.stats.mean_latency().as_millis_f64() * blocks as f64;
             latency_timeline.extend_from_slice(node.stats.latency_timeline().points());
             for (slot, &c) in throughput_timeline
                 .iter_mut()

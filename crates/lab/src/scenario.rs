@@ -387,9 +387,8 @@ impl ProtocolScenario {
             } else {
                 self.workload.clients_for(n)
             };
-            let optimize_after = self.optimize_after;
             let mut cfg = PbftConfig::new(n, f, clients, |id| {
-                substrate.pbft_policy(id, n, f, optimize_after)
+                substrate.pbft_policy(id, n, f, self.optimize_after)
             })
             .run_for(self.duration);
             cfg.misbehavior = misbehavior;

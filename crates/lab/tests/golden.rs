@@ -16,6 +16,7 @@ use lab::{
 use netsim::{Duration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 
 const TABLE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/cells.txt");
 const SEED: u64 = 12;
@@ -63,20 +64,24 @@ fn cell_with(
     spec.run_cell(&points[0], SEED)
 }
 
-fn cells() -> Vec<(&'static str, CellMetrics)> {
-    vec![
-        ("BftSmart", cell(Substrate::BftSmart, Target::Root, 400)),
-        (
-            "OptiAware",
-            cell(Substrate::OptiAware, Target::OptimizedLeader, 400),
-        ),
-        (
-            "HotStuffFixed",
-            cell(Substrate::HotStuffFixed, Target::Root, 400),
-        ),
-        ("Kauri", cell(Substrate::Kauri, Target::Root, 2_500)),
-        ("OptiTree", cell(Substrate::OptiTree, Target::Root, 2_500)),
-    ]
+/// The five golden cells, run once per test process.
+fn cells() -> &'static [(&'static str, CellMetrics)] {
+    static CELLS: OnceLock<Vec<(&'static str, CellMetrics)>> = OnceLock::new();
+    CELLS.get_or_init(|| {
+        vec![
+            ("BftSmart", cell(Substrate::BftSmart, Target::Root, 400)),
+            (
+                "OptiAware",
+                cell(Substrate::OptiAware, Target::OptimizedLeader, 400),
+            ),
+            (
+                "HotStuffFixed",
+                cell(Substrate::HotStuffFixed, Target::Root, 400),
+            ),
+            ("Kauri", cell(Substrate::Kauri, Target::Root, 2_500)),
+            ("OptiTree", cell(Substrate::OptiTree, Target::Root, 2_500)),
+        ]
+    })
 }
 
 /// `family/key` → exact rendering of the value.
@@ -122,7 +127,7 @@ fn from_text(text: &str) -> BTreeMap<String, String> {
 
 #[test]
 fn cells_match_the_checked_in_table() {
-    let actual = render(&cells());
+    let actual = render(cells());
     if std::env::var_os("GOLDEN_UPDATE").is_some() {
         std::fs::write(TABLE, to_text(&actual)).expect("write the golden table");
         return;
@@ -155,6 +160,7 @@ fn cells_match_the_checked_in_table() {
 #[test]
 fn cells_exercise_load_attack_and_roles() {
     for (family, m) in cells() {
+        let family = *family;
         let v = |k: &str| m.values.get(k).copied().unwrap_or(0.0);
         assert!(v("committed_ops") > 100.0, "{family}: load must commit");
         assert!(
@@ -172,20 +178,26 @@ fn cells_exercise_load_attack_and_roles() {
     }
 }
 
-/// The PBFT role history is read at the same observer as the summary, not
+/// The PBFT role history is read at the best-informed correct replica, not
 /// at a fixed replica id: crashing replica 1 after the first (t ≈ 2 s)
 /// reconfiguration must not hide the reassignment that answers the attack.
 #[test]
 fn crashing_replica_one_does_not_truncate_the_reconfiguration_history() {
-    let golden = cell(Substrate::OptiAware, Target::OptimizedLeader, 400);
-    let crashed = cell_with(Substrate::OptiAware, Target::OptimizedLeader, 400, |script| {
-        script.at(
-            SimTime::from_millis(2_800),
-            Attack::Crash {
-                target: Target::Replica(1),
-            },
-        )
-    });
+    let (_, golden) = &cells()[1];
+    assert_eq!(cells()[1].0, "OptiAware");
+    let crashed = cell_with(
+        Substrate::OptiAware,
+        Target::OptimizedLeader,
+        400,
+        |script| {
+            script.at(
+                SimTime::from_millis(2_800),
+                Attack::Crash {
+                    target: Target::Replica(1),
+                },
+            )
+        },
+    );
     assert_eq!(golden.values["reconfigurations"], 2.0);
     assert_eq!(
         crashed.values["reconfigurations"], 2.0,

@@ -63,7 +63,7 @@ pub struct PbftRoles {
     pub client_latency: Vec<TimeSeries>,
     /// Requests completed per client.
     pub client_completed: Vec<u64>,
-    /// Times (in seconds) at which the observer (the first correct replica)
+    /// Times (in seconds) at which the best-informed correct replica
     /// reconfigured, with the new leader.
     pub reconfigurations: Vec<(f64, usize)>,
 }
@@ -135,16 +135,23 @@ impl<F: Fn(usize) -> Box<dyn ReconfigPolicy>> Cluster for PbftConfig<F> {
             match node {
                 PbftNode::Replica(r) => {
                     checkpoints.push(r.commit_checkpoints().to_vec());
-                    // The vantage point — for the consensus-side summary and
-                    // for the role history alike — is the first correct
-                    // replica: a delaying leader's own statistics hide the
-                    // gap it opens for everyone else.
-                    if observed.is_none() && self.misbehavior.stages_for(id).is_empty() {
+                    let correct = self.misbehavior.stages_for(id).is_empty();
+                    // Role history from the best-informed correct replica
+                    // (longest history, lowest id on ties), as for the trees'
+                    // configuration log: a crashed replica's history stops
+                    // at the crash, and a deposed leader that never commits
+                    // under the new epoch never records the change.
+                    if correct && r.reconfigs.len() > roles.reconfigurations.len() {
                         roles.reconfigurations = r
                             .reconfigs
                             .iter()
                             .map(|e| (e.at.as_secs_f64(), e.config.leader))
                             .collect();
+                    }
+                    // The consensus-side vantage point is the first correct
+                    // replica: a delaying leader's own statistics hide the
+                    // gap it opens for everyone else.
+                    if observed.is_none() && correct {
                         observed = Some((
                             r.stats.summary(run_secs),
                             r.stats.latency_timeline().points().to_vec(),
