@@ -116,9 +116,8 @@ impl Substrate {
 
     /// True if the substrate implements the protocol-level proposal-delay
     /// behaviour (`Attack::DelayProposals`). Every current substrate does,
-    /// through the `rsm::MisbehaviorPlan` on its configuration (the PBFT
-    /// replica turns its stages into `ReplicaBehavior::DelayPropose`). The
-    /// match is deliberately
+    /// through the `rsm::MisbehaviorPlan` on its configuration. The match
+    /// is deliberately
     /// exhaustive: adding a substrate forces an explicit decision here, and
     /// answering `false` makes adversary compilation fail loudly instead of
     /// silently substituting a network-level delay (see

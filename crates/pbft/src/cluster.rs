@@ -3,7 +3,7 @@
 //! how the finished nodes are read back into a [`RunReport`].
 
 use crate::policy::ReconfigPolicy;
-use crate::replica::{ClientState, PbftNode, ReplicaBehavior, ReplicaState};
+use crate::replica::{ClientState, PbftNode, ReplicaState};
 use rsm::{Cluster, MisbehaviorPlan, RunReport};
 use runtime::{Duration, TimeSeries};
 use telemetry::{Instrumented, Telemetry};
@@ -106,14 +106,9 @@ impl<F: Fn(usize) -> Box<dyn ReconfigPolicy>> Cluster for PbftConfig<F> {
             "open-loop traffic replaces the simulated clients; configure clients = 0"
         );
         let replicas = (0..self.n).map(|id| {
-            let stages = self.misbehavior.stages_for(id);
-            let behavior = if stages.is_empty() {
-                ReplicaBehavior::Correct
-            } else {
-                ReplicaBehavior::DelayPropose { stages }
-            };
             PbftNode::Replica(
-                ReplicaState::new(id, self.n, self.f, (self.policy)(id), behavior)
+                ReplicaState::new(id, self.n, self.f, (self.policy)(id))
+                    .with_delays(self.misbehavior.stages_for(id))
                     .with_traffic(self.traffic.clone())
                     .with_telemetry(self.telemetry.clone()),
             )

@@ -13,7 +13,7 @@ use crate::messages::{PbftMessage, Phase};
 use crate::policy::{PbftRoundRecord, ReconfigPolicy};
 use crate::weights::WeightConfig;
 use crypto::{Digest, Hashable};
-use rsm::{Block, Command, CommitStats, DelayStage};
+use rsm::{misbehavior, Block, Command, CommitStats, DelayStage};
 use runtime::{Context, Duration, Node, NodeId, SimTime, TimeSeries, TimerId};
 use std::collections::{BTreeMap, BTreeSet};
 use telemetry::{Stage, Telemetry};
@@ -24,23 +24,6 @@ const TIMER_PROBE_START: u64 = 1;
 const TIMER_PROBE_COLLECT: u64 = 2;
 const TIMER_PROPOSE_RETRY: u64 = 3;
 const TIMER_DELAYED_PROPOSE: u64 = 4;
-
-/// How a replica behaves.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ReplicaBehavior {
-    /// Follows the protocol.
-    Correct,
-    /// Performs the Pre-Prepare delay attack: whenever it is leader and a
-    /// stage is active, it delays sending each proposal by the stage's
-    /// delay (keeping its proposal timestamp honest, so the delay is
-    /// visible as a widened inter-proposal gap — exactly what suspicion
-    /// condition (a) detects). Stages let one replica attack in several
-    /// phases (e.g. attack → quiet → attack again).
-    DelayPropose {
-        /// The attack phases; the first stage containing `now` applies.
-        stages: Vec<DelayStage>,
-    },
-}
 
 /// One in-flight consensus instance at a replica.
 #[derive(Debug, Clone)]
@@ -78,7 +61,13 @@ pub struct ReplicaState {
     batch_cap: usize,
     probe_interval: Duration,
     probe_timeout: Duration,
-    behavior: ReplicaBehavior,
+    /// Scripted Pre-Prepare delay attack stages (empty when correct):
+    /// whenever this replica is leader and a stage is active, it delays
+    /// sending each proposal by the stage's delay (keeping its proposal
+    /// timestamp honest, so the delay is visible as a widened
+    /// inter-proposal gap — exactly what suspicion condition (a) detects).
+    /// Several stages let one replica attack, go quiet, and attack again.
+    delays: Vec<DelayStage>,
     policy: Box<dyn ReconfigPolicy>,
     config: WeightConfig,
     pending_requests: Vec<Command>,
@@ -122,7 +111,6 @@ impl ReplicaState {
         n: usize,
         f: usize,
         policy: Box<dyn ReconfigPolicy>,
-        behavior: ReplicaBehavior,
     ) -> Self {
         ReplicaState {
             id,
@@ -131,7 +119,7 @@ impl ReplicaState {
             batch_cap: 1000,
             probe_interval: Duration::from_secs(5),
             probe_timeout: Duration::from_millis(800),
-            behavior,
+            delays: Vec::new(),
             policy,
             config: WeightConfig::initial(n, f),
             pending_requests: Vec::new(),
@@ -153,6 +141,12 @@ impl ReplicaState {
             stats: CommitStats::new(),
             reconfigs: Vec::new(),
         }
+    }
+
+    /// Install scripted proposal-delay stages (the protocol-level attack).
+    pub fn with_delays(mut self, delays: Vec<DelayStage>) -> Self {
+        self.delays = delays;
+        self
     }
 
     /// Drive proposals from an open-loop traffic queue instead of the
@@ -226,22 +220,21 @@ impl ReplicaState {
         );
         let measurements = std::mem::take(&mut self.pending_measurements);
 
-        if let ReplicaBehavior::DelayPropose { stages } = &self.behavior {
-            if let Some(stage) = stages.iter().find(|s| s.window.contains(ctx.now)) {
-                // The Pre-Prepare delay attack as its own span on the
-                // attacker's track (the Fig 7 "dissemination-hold" bar).
-                self.telemetry.span(
-                    Stage::Hold,
-                    self.id,
-                    self.next_seq,
-                    ctx.now.as_micros(),
-                    stage.delay.as_micros(),
-                    vec![],
-                );
-                self.delayed_block = Some((self.next_seq, block, measurements));
-                ctx.set_timer(stage.delay, TIMER_DELAYED_PROPOSE);
-                return;
-            }
+        let hold = misbehavior::hold_at(&self.delays, ctx.now);
+        if !hold.is_zero() {
+            // The Pre-Prepare delay attack as its own span on the
+            // attacker's track (the Fig 7 "dissemination-hold" bar).
+            self.telemetry.span(
+                Stage::Hold,
+                self.id,
+                self.next_seq,
+                ctx.now.as_micros(),
+                hold.as_micros(),
+                vec![],
+            );
+            self.delayed_block = Some((self.next_seq, block, measurements));
+            ctx.set_timer(hold, TIMER_DELAYED_PROPOSE);
+            return;
         }
         self.send_propose(ctx, self.next_seq, block, measurements);
     }
@@ -765,7 +758,7 @@ mod tests {
 
     #[test]
     fn replica_initial_state() {
-        let r = ReplicaState::new(2, 7, 2, Box::new(StaticPolicy), ReplicaBehavior::Correct);
+        let r = ReplicaState::new(2, 7, 2, Box::new(StaticPolicy));
         assert_eq!(r.config().leader, 0);
         assert!(!r.is_leader());
         assert_eq!(r.last_committed_seq, 0);
