@@ -131,12 +131,14 @@ impl LatencyMatrix {
 
     /// Apply a committed latency vector: overwrite the reporter's row with
     /// the recorded values, then re-derive the symmetric matrix entry as
-    /// `max` of the two directions (§4.2.1).
-    pub fn apply_vector(&mut self, v: &LatencyVector) {
+    /// `max` of the two directions (§4.2.1). Returns true if any entry of
+    /// the symmetric matrix changed.
+    pub fn apply_vector(&mut self, v: &LatencyVector) -> bool {
         if v.rtt_ms.len() != self.n || v.reporter >= self.n {
-            return;
+            return false;
         }
         let r = v.reporter;
+        let mut changed = false;
         for b in 0..self.n {
             if b == r {
                 continue;
@@ -151,14 +153,16 @@ impl LatencyMatrix {
                 (false, true) => ba,
                 (false, false) => UNREACHABLE_MS,
             };
+            changed |= self.rtt_ms[r * self.n + b] != sym;
             self.rtt_ms[r * self.n + b] = sym;
             self.rtt_ms[b * self.n + r] = sym;
         }
+        changed
     }
 
-    /// The full symmetric RTT matrix in milliseconds (row-major copy).
-    pub fn to_vec(&self) -> Vec<f64> {
-        self.rtt_ms.clone()
+    /// The full symmetric RTT matrix in milliseconds, row-major.
+    pub fn as_slice(&self) -> &[f64] {
+        &self.rtt_ms
     }
 }
 
@@ -167,6 +171,9 @@ impl LatencyMatrix {
 pub struct LatencyMonitor {
     matrix: LatencyMatrix,
     vectors_applied: u64,
+    /// Advances only when a vector changed a matrix entry, so consumers can
+    /// key work derived from `L` on it.
+    revision: u64,
 }
 
 impl LatencyMonitor {
@@ -175,13 +182,22 @@ impl LatencyMonitor {
         LatencyMonitor {
             matrix: LatencyMatrix::new(n),
             vectors_applied: 0,
+            revision: 0,
         }
     }
 
     /// Process a committed latency vector.
     pub fn on_vector(&mut self, v: &LatencyVector) {
-        self.matrix.apply_vector(v);
+        if self.matrix.apply_vector(v) {
+            self.revision += 1;
+        }
         self.vectors_applied += 1;
+    }
+
+    /// Revision of the matrix: the number of committed vectors that changed
+    /// an entry. A re-reported, unchanged vector leaves it where it was.
+    pub fn revision(&self) -> u64 {
+        self.revision
     }
 
     /// The current latency matrix.
@@ -257,6 +273,28 @@ mod tests {
     }
 
     #[test]
+    fn revision_advances_only_when_an_entry_changes() {
+        let mut mon = LatencyMonitor::new(3);
+        let v0 = LatencyVector::new(0, vec![0.0, 10.0, 20.0]);
+        mon.on_vector(&v0);
+        assert_eq!(mon.revision(), 1);
+        // The same vector again changes nothing.
+        mon.on_vector(&v0);
+        assert_eq!(mon.revision(), 1);
+        // A lower report from the other direction is masked by the max.
+        mon.on_vector(&LatencyVector::new(1, vec![4.0, 0.0, f64::INFINITY]));
+        assert_eq!(mon.revision(), 1);
+        assert_eq!(mon.matrix().rtt(0, 1), 10.0);
+        // A higher one is not.
+        mon.on_vector(&LatencyVector::new(1, vec![14.0, 0.0, 15.0]));
+        assert_eq!(mon.revision(), 2);
+        // Malformed vectors are ignored.
+        mon.on_vector(&LatencyVector::new(9, vec![0.0, 1.0, 2.0]));
+        assert_eq!(mon.revision(), 2);
+        assert_eq!(mon.vectors_applied(), 5);
+    }
+
+    #[test]
     fn malformed_vector_ignored() {
         let mut m = LatencyMatrix::new(3);
         m.apply_vector(&LatencyVector::new(0, vec![0.0, 1.0])); // wrong length
@@ -269,6 +307,6 @@ mod tests {
         let m = LatencyMatrix::from_rtt_ms(2, vec![0.0, 42.0, 42.0, 0.0]);
         assert!(m.is_complete());
         assert_eq!(m.rtt(0, 1), 42.0);
-        assert_eq!(m.to_vec().len(), 4);
+        assert_eq!(m.as_slice().len(), 4);
     }
 }

@@ -94,7 +94,7 @@ impl OptiLogInstance {
     }
 
     /// The candidate set `K` and estimate `u`.
-    pub fn selection(&mut self) -> CandidateSelection {
+    pub fn selection(&mut self) -> &CandidateSelection {
         self.suspicion.selection()
     }
 

@@ -106,9 +106,11 @@ pub struct MessageExpectation {
     pub kind: u32,
 }
 
-/// Everything the sensor needs to evaluate one completed round.
-#[derive(Debug, Clone)]
-pub struct RoundObservation {
+/// Everything the sensor needs to evaluate one completed round. Timeouts
+/// and arrivals are borrowed from their owners (the protocol's per-epoch
+/// timeout cache and its round record): judging a round copies neither.
+#[derive(Debug, Clone, Copy)]
+pub struct RoundObservation<'a> {
     /// The round number.
     pub round: u64,
     /// The leader of the round.
@@ -118,9 +120,9 @@ pub struct RoundObservation {
     /// The previous round's proposal timestamp, if known.
     pub prev_proposal_ts: Option<SimTime>,
     /// The timing expectations for this round (protocol-provided, TR1–TR3).
-    pub timeouts: RoundTimeouts,
+    pub timeouts: &'a RoundTimeouts,
     /// Observed arrivals: (sender, message kind, arrival time).
-    pub arrivals: Vec<(usize, u32, SimTime)>,
+    pub arrivals: &'a [(usize, u32, SimTime)],
 }
 
 /// The SuspicionSensor: evaluates local observations against expectations.
@@ -155,7 +157,7 @@ impl SuspicionSensor {
 
     /// Evaluate a completed round and return the suspicions to log
     /// (conditions (a) and (b)).
-    pub fn evaluate_round(&mut self, obs: &RoundObservation, is_leader: bool) -> Vec<Suspicion> {
+    pub fn evaluate_round(&mut self, obs: &RoundObservation<'_>, is_leader: bool) -> Vec<Suspicion> {
         let mut out = Vec::new();
 
         // Condition (a): consecutive proposal timestamps within δ·d_rnd.
@@ -310,6 +312,12 @@ pub struct SuspicionMonitor {
     accepted: u64,
     /// Count of filtered suspicions, for diagnostics.
     filtered: u64,
+    /// Memoised result of [`Self::selection`]; dropped by
+    /// [`Self::invalidate`] wherever `F`, `C` or the edge set changes.
+    selection: Option<CandidateSelection>,
+    /// Advances with every such change, so consumers can key work derived
+    /// from the selection on it.
+    revision: u64,
 }
 
 impl SuspicionMonitor {
@@ -328,12 +336,32 @@ impl SuspicionMonitor {
             leader_suspected_round: BTreeSet::new(),
             accepted: 0,
             filtered: 0,
+            selection: None,
+            revision: 0,
         }
+    }
+
+    /// The inputs of the selection changed: forget the memoised one.
+    fn invalidate(&mut self) {
+        self.selection = None;
+        self.revision += 1;
+    }
+
+    /// Revision of the selection's inputs: advances whenever a committed
+    /// suspicion, a view change or a faulty-set update changed `F`, `C` or
+    /// the edge set. Equal revisions mean equal selections (the floor
+    /// enforcement inside [`Self::selection`] is part of computing the
+    /// selection for a revision, not a new one).
+    pub fn revision(&self) -> u64 {
+        self.revision
     }
 
     /// Update the set of provably faulty replicas (from the MisbehaviorMonitor).
     pub fn set_faulty(&mut self, faulty: BTreeSet<usize>) {
-        self.faulty = faulty;
+        if self.faulty != faulty {
+            self.faulty = faulty;
+            self.invalidate();
+        }
     }
 
     /// The crash set `C`.
@@ -353,9 +381,15 @@ impl SuspicionMonitor {
 
     /// Advance to a new view (leader change). Un-reciprocated edges older
     /// than the reciprocation window move the accused into `C`; during a
-    /// stable window, old suspicions are expired one per view.
+    /// stable window, old suspicions are expired one per view. A view that
+    /// does not advance the clock is a no-op, so callers may report the
+    /// current view as often as they like without speeding expiry up.
     pub fn on_view(&mut self, view: u64) {
-        self.current_view = self.current_view.max(view);
+        if view <= self.current_view {
+            return;
+        }
+        self.current_view = view;
+        let edges_before = self.edges.len();
 
         // One-way suspicions: accused treated as crashed.
         let expired: Vec<(usize, usize)> = self
@@ -379,6 +413,9 @@ impl SuspicionMonitor {
             if let Some((&key, _)) = self.edges.iter().min_by_key(|(_, e)| e.order) {
                 self.edges.remove(&key);
             }
+        }
+        if self.edges.len() != edges_before {
+            self.invalidate();
         }
     }
 
@@ -458,6 +495,7 @@ impl SuspicionMonitor {
                 order,
             },
         );
+        self.invalidate();
     }
 
     /// Build the current suspicion graph `G` over `V = Π \ F \ C`.
@@ -474,12 +512,20 @@ impl SuspicionMonitor {
         g
     }
 
-    /// Compute the candidate set `K` and the estimate `u`.
+    /// The candidate set `K` and the estimate `u`, recomputed only after
+    /// `F`, `C` or the edge set changed.
     ///
     /// For the maximum-independent-set strategy, Lemma 1's guarantee
     /// (`|K| ≥ n − f`) is enforced by discarding the oldest suspicions until
     /// a sufficiently large independent set exists.
-    pub fn selection(&mut self) -> CandidateSelection {
+    pub fn selection(&mut self) -> &CandidateSelection {
+        if self.selection.is_none() {
+            self.selection = Some(self.select_enforcing_floor());
+        }
+        self.selection.as_ref().expect("just computed")
+    }
+
+    fn select_enforcing_floor(&mut self) -> CandidateSelection {
         loop {
             let graph = self.graph();
             let sel = self.selector.select(&graph);
@@ -537,32 +583,43 @@ mod tests {
 
     // ---- sensor tests -----------------------------------------------------
 
-    fn observation(leader: usize, proposal_ms: u64, prev_ms: Option<u64>) -> RoundObservation {
+    fn timeouts() -> RoundTimeouts {
+        RoundTimeouts::new(
+            Duration::from_millis(100),
+            vec![
+                MessageTimeout::new(1, 1, Duration::from_millis(40)),
+                MessageTimeout::new(2, 1, Duration::from_millis(60)),
+            ],
+        )
+    }
+
+    /// A phase-1 arrival from `from` at `ms`.
+    fn at(from: usize, ms: u64) -> (usize, u32, SimTime) {
+        (from, 1, SimTime::from_millis(ms))
+    }
+
+    fn observation<'a>(
+        timeouts: &'a RoundTimeouts,
+        prev_ms: u64,
+        arrivals: &'a [(usize, u32, SimTime)],
+    ) -> RoundObservation<'a> {
         RoundObservation {
             round: 3,
-            leader,
-            proposal_ts: SimTime::from_millis(proposal_ms),
-            prev_proposal_ts: prev_ms.map(SimTime::from_millis),
-            timeouts: RoundTimeouts::new(
-                Duration::from_millis(100),
-                vec![
-                    MessageTimeout::new(1, 1, Duration::from_millis(40)),
-                    MessageTimeout::new(2, 1, Duration::from_millis(60)),
-                ],
-            ),
-            arrivals: vec![],
+            leader: 3,
+            proposal_ts: SimTime::from_millis(1000),
+            prev_proposal_ts: Some(SimTime::from_millis(prev_ms)),
+            timeouts,
+            arrivals,
         }
     }
 
     #[test]
     fn sensor_condition_a_detects_late_proposal() {
         let mut sensor = SuspicionSensor::new(0, 1.0);
-        let mut obs = observation(3, 1000, Some(850));
-        obs.arrivals = vec![
-            (1, 1, SimTime::from_millis(1030)),
-            (2, 1, SimTime::from_millis(1050)),
-        ];
-        let sus = sensor.evaluate_round(&obs, false);
+        let sus = sensor.evaluate_round(
+            &observation(&timeouts(), 850, &[at(1, 1030), at(2, 1050)]),
+            false,
+        );
         assert_eq!(sus.len(), 1);
         assert_eq!(sus[0].accused, 3);
         assert_eq!(sus[0].phase, PHASE_PROPOSAL);
@@ -571,22 +628,20 @@ mod tests {
     #[test]
     fn sensor_condition_a_respects_delta() {
         let mut sensor = SuspicionSensor::new(0, 2.0);
-        let mut obs = observation(3, 1000, Some(850));
-        obs.arrivals = vec![
-            (1, 1, SimTime::from_millis(1030)),
-            (2, 1, SimTime::from_millis(1050)),
-        ];
         // interval 150 <= 2.0 * 100 → no suspicion
-        assert!(sensor.evaluate_round(&obs, false).is_empty());
+        assert!(sensor
+            .evaluate_round(
+                &observation(&timeouts(), 850, &[at(1, 1030), at(2, 1050)]),
+                false
+            )
+            .is_empty());
     }
 
     #[test]
     fn sensor_condition_b_detects_missing_and_late_messages() {
         let mut sensor = SuspicionSensor::new(0, 1.0);
-        let mut obs = observation(3, 1000, Some(950));
         // Replica 1 arrives late (1000+40=1040 deadline), replica 2 never arrives.
-        obs.arrivals = vec![(1, 1, SimTime::from_millis(1045))];
-        let sus = sensor.evaluate_round(&obs, false);
+        let sus = sensor.evaluate_round(&observation(&timeouts(), 950, &[at(1, 1045)]), false);
         let accused: BTreeSet<usize> = sus.iter().map(|s| s.accused).collect();
         assert_eq!(accused, [1, 2].into_iter().collect());
         assert!(sus.iter().all(|s| s.kind == SuspicionKind::Slow));
@@ -596,18 +651,19 @@ mod tests {
     #[test]
     fn sensor_on_time_messages_raise_nothing() {
         let mut sensor = SuspicionSensor::new(0, 1.0);
-        let mut obs = observation(3, 1000, Some(950));
-        obs.arrivals = vec![
-            (1, 1, SimTime::from_millis(1040)),
-            (2, 1, SimTime::from_millis(1055)),
-        ];
-        assert!(sensor.evaluate_round(&obs, false).is_empty());
+        assert!(sensor
+            .evaluate_round(
+                &observation(&timeouts(), 950, &[at(1, 1040), at(2, 1055)]),
+                false
+            )
+            .is_empty());
     }
 
     #[test]
     fn sensor_does_not_suspect_itself_and_dedups() {
         let mut sensor = SuspicionSensor::new(1, 1.0);
-        let obs = observation(3, 1000, Some(950));
+        let timeouts = timeouts();
+        let obs = observation(&timeouts, 950, &[]);
         // Replica 1's own expected message is skipped; replica 2 missing.
         let first = sensor.evaluate_round(&obs, false);
         assert_eq!(first.len(), 1);
@@ -826,7 +882,7 @@ mod tests {
                 round += 1;
             }
         }
-        let sel = m.selection();
+        let sel = m.selection().clone();
         assert!(
             sel.candidates.len() >= n - f,
             "floor violated with complete graph: |K| = {}",
@@ -893,6 +949,29 @@ mod tests {
         );
         m.on_view(5);
         assert_eq!(m.edge_count(), 0);
+    }
+
+    #[test]
+    fn repeating_a_view_expires_nothing_further() {
+        let mut m = SuspicionMonitor::new(SuspicionMonitorParams::new(9, 2).with_window(2));
+        m.on_view(1);
+        for (round, (a, b)) in [(0usize, 1usize), (2, 3), (4, 5)].into_iter().enumerate() {
+            m.on_suspicion(&slow(a, b, round as u64, 1));
+            m.on_suspicion(&slow(b, a, round as u64, 1));
+        }
+        // Past the stable window: entering view 4 drops the oldest edge.
+        m.on_view(4);
+        assert_eq!(m.edge_count(), 2);
+        // Reporting view 4 again (a caller polling once per commit) must
+        // not: expiry is one edge per view, not one per call.
+        let revision = m.revision();
+        for _ in 0..1_000 {
+            m.on_view(4);
+        }
+        assert_eq!(m.edge_count(), 2);
+        assert_eq!(m.revision(), revision);
+        m.on_view(5);
+        assert_eq!(m.edge_count(), 1);
     }
 
     #[test]

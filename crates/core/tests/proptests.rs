@@ -122,8 +122,52 @@ proptest! {
                     accuser_is_leader: false,
                 });
             }
-            m.selection()
+            m.selection().clone()
         };
         prop_assert_eq!(run(), run());
+    }
+
+    /// The monitor memoises its selection. Under any interleaving of
+    /// suspicions (Slow and False), view changes (repeated and advancing),
+    /// faulty-set updates and queries — including the floor enforcement
+    /// that discards edges inside `selection` — what it hands out is what a
+    /// selector computes from scratch on the current graph, and the
+    /// revision moves whenever the answer does.
+    #[test]
+    fn memoised_selection_matches_the_current_graph(
+        ops in prop::collection::vec((0u8..8, 0usize..7, 0usize..7, 0u64..12), 0..80)
+    ) {
+        let params = SuspicionMonitorParams::new(7, 2).with_window(3);
+        let mut m = SuspicionMonitor::new(params);
+        let selector = CandidateSelector::new(params.strategy);
+        let mut view = 0;
+        let mut last: Option<(u64, optilog::CandidateSelection)> = None;
+        for (op, a, b, round) in ops {
+            match op {
+                0..=2 => m.on_suspicion(&Suspicion {
+                    kind: if op == 2 { SuspicionKind::False } else { SuspicionKind::Slow },
+                    accuser: a,
+                    accused: b,
+                    round,
+                    phase: 1 + (round % 2) as u32,
+                    accuser_is_leader: false,
+                }),
+                3 => {
+                    view += 1;
+                    m.on_view(view);
+                }
+                4 => m.on_view(view),
+                5 if round == 0 => m.set_faulty([a].into_iter().collect()),
+                _ => {}
+            }
+            let sel = m.selection().clone();
+            prop_assert_eq!(&sel, &selector.select(&m.graph()));
+            if let Some((revision, previous)) = &last {
+                if *revision == m.revision() {
+                    prop_assert_eq!(previous, &sel);
+                }
+            }
+            last = Some((m.revision(), sel));
+        }
     }
 }

@@ -107,6 +107,11 @@ pub struct TimerWheel<M> {
     free: Vec<u32>,
     /// `buckets[level * SLOTS + slot]` holds event handles.
     buckets: Vec<VecDeque<EventHandle>>,
+    /// Empty between cascades. A cascade swaps it with the bucket it
+    /// redistributes, so the bucket keeps a buffer (this one's) and the
+    /// drained buffer serves the next cascade; taking the bucket instead
+    /// would free its storage and regrow it from nothing every rotation.
+    cascade_scratch: VecDeque<EventHandle>,
     /// Per-level bucket-occupancy bitmask (bit = slot may hold entries;
     /// entries can be stale until pruned).
     occ: [u64; LEVELS],
@@ -135,6 +140,7 @@ impl<M> TimerWheel<M> {
             slab: Vec::new(),
             free: Vec::new(),
             buckets: (0..LEVELS * SLOTS).map(|_| VecDeque::new()).collect(),
+            cascade_scratch: VecDeque::new(),
             occ: [0; LEVELS],
             now: 0,
             next_seq: 0,
@@ -245,11 +251,11 @@ impl<M> TimerWheel<M> {
                     let window_start = base | ((s as u64) << shift);
                     self.now = self.now.max(window_start);
                     self.occ[level] &= !(1 << s);
-                    let entries =
-                        std::mem::take(&mut self.buckets[level * SLOTS + s]);
+                    let mut entries = std::mem::take(&mut self.cascade_scratch);
+                    std::mem::swap(&mut entries, &mut self.buckets[level * SLOTS + s]);
                     self.cascades += 1;
                     self.cascade_entries += entries.len() as u64;
-                    for h in entries {
+                    for h in entries.drain(..) {
                         if self.is_live(h) {
                             let (idx, _) = split(h);
                             debug_assert!(
@@ -258,6 +264,7 @@ impl<M> TimerWheel<M> {
                             self.insert(idx);
                         }
                     }
+                    self.cascade_scratch = entries;
                     continue 'scan;
                 }
             }

@@ -17,6 +17,13 @@
 //! * the configuration search is restricted to candidates, so the attacker
 //!   loses the leader role and its `V_max` weight at the next
 //!   reconfiguration — which is exactly the recovery Fig 7 shows.
+//!
+//! The substrate calls `decide` after every commit, but the monitors are
+//! functions of *committed* measurements, so the answer can only change when
+//! the log delivers a latency vector that changes the matrix, a suspicion
+//! that changes the graph, or a new leader term. The policy searches only
+//! then (keyed on the two monitors' revisions) and answers every other call
+//! from the output of its last search; `searches()` counts the searches.
 
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 use runtime::{Duration, SimTime};
@@ -61,6 +68,20 @@ impl OptiAwareBlob {
     }
 }
 
+/// The output of the last configuration search and the log state it ran
+/// against.
+#[derive(Default)]
+struct Search {
+    /// `(suspicion revision, latency revision)` at the time of the search;
+    /// `None` before the first one.
+    revisions: Option<(u64, u64)>,
+    /// Replicas outside the candidate set.
+    suspected: Vec<usize>,
+    /// The best configuration and its score; `None` while the matrix is
+    /// incomplete or no candidate remains.
+    best: Option<(WeightConfig, f64)>,
+}
+
 /// The OptiAware reconfiguration policy: Aware's optimisation plus OptiLog's
 /// suspicion monitoring.
 pub struct OptiAwarePolicy {
@@ -97,6 +118,9 @@ pub struct OptiAwarePolicy {
     terms: u64,
     /// The configuration epoch the last `decide` call ran under.
     last_epoch: Option<u64>,
+    /// The last search, reused until a monitor revision moves.
+    search: Search,
+    searches: u64,
 }
 
 impl OptiAwarePolicy {
@@ -130,6 +154,8 @@ impl OptiAwarePolicy {
             improvement_factor: 0.9,
             terms: 0,
             last_epoch: None,
+            search: Search::default(),
+            searches: 0,
         }
     }
 
@@ -143,15 +169,52 @@ impl OptiAwarePolicy {
         self.latency.matrix().is_complete()
     }
 
+    /// How many configuration searches `decide` has run (diagnostic).
+    pub fn searches(&self) -> u64 {
+        self.searches
+    }
+
+    /// Bring `self.search` up to date with the monitors: search again only
+    /// if a revision moved since the last search.
+    fn refresh_search(&mut self) {
+        let revisions = Some((self.monitor.revision(), self.latency.revision()));
+        if self.search.revisions == revisions {
+            return;
+        }
+        let mut suspected = Vec::new();
+        let mut best = None;
+        if self.matrix_complete() {
+            let selection = self.monitor.selection();
+            let candidates = selection.as_vec();
+            if !candidates.is_empty() {
+                suspected = (0..self.n).filter(|r| !selection.contains(*r)).collect();
+                self.searches += 1;
+                best = Some(optimize_configuration(
+                    self.latency.matrix().as_slice(),
+                    self.n,
+                    self.f,
+                    &candidates,
+                    &suspected,
+                    0,
+                ));
+            }
+        }
+        self.search = Search {
+            revisions,
+            suspected,
+            best,
+        };
+    }
+
     /// Derive the per-message timeouts and round duration for `config` from
     /// the shared latency matrix (TR1–TR3).
     fn round_timeouts_for(&self, config: &WeightConfig) -> RoundTimeouts {
-        let matrix = self.latency.matrix().to_vec();
-        if matrix.iter().any(|x| !x.is_finite()) {
+        if !self.matrix_complete() {
             return RoundTimeouts::default();
         }
-        let d_rnd = predict_round_latency(&matrix, self.n, self.f, config, &[]);
-        let messages = predict_message_delays(&matrix, self.n, self.f, config, self.id)
+        let matrix = self.latency.matrix().as_slice();
+        let d_rnd = predict_round_latency(matrix, self.n, self.f, config, &[]);
+        let messages = predict_message_delays(matrix, self.n, self.f, config, self.id)
             .into_iter()
             .map(|(from, kind, ms)| MessageTimeout::new(from, kind, Duration::from_millis_f64(ms)))
             .collect();
@@ -159,7 +222,8 @@ impl OptiAwarePolicy {
     }
 
     /// Rebuild the per-epoch timeout cache and the worst-case hold. Called
-    /// whenever the latency matrix gains a vector or the config set changes.
+    /// whenever a committed vector changes the latency matrix or the config
+    /// set changes.
     fn rebuild_timeout_caches(&mut self) {
         self.timeouts_cache = self
             .config_log
@@ -222,11 +286,13 @@ impl ReconfigPolicy for OptiAwarePolicy {
         if ConfigLog::<WeightConfig>::is_boundary_round(record.epoch, record.prev_epoch) {
             return Vec::new();
         }
-        match self.timeouts_cache.get(&record.epoch) {
-            Some(t) if !t.messages.is_empty() => {}
-            _ => return Vec::new(),
-        }
-        let timeouts = self.timeouts_cache[&record.epoch].clone();
+        let Some(timeouts) = self
+            .timeouts_cache
+            .get(&record.epoch)
+            .filter(|t| !t.messages.is_empty())
+        else {
+            return Vec::new();
+        };
         // Pipeline-refill transient: for ~2 rounds after this replica
         // adopted the epoch, commits are still paced by stragglers switching
         // configurations. Skipping them replaces the old 2x-hold blackout
@@ -241,7 +307,7 @@ impl ReconfigPolicy for OptiAwarePolicy {
             proposal_ts: record.proposal_ts,
             prev_proposal_ts: record.prev_proposal_ts,
             timeouts,
-            arrivals: record.arrivals.clone(),
+            arrivals: &record.arrivals,
         };
         let is_leader = record.leader == self.id;
         self.sensor
@@ -257,8 +323,11 @@ impl ReconfigPolicy for OptiAwarePolicy {
         };
         match blob {
             OptiAwareBlob::Latency { reporter, rtt_ms } => {
+                let before = self.latency.revision();
                 self.latency.on_vector(&LatencyVector::new(reporter, rtt_ms));
-                self.rebuild_timeout_caches();
+                if self.latency.revision() != before {
+                    self.rebuild_timeout_caches();
+                }
                 Vec::new()
             }
             OptiAwareBlob::Suspicion(s) => {
@@ -273,59 +342,48 @@ impl ReconfigPolicy for OptiAwarePolicy {
     }
 
     fn decide(&mut self, current_epoch: u64, now: SimTime) -> Option<WeightConfig> {
-        // Advance the monitor's clock one *leader term* per adopted epoch.
-        // `on_view` is still consulted every commit (it is where expiry is
-        // evaluated), but the view number only moves on a real term change.
+        // The monitor's clock advances one *leader term* per adopted epoch,
+        // and that is also when it evaluates expiry.
         if self.last_epoch != Some(current_epoch) {
             self.terms += 1;
             self.last_epoch = Some(current_epoch);
+            self.monitor.on_view(self.terms);
         }
-        self.monitor.on_view(self.terms);
-        if now < self.optimize_after || !self.matrix_complete() {
+        if now < self.optimize_after {
             return None;
         }
-        let selection = self.monitor.selection();
-        let candidates = selection.as_vec();
-        let suspected: Vec<usize> = (0..self.n).filter(|r| !selection.contains(*r)).collect();
-        if candidates.is_empty() {
-            return None;
-        }
-        let matrix = self.latency.matrix().to_vec();
-        let (config, score) = optimize_configuration(
-            &matrix,
-            self.n,
-            self.f,
-            &candidates,
-            &suspected,
-            current_epoch + 1,
-        );
+        self.refresh_search();
+        let (best, score) = self.search.best.as_ref()?;
 
         // Reconfigure if the current configuration became invalid (a special
         // role is held by a suspect) or the improvement is significant.
         let current_invalid = self
-            .current_config
-            .special_roles()
+            .search
+            .suspected
             .iter()
-            .any(|r| suspected.contains(r));
-        let improves = score < self.current_score * self.improvement_factor;
-        if current_invalid || improves {
-            self.current_config = config.clone();
-            self.current_score = score;
-            // The new configuration enters the replicated configuration log
-            // (epoch-monotone adoption with the history pruning and
-            // adoption-time bookkeeping the round judging needs).
-            self.config_log.apply(
-                ConfigCommand::Config {
-                    epoch: config.epoch,
-                    config: config.clone(),
-                },
-                now,
-            );
-            self.rebuild_timeout_caches();
-            Some(config)
-        } else {
-            None
+            .any(|&r| self.current_config.holds_special_role(r));
+        let improves = *score < self.current_score * self.improvement_factor;
+        if !(current_invalid || improves) {
+            return None;
         }
+        let config = WeightConfig {
+            epoch: current_epoch + 1,
+            ..best.clone()
+        };
+        self.current_score = *score;
+        self.current_config = config.clone();
+        // The new configuration enters the replicated configuration log
+        // (epoch-monotone adoption with the history pruning and
+        // adoption-time bookkeeping the round judging needs).
+        self.config_log.apply(
+            ConfigCommand::Config {
+                epoch: config.epoch,
+                config: config.clone(),
+            },
+            now,
+        );
+        self.rebuild_timeout_caches();
+        Some(config)
     }
 
     fn name(&self) -> &'static str {
@@ -430,7 +488,7 @@ mod tests {
             .decide(first.epoch, SimTime::from_secs(2))
             .expect("reconfigures away from the suspect");
         assert_ne!(cfg.leader, 0, "suspected replica must not lead");
-        assert!(!cfg.special_roles().contains(&0));
+        assert!(!cfg.holds_special_role(0));
     }
 
     #[test]
@@ -582,7 +640,7 @@ mod tests {
                 t += 30;
                 if let Some(cfg) = p.decide(epoch, SimTime::from_millis(t)) {
                     assert_ne!(cfg.leader, 0, "attacker re-elected at term {term}");
-                    assert!(!cfg.special_roles().contains(&0));
+                    assert!(!cfg.holds_special_role(0));
                     epoch = cfg.epoch;
                 }
             }
@@ -592,6 +650,49 @@ mod tests {
             !p.candidates().contains(&0),
             "suspicion edges must survive the whole run: attacker rehabilitated"
         );
+    }
+
+    /// Regression: the stability rule drops the oldest suspicion once per
+    /// quiet leader *term*. `decide` runs on every commit, and used to put
+    /// the unchanged term to the monitor each time — so once the window had
+    /// passed, a thousand commits of one term forgot the whole graph.
+    #[test]
+    fn quiet_terms_expire_one_edge_per_term_not_per_commit() {
+        let n = 7;
+        let mut p = OptiAwarePolicy::new(1, n, 2, 1.0, SimTime::ZERO);
+        feed_matrix(&mut p, &uniformish(n, &[0, 1], 5.0, 80.0));
+        // Three reciprocated pairs: they stay in the graph until they expire.
+        for (round, accuser) in [1usize, 2, 3].into_iter().enumerate() {
+            for (kind, accuser, accused) in [
+                (SuspicionKind::Slow, accuser, 0),
+                (SuspicionKind::False, 0, accuser),
+            ] {
+                let s = Suspicion {
+                    kind,
+                    accuser,
+                    accused,
+                    round: round as u64,
+                    phase: 1,
+                    accuser_is_leader: false,
+                };
+                p.on_committed_measurement(0, &OptiAwareBlob::Suspicion(s).encode());
+            }
+        }
+        assert_eq!(p.monitor.edge_count(), 3);
+
+        // More than `w = 10` quiet terms, a thousand commits each.
+        let mut t = 0u64;
+        for epoch in 1..=15u64 {
+            let before = p.monitor.edge_count();
+            for _ in 0..1_000 {
+                t += 30;
+                p.decide(epoch, SimTime::from_millis(t));
+            }
+            let lost = before - p.monitor.edge_count();
+            assert!(lost <= 1, "term {epoch} lost {lost} edges");
+        }
+        // The window did pass: the rule ran, one edge per term.
+        assert_eq!(p.monitor.edge_count(), 0);
     }
 
     #[test]

@@ -74,6 +74,12 @@ pub trait ReconfigPolicy: Send {
     /// Deterministic configuration decision. Called after each commit with
     /// the active epoch; returns a configuration with `epoch = current + 1`
     /// to trigger a reconfiguration, or `None` to keep the current one.
+    ///
+    /// The decision is a function of the committed log alone, so an
+    /// implementation searches for a configuration only when the log gave
+    /// it something new (a latency vector that changed the matrix, a
+    /// suspicion, a leader term) and answers every other call from the
+    /// output of its last search.
     fn decide(&mut self, current_epoch: u64, now: SimTime) -> Option<WeightConfig>;
 
     /// Short label for reports.
@@ -148,6 +154,13 @@ pub struct AwarePolicy {
     /// Require at least this relative improvement to reconfigure again.
     improvement_factor: f64,
     current_score: f64,
+    /// Advances when a committed vector changes a matrix entry.
+    matrix_revision: u64,
+    /// The matrix revision the last search ran against, and its output
+    /// (`None` while the matrix was incomplete).
+    searched_revision: Option<u64>,
+    best: Option<(WeightConfig, f64)>,
+    searches: u64,
 }
 
 impl AwarePolicy {
@@ -167,12 +180,21 @@ impl AwarePolicy {
             optimize_after,
             improvement_factor: 0.9,
             current_score: f64::INFINITY,
+            matrix_revision: 0,
+            searched_revision: None,
+            best: None,
+            searches: 0,
         }
     }
 
     /// True once every pair of replicas has a known latency.
     pub fn matrix_complete(&self) -> bool {
         self.matrix.iter().all(|x| x.is_finite())
+    }
+
+    /// How many configuration searches `decide` has run (diagnostic).
+    pub fn searches(&self) -> u64 {
+        self.searches
     }
 
     /// The current symmetric RTT matrix (ms).
@@ -184,6 +206,7 @@ impl AwarePolicy {
         if reporter >= self.n || rtt_ms.len() != self.n {
             return;
         }
+        let mut changed = false;
         for (b, &reported) in rtt_ms.iter().enumerate() {
             if b == reporter {
                 continue;
@@ -197,9 +220,11 @@ impl AwarePolicy {
                 (false, true) => ba,
                 (false, false) => f64::INFINITY,
             };
+            changed |= self.matrix[reporter * self.n + b] != sym;
             self.matrix[reporter * self.n + b] = sym;
             self.matrix[b * self.n + reporter] = sym;
         }
+        self.matrix_revision += u64::from(changed);
     }
 }
 
@@ -220,21 +245,24 @@ impl ReconfigPolicy for AwarePolicy {
     }
 
     fn decide(&mut self, current_epoch: u64, now: SimTime) -> Option<WeightConfig> {
-        if now < self.optimize_after || !self.matrix_complete() {
+        if now < self.optimize_after {
             return None;
         }
-        let candidates: Vec<usize> = (0..self.n).collect();
-        let (config, score) = optimize_configuration(
-            &self.matrix,
-            self.n,
-            self.f,
-            &candidates,
-            &[],
-            current_epoch + 1,
-        );
-        if score < self.current_score * self.improvement_factor {
-            self.current_score = score;
-            Some(config)
+        if self.searched_revision != Some(self.matrix_revision) {
+            self.searched_revision = Some(self.matrix_revision);
+            self.best = self.matrix_complete().then(|| {
+                self.searches += 1;
+                let candidates: Vec<usize> = (0..self.n).collect();
+                optimize_configuration(&self.matrix, self.n, self.f, &candidates, &[], 0)
+            });
+        }
+        let (config, score) = self.best.as_ref()?;
+        if *score < self.current_score * self.improvement_factor {
+            self.current_score = *score;
+            Some(WeightConfig {
+                epoch: current_epoch + 1,
+                ..config.clone()
+            })
         } else {
             None
         }

@@ -356,7 +356,6 @@ impl ReplicaState {
             self.record_late_arrival(seq, voter, Phase::Write.tag(), ctx.now);
             return;
         }
-        let config = self.config.clone();
         let entry = match self.instances.get_mut(&seq) {
             Some(e) if e.digest == digest => e,
             // Write may arrive before the proposal; buffer a placeholder.
@@ -387,8 +386,7 @@ impl ReplicaState {
             entry.arrivals.push((voter, Phase::Write.tag(), ctx.now));
         }
         entry.write_voters.insert(voter);
-        let voters: Vec<usize> = entry.write_voters.iter().copied().collect();
-        if !entry.sent_accept && config.is_quorum(&voters, self.f) {
+        if !entry.sent_accept && self.config.is_quorum(&entry.write_voters, self.f) {
             entry.sent_accept = true;
             let accept = PbftMessage::Accept {
                 seq,
@@ -412,7 +410,6 @@ impl ReplicaState {
             self.record_late_arrival(seq, voter, Phase::Accept.tag(), ctx.now);
             return;
         }
-        let config = self.config.clone();
         let entry = match self.instances.get_mut(&seq) {
             Some(e) if e.digest == digest => e,
             _ => return,
@@ -421,8 +418,7 @@ impl ReplicaState {
             entry.arrivals.push((voter, Phase::Accept.tag(), ctx.now));
         }
         entry.accept_voters.insert(voter);
-        let voters: Vec<usize> = entry.accept_voters.iter().copied().collect();
-        if entry.committed || !config.is_quorum(&voters, self.f) {
+        if entry.committed || !self.config.is_quorum(&entry.accept_voters, self.f) {
             return;
         }
         entry.committed = true;

@@ -47,6 +47,21 @@ pub fn predict_round_latency(
     config: &WeightConfig,
     exclude: &[usize],
 ) -> f64 {
+    round_latency(matrix, n, f, config, exclude, &mut Vec::with_capacity(n))
+}
+
+/// [`predict_round_latency`] on a caller-owned arrival buffer: every quorum
+/// of the round (one Write quorum per replica, then the Accept quorum) is
+/// sorted in `arrivals`, so a search over many configurations allocates it
+/// once instead of `n + 1` times per configuration.
+fn round_latency(
+    matrix: &[f64],
+    n: usize,
+    f: usize,
+    config: &WeightConfig,
+    exclude: &[usize],
+    arrivals: &mut Vec<(u32, f64)>,
+) -> f64 {
     let leader = config.leader;
     let threshold = config.quorum_threshold(f);
     let responds = |r: usize| !exclude.contains(&r);
@@ -61,20 +76,24 @@ pub fn predict_round_latency(
         if !responds(j) {
             continue;
         }
-        let mut arrivals: Vec<(u32, f64)> = (0..n)
-            .filter(|&r| responds(r))
-            .map(|r| (config.weight(r), propose_at[r] + one_way(matrix, n, r, j)))
-            .collect();
-        *slot = weighted_quorum_time(&mut arrivals, threshold);
+        arrivals.clear();
+        arrivals.extend(
+            (0..n)
+                .filter(|&r| responds(r))
+                .map(|r| (config.weight(r), propose_at[r] + one_way(matrix, n, r, j))),
+        );
+        *slot = weighted_quorum_time(arrivals, threshold);
     }
 
     // Accept phase: replica r sends Accept once its Write quorum formed; the
     // round ends when the leader holds a weighted Accept quorum.
-    let mut accept_arrivals: Vec<(u32, f64)> = (0..n)
-        .filter(|&r| responds(r))
-        .map(|r| (config.weight(r), write_q[r] + one_way(matrix, n, r, leader)))
-        .collect();
-    weighted_quorum_time(&mut accept_arrivals, threshold)
+    arrivals.clear();
+    arrivals.extend(
+        (0..n)
+            .filter(|&r| responds(r))
+            .map(|r| (config.weight(r), write_q[r] + one_way(matrix, n, r, leader))),
+    );
+    weighted_quorum_time(arrivals, threshold)
 }
 
 /// Per-message expected delays `d_m` relative to the proposal timestamp for
@@ -132,6 +151,7 @@ pub fn optimize_configuration(
 ) -> (WeightConfig, f64) {
     let vmax_count = 2 * f;
     let mut best: Option<(WeightConfig, f64)> = None;
+    let mut arrivals = Vec::with_capacity(n);
 
     for &leader in candidates {
         // Greedy V_max assignment for this leader: give high weights to the
@@ -147,7 +167,7 @@ pub fn optimize_configuration(
         let mut holders = vec![leader];
         holders.extend(others.iter().copied().take(vmax_count.saturating_sub(1)));
         let config = WeightConfig::with_assignment(n, leader, &holders, epoch);
-        let score = predict_round_latency(matrix, n, f, &config, exclude);
+        let score = round_latency(matrix, n, f, &config, exclude, &mut arrivals);
         match &best {
             Some((_, s)) if *s <= score => {}
             _ => best = Some((config, score)),

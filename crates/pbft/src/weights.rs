@@ -10,6 +10,7 @@
 //! arithmetic; the latency prediction lives in [`crate::score`].
 
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 
 /// A voting-weight configuration: the leader plus each replica's weight.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -94,30 +95,19 @@ impl WeightConfig {
         self.weights.get(replica).copied().unwrap_or(0)
     }
 
-    /// True if the votes of `voters` (distinct replicas) reach the weighted
-    /// quorum threshold.
-    pub fn is_quorum(&self, voters: &[usize], f: usize) -> bool {
-        let mut seen = vec![false; self.n()];
-        let mut sum = 0;
-        for &v in voters {
-            if v < self.n() && !seen[v] {
-                seen[v] = true;
-                sum += self.weights[v];
-            }
-        }
+    /// True if the votes of `voters` reach the weighted quorum threshold.
+    /// A set, so no replica counts twice; this runs on every vote a replica
+    /// receives and allocates nothing.
+    pub fn is_quorum(&self, voters: &BTreeSet<usize>, f: usize) -> bool {
+        let sum: u32 = voters.iter().map(|&v| self.weight(v)).sum();
         sum >= self.quorum_threshold(f)
     }
 
-    /// Special roles of this configuration: the leader and the V_max holders.
-    /// These are the roles OptiLog requires to be held by candidates.
-    pub fn special_roles(&self) -> Vec<usize> {
-        let mut v = vec![self.leader];
-        for r in self.vmax_holders() {
-            if r != self.leader {
-                v.push(r);
-            }
-        }
-        v
+    /// True if `replica` holds a special role of this configuration — it
+    /// leads or holds `V_max`. These are the roles OptiLog requires to be
+    /// held by candidates.
+    pub fn holds_special_role(&self, replica: usize) -> bool {
+        replica == self.leader || self.weight(replica) == V_MAX
     }
 }
 
@@ -158,13 +148,16 @@ mod tests {
         let c = WeightConfig::initial(7, 2);
         // W = 11, threshold = (11 + 4)/2 + 1 = 8. Four V_max replicas
         // (weight 8) suffice…
-        assert!(c.is_quorum(&[0, 1, 2, 3], 2));
+        let votes = |voters: &[usize]| c.is_quorum(&voters.iter().copied().collect(), 2);
+        assert!(votes(&[0, 1, 2, 3]));
         // …whereas one V_max + three V_min replicas (weight 5) do not.
-        assert!(!c.is_quorum(&[3, 4, 5, 6], 2));
+        assert!(!votes(&[3, 4, 5, 6]));
         // Duplicates never count twice.
-        assert!(!c.is_quorum(&[0, 0, 0, 0, 0], 2));
+        assert!(!votes(&[0, 0, 0, 0, 0]));
+        // Out-of-range voters carry no weight.
+        assert!(!votes(&[0, 1, 2, 7, 8, 9]));
         // All replicas always form a quorum.
-        assert!(c.is_quorum(&[0, 1, 2, 3, 4, 5, 6], 2));
+        assert!(votes(&[0, 1, 2, 3, 4, 5, 6]));
     }
 
     #[test]
@@ -173,7 +166,8 @@ mod tests {
         assert_eq!(c.leader, 3);
         assert_eq!(c.vmax_holders(), vec![3, 4, 5, 6]);
         assert_eq!(c.epoch, 2);
-        assert_eq!(c.special_roles(), vec![3, 4, 5, 6]);
+        let special: Vec<usize> = (0..7).filter(|&r| c.holds_special_role(r)).collect();
+        assert_eq!(special, vec![3, 4, 5, 6]);
         assert_eq!(c.weight(0), V_MIN);
         assert_eq!(c.weight(4), V_MAX);
     }

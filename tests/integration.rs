@@ -276,7 +276,7 @@ fn optilog_instances_converge_across_replicas() {
             inst.on_measurement(m);
         }
     }
-    let selections: Vec<_> = instances.iter_mut().map(|i| i.selection()).collect();
+    let selections: Vec<_> = instances.iter_mut().map(|i| i.selection().clone()).collect();
     let digests: Vec<_> = instances.iter().map(|i| i.log().prefix_digest()).collect();
     assert!(selections.windows(2).all(|w| w[0] == w[1]));
     assert!(digests.windows(2).all(|w| w[0] == w[1]));
