@@ -25,7 +25,7 @@ use runtime::{Context, Node, NodeId, SimTime, TimerId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use telemetry::{Stage, Telemetry};
-use traffic::SharedTrafficQueue;
+use traffic::{SharedTrafficQueue, WakeTimer};
 
 /// Held-proposal timers encode a release sequence number in the tag.
 const TIMER_HELD_BASE: u64 = 1_000_000;
@@ -87,6 +87,8 @@ pub struct HotStuffNode {
     traffic: Option<SharedTrafficQueue>,
     /// View whose proposal is parked until the traffic queue can flush.
     pending_view: Option<u64>,
+    /// The one wake-up armed while a view is parked.
+    wake: WakeTimer,
     /// Traffic batch ids by proposed view (proposer side), echoed to the
     /// queue when the view commits so end-to-end latency can be accounted.
     batch_ids: BTreeMap<u64, u64>,
@@ -112,6 +114,7 @@ impl HotStuffNode {
             next_held: 0,
             traffic: None,
             pending_view: None,
+            wake: WakeTimer::new(),
             batch_ids: BTreeMap::new(),
             stats: CommitStats::new(),
             telemetry: Telemetry::disabled(),
@@ -190,9 +193,11 @@ impl HotStuffNode {
                     // and wake up when the queue's size or timeout condition
                     // can next fire. (The chain is idle until then — no
                     // other leader can make progress before this view.)
+                    // Every vote past the quorum lands here again, hence
+                    // the one-wake-up rule.
                     self.pending_view = Some(self.pending_view.unwrap_or(0).max(view));
                     if let Some(at) = queue.next_ready_at(ctx.now) {
-                        ctx.set_timer(at.since(ctx.now), TIMER_TRAFFIC_READY);
+                        self.wake.arm(ctx, at, TIMER_TRAFFIC_READY);
                     }
                     return;
                 }
@@ -380,13 +385,22 @@ impl Node for HotStuffNode {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<HotStuffMessage>, _timer: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Context<HotStuffMessage>, timer: TimerId, tag: u64) {
         if tag >= TIMER_HELD_BASE {
             self.release_held(ctx, tag - TIMER_HELD_BASE);
         } else if tag == TIMER_TRAFFIC_READY {
+            self.wake.fired(timer);
+            self.telemetry
+                .counter_add("hotstuff.node.traffic_wakeups", Some(self.id), 1);
             if let Some(view) = self.pending_view.take() {
                 self.propose(ctx, view);
             }
         }
+    }
+
+    fn on_crash(&mut self, _now: SimTime) {
+        // The simulator drops a crashed node's timers silently; see
+        // `traffic::wake`.
+        self.wake.clear();
     }
 }

@@ -52,7 +52,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use telemetry::{Stage, Telemetry};
-use traffic::SharedTrafficQueue;
+use traffic::{SharedTrafficQueue, WakeTimer};
 
 const TIMER_PROGRESS: u64 = 1;
 const TIMER_RECONFIG_DONE: u64 = 2;
@@ -137,14 +137,14 @@ pub enum KauriMessage {
     },
 }
 
-/// Root-side state of one in-flight view.
+/// Root-side state of one in-flight view. A view leaves `views` the moment
+/// it commits or is abandoned, so the map never holds more than the pipeline.
 #[derive(Debug, Clone)]
 struct ViewState {
     proposal_ts: SimTime,
     commands: usize,
     voters: BTreeSet<usize>,
     missing: BTreeSet<usize>,
-    committed: bool,
     /// Traffic batch carried by the view (proposer side), echoed to the
     /// queue on commit for end-to-end accounting.
     batch_id: Option<u64>,
@@ -156,6 +156,8 @@ struct ViewState {
 /// Intermediate-side state of one view.
 #[derive(Debug, Clone, Default)]
 struct AggState {
+    /// When the first proposal or vote of the view reached this replica.
+    since: SimTime,
     votes: BTreeSet<usize>,
     forwarded: bool,
     digest: Digest,
@@ -203,6 +205,8 @@ pub struct KauriNode {
     committed_wire: Arc<Vec<(u64, TreeCommand)>>,
     /// Evidence commands awaiting inclusion in the next proposed view.
     pending_cmds: Vec<TreeCommand>,
+    /// The one wake-up armed while the traffic queue has nothing flushable.
+    wake: WakeTimer,
 
     // Evidence state (all replicas).
     /// Own pairs not yet observed committed; re-sent to the operating root
@@ -298,6 +302,7 @@ impl KauriNode {
             last_progress: SimTime::ZERO,
             committed_wire: Arc::new(Vec::new()),
             pending_cmds: Vec::new(),
+            wake: WakeTimer::new(),
             outbox: Vec::new(),
             seen_pairs: BTreeSet::new(),
             reciprocated: BTreeSet::new(),
@@ -409,10 +414,6 @@ impl KauriNode {
 
     fn vote_threshold(&self) -> usize {
         self.policy.vote_threshold(&self.system).min(self.system.n)
-    }
-
-    fn outstanding(&self) -> usize {
-        self.views.values().filter(|v| !v.committed).count()
     }
 
     fn progress_window(&self) -> Duration {
@@ -683,20 +684,19 @@ impl KauriNode {
     /// population (bounded retries) before dropping them.
     fn abandon_uncommitted_views(&mut self, now: SimTime) {
         if let Some(queue) = &self.traffic {
-            for state in self.views.values().filter(|s| !s.committed) {
-                if let Some(id) = state.batch_id {
-                    queue.retry_batch(id, now);
-                }
+            for id in self.views.values().filter_map(|s| s.batch_id) {
+                queue.retry_batch(id, now);
             }
         }
-        self.views.retain(|_, s| s.committed);
+        self.views.clear();
     }
 
     fn propose_next(&mut self, ctx: &mut Context<KauriMessage>) {
         if !self.is_root() || self.reconfiguring {
             return;
         }
-        while self.outstanding() < self.pipeline {
+        // `views` holds exactly the views in flight.
+        while self.views.len() < self.pipeline {
             let (commands, batch_id) = if let Some(queue) = &self.traffic {
                 match queue.try_batch_at(ctx.now, self.id) {
                     Some(batch) => {
@@ -704,12 +704,14 @@ impl KauriNode {
                         (batch.commands, Some(id))
                     }
                     None => {
-                        // Nothing flushable yet: wake up when the queue's
-                        // size or timeout condition can next fire (a stale
-                        // timer at a replica that lost the root role is a
-                        // harmless no-op — `propose_next` re-checks).
+                        // Nothing flushable yet: park until the queue's
+                        // size or timeout condition can next fire. This is
+                        // reached after every commit, so it goes through the
+                        // one-wake-up rule (a wake-up at a replica that lost
+                        // the root role is a harmless no-op —
+                        // `propose_next` re-checks).
                         if let Some(at) = queue.next_ready_at(ctx.now) {
-                            ctx.set_timer(at.since(ctx.now), TIMER_TRAFFIC_READY);
+                            self.wake.arm(ctx, at, TIMER_TRAFFIC_READY);
                         }
                         return;
                     }
@@ -730,7 +732,6 @@ impl KauriNode {
                     commands: block.len(),
                     voters: [self.id].into_iter().collect(),
                     missing: BTreeSet::new(),
-                    committed: false,
                     batch_id,
                     cmds,
                 },
@@ -861,8 +862,8 @@ impl KauriNode {
         // view. Duplicate deliveries (possible while replicas still disagree
         // on the tree) must not re-forward, or a transient routing cycle
         // amplifies one proposal into an unbounded message storm.
-        let agg = self.aggregates.entry(view).or_default();
-        if agg.votes.contains(&self.id) {
+        let id = self.id;
+        if self.aggregate(view, ctx.now).votes.contains(&id) {
             return;
         }
         let msg = KauriMessage::Proposal {
@@ -878,9 +879,9 @@ impl KauriNode {
         self.send_down(ctx, children, msg);
         self.telemetry
             .instant(Stage::Vote, self.id, view, ctx.now.as_micros(), vec![]);
-        let agg = self.aggregates.entry(view).or_default();
+        let agg = self.aggregate(view, ctx.now);
         agg.digest = digest;
-        agg.votes.insert(self.id);
+        agg.votes.insert(id);
         agg.tree = Some(tree);
         ctx.set_timer(self.policy.child_timeout(), TIMER_CHILD_BASE + view);
         self.maybe_forward_aggregate(ctx, view, false);
@@ -920,6 +921,30 @@ impl KauriNode {
             } else {
                 self.flush_evidence(ctx);
             }
+        }
+    }
+
+    /// The aggregation state of `view`, created on its first proposal or vote.
+    fn aggregate(&mut self, view: u64, now: SimTime) -> &mut AggState {
+        self.aggregates.entry(view).or_insert_with(|| AggState {
+            since: now,
+            ..AggState::default()
+        })
+    }
+
+    /// Drop aggregation state older than a view timeout, oldest views first.
+    /// By then the child timeout has long forwarded whatever was collected,
+    /// the root has committed or abandoned the view, and a proposal that old
+    /// is stale on arrival — the state only served to de-duplicate prompt
+    /// re-deliveries.
+    fn prune_aggregates(&mut self, now: SimTime) {
+        let horizon = self.policy.view_timeout();
+        while self
+            .aggregates
+            .first_key_value()
+            .is_some_and(|(_, agg)| now.since(agg.since) >= horizon)
+        {
+            self.aggregates.pop_first();
         }
     }
 
@@ -980,8 +1005,7 @@ impl KauriNode {
             self.add_root_votes(ctx, view, &[voter], &[]);
             return;
         }
-        let agg = self.aggregates.entry(view).or_default();
-        agg.votes.insert(voter);
+        self.aggregate(view, ctx.now).votes.insert(voter);
         self.maybe_forward_aggregate(ctx, view, false);
     }
 
@@ -1017,10 +1041,10 @@ impl KauriNode {
         for v in voters {
             state.missing.remove(v);
         }
-        if !state.committed && state.voters.len() >= threshold {
-            state.committed = true;
+        if state.voters.len() >= threshold {
+            let state = self.views.remove(&view).expect("view looked up above");
             let (ts, commands, batch_id) = (state.proposal_ts, state.commands, state.batch_id);
-            self.commit_config_payload(ctx, view);
+            self.commit_config_payload(ctx, state.cmds);
             self.stats.record_commit(ts, ctx.now, commands);
             self.throughput.record(ctx.now, commands as u64);
             self.telemetry.span(
@@ -1056,7 +1080,7 @@ impl KauriNode {
     /// proposal), and only then does the root act on any reconfiguration
     /// the committed evidence triggered — so the evidence always reaches
     /// the other replicas even if this root stops proposing right after.
-    fn commit_config_payload(&mut self, ctx: &mut Context<KauriMessage>, view: u64) {
+    fn commit_config_payload(&mut self, ctx: &mut Context<KauriMessage>, cmds: Vec<TreeCommand>) {
         let before = self.config.len();
         let mut accused = Vec::new();
         if self.config.epoch() < self.epoch {
@@ -1066,11 +1090,6 @@ impl KauriNode {
             };
             self.apply_committed(ctx, &cmd);
         }
-        let cmds = self
-            .views
-            .get_mut(&view)
-            .map(|s| std::mem::take(&mut s.cmds))
-            .unwrap_or_default();
         for cmd in cmds {
             if let Some(a) = self.apply_committed(ctx, &cmd) {
                 accused.push(a);
@@ -1104,17 +1123,12 @@ impl KauriNode {
         if self.attacking(ctx.now) {
             return;
         }
-        let failed = self.views.get(&view).map(|s| !s.committed).unwrap_or(false);
-        if failed {
-            let missing: Vec<usize> = self
-                .views
-                .get(&view)
-                .map(|s| {
-                    (0..self.system.n)
-                        .filter(|r| !s.voters.contains(r))
-                        .collect()
-                })
-                .unwrap_or_default();
+        // A view still in flight when its timer fires has failed; a view
+        // that committed (or was abandoned) is no longer here.
+        if let Some(state) = self.views.get(&view) {
+            let missing: Vec<usize> = (0..self.system.n)
+                .filter(|r| !state.voters.contains(r))
+                .collect();
             // §6.4 pairs on view failures: the root observed the omission,
             // so it pairs itself with each unresponsive *internal* node of
             // the failed tree and feeds the pairs through the log (the
@@ -1230,7 +1244,7 @@ impl Node for KauriNode {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<KauriMessage>, _timer: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Context<KauriMessage>, timer: TimerId, tag: u64) {
         match tag {
             TIMER_PROGRESS => {
                 // No proposal seen for a whole progress window: if we are not
@@ -1276,13 +1290,26 @@ impl Node for KauriNode {
                 self.next_view = self.highest_view_seen.max(self.next_view) + 1;
                 self.propose_next(ctx);
             }
-            TIMER_TRAFFIC_READY => self.propose_next(ctx),
+            TIMER_TRAFFIC_READY => {
+                self.wake.fired(timer);
+                self.telemetry
+                    .counter_add("kauri.node.traffic_wakeups", Some(self.id), 1);
+                self.propose_next(ctx);
+            }
             t if t >= TIMER_HELD_BASE => self.release_held(ctx, t - TIMER_HELD_BASE),
             t if t >= TIMER_VIEW_BASE => self.handle_view_timeout(ctx, t - TIMER_VIEW_BASE),
             t if t >= TIMER_CHILD_BASE => {
-                self.maybe_forward_aggregate(ctx, t - TIMER_CHILD_BASE, true)
+                self.maybe_forward_aggregate(ctx, t - TIMER_CHILD_BASE, true);
+                self.prune_aggregates(ctx.now);
             }
             _ => {}
         }
+    }
+
+    fn on_crash(&mut self, _now: SimTime) {
+        // The simulator drops a crashed node's timers silently: an armed
+        // wake-up that falls due during the outage never fires, and a marker
+        // left behind would keep the recovered root from ever arming another.
+        self.wake.clear();
     }
 }

@@ -26,9 +26,9 @@
 //! serialized exactly as in the simulator — no locks in protocol code, no
 //! concurrent callbacks, the same single-threaded state-machine discipline.
 
-use crate::node::{Action, Context, Node, NodeId, TimerId};
+use crate::node::{Action, Context, Node, NodeId, Payload, TimerId};
 use crate::time::SimTime;
-use crate::wire::{read_frame, write_frame, WireMsg};
+use crate::wire::{encode_frame, read_frame, write_frame, WireMsg};
 use std::collections::{BinaryHeap, HashSet};
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -113,6 +113,10 @@ impl<M: Send + 'static> TimerService<M> {
         let seq = inner.seq;
         inner.seq += 1;
         inner.live.insert((replica, timer.0));
+        // The timer thread sleeps until the head is due: only an entry that
+        // becomes the head changes when it must wake. A view timeout armed a
+        // second ahead leaves it asleep.
+        let new_head = inner.heap.peek().is_none_or(|head| due < head.due);
         inner.heap.push(TimerEntry {
             due,
             seq,
@@ -120,7 +124,9 @@ impl<M: Send + 'static> TimerService<M> {
             timer,
             tag,
         });
-        self.cv.notify_one();
+        if new_head {
+            self.cv.notify_one();
+        }
     }
 
     fn cancel(&self, replica: NodeId, timer: TimerId) {
@@ -220,6 +226,9 @@ where
 
     fn apply(&mut self, actions: Vec<Action<N::Msg>>) {
         let mut touched: Vec<NodeId> = Vec::new();
+        // A multicast arrives as consecutive sends sharing one `Arc`: its
+        // frame is encoded for the first recipient and reused for the rest.
+        let mut shared_frame: Option<(Arc<N::Msg>, Vec<u8>)> = None;
         for action in actions {
             match action {
                 Action::Send { to, payload } => {
@@ -233,12 +242,27 @@ where
                             msg: payload.into_msg(),
                         });
                     } else if let Some(stream) = &mut self.peers[to] {
+                        let written = match &payload {
+                            Payload::Owned(msg) => write_frame(stream, self.id, msg),
+                            Payload::Shared(msg) => {
+                                if !shared_frame
+                                    .as_ref()
+                                    .is_some_and(|(encoded, _)| Arc::ptr_eq(encoded, msg))
+                                {
+                                    shared_frame = encode_frame(self.id, &**msg)
+                                        .ok()
+                                        .map(|frame| (msg.clone(), frame));
+                                }
+                                match &shared_frame {
+                                    Some((_, frame)) => stream.write_all(frame),
+                                    None => Err(io::ErrorKind::InvalidData.into()),
+                                }
+                            }
+                        };
                         // A failed write means the peer is gone (shutdown or
                         // crash); consensus tolerates the omission, so drop
                         // the message rather than poisoning the event loop.
-                        if write_frame(stream, self.id, payload.as_msg()).is_ok()
-                            && !touched.contains(&to)
-                        {
+                        if written.is_ok() && !touched.contains(&to) {
                             touched.push(to);
                         }
                     }
@@ -560,5 +584,94 @@ mod tests {
         for node in &nodes[1..] {
             assert_eq!(node.got, vec![42]);
         }
+    }
+
+    /// The timer thread is woken only by a set that becomes the heap's head:
+    /// a short timer set *after* a long one must still cut the sleep short.
+    struct LongThenShortNode {
+        fired_tags: Vec<u64>,
+    }
+
+    impl Node for LongThenShortNode {
+        type Msg = PingMsg;
+
+        fn on_start(&mut self, ctx: &mut Context<PingMsg>) {
+            ctx.set_timer(Duration::from_secs(30), 1);
+            ctx.set_timer(Duration::from_millis(5), 2);
+        }
+
+        fn on_message(&mut self, _ctx: &mut Context<PingMsg>, _from: NodeId, _msg: PingMsg) {}
+
+        fn on_timer(&mut self, ctx: &mut Context<PingMsg>, _timer: TimerId, tag: u64) {
+            self.fired_tags.push(tag);
+            if tag == 2 {
+                // Behind the 30 s head, then ahead of it again.
+                ctx.set_timer(Duration::from_secs(60), 3);
+                ctx.set_timer(Duration::from_millis(5), 4);
+            }
+        }
+    }
+
+    #[test]
+    fn earlier_timer_set_behind_a_later_one_fires_on_time() {
+        let cluster = RealCluster::launch(vec![LongThenShortNode { fired_tags: vec![] }]).unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(300));
+        let nodes = cluster.shutdown();
+        assert_eq!(nodes[0].fired_tags, vec![2, 4]);
+    }
+
+    static SERIALIZED: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+    /// A message that counts how often it is serialised.
+    #[derive(Debug, Clone)]
+    struct CountedMsg(u32);
+
+    impl Serialize for CountedMsg {
+        fn to_value(&self) -> serde::Value {
+            SERIALIZED.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            self.0.to_value()
+        }
+    }
+
+    impl Deserialize for CountedMsg {
+        fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+            u32::from_value(v).map(CountedMsg)
+        }
+    }
+
+    struct MulticastNode {
+        got: Vec<u32>,
+    }
+
+    impl Node for MulticastNode {
+        type Msg = CountedMsg;
+
+        fn on_start(&mut self, ctx: &mut Context<CountedMsg>) {
+            if ctx.id == 0 {
+                ctx.multicast(&[1, 2, 3], CountedMsg(7));
+            }
+        }
+
+        fn on_message(&mut self, _ctx: &mut Context<CountedMsg>, _from: NodeId, msg: CountedMsg) {
+            self.got.push(msg.0);
+        }
+
+        fn on_timer(&mut self, _ctx: &mut Context<CountedMsg>, _t: TimerId, _tag: u64) {}
+    }
+
+    #[test]
+    fn multicast_is_serialised_once_for_all_recipients() {
+        let cluster =
+            RealCluster::launch((0..4).map(|_| MulticastNode { got: vec![] }).collect()).unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(200));
+        let nodes = cluster.shutdown();
+        for node in &nodes[1..] {
+            assert_eq!(node.got, vec![7], "every recipient got the frame");
+        }
+        assert_eq!(
+            SERIALIZED.load(std::sync::atomic::Ordering::SeqCst),
+            1,
+            "one encode for three recipients"
+        );
     }
 }

@@ -7,6 +7,8 @@
 //! independent of recording order and of the sweep's worker count.
 
 use crate::hist::LogLinearHistogram;
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// A metric key: dotted `crate.subsystem.name` plus an optional replica.
@@ -62,6 +64,76 @@ impl MetricKey {
     }
 }
 
+/// A borrowed view of a metric key, so the record path can look a key up
+/// from the `(&str, Option<usize>)` it was handed instead of building a
+/// [`MetricKey`] (and its `String`) per call. Ordered exactly like
+/// `MetricKey`'s derived `Ord` — name, then replica — which is what lets the
+/// maps keyed by `MetricKey` be searched through it.
+trait KeyView {
+    fn name(&self) -> &str;
+    fn replica(&self) -> Option<usize>;
+}
+
+impl KeyView for MetricKey {
+    fn name(&self) -> &str {
+        &self.name
+    }
+    fn replica(&self) -> Option<usize> {
+        self.replica
+    }
+}
+
+impl KeyView for (&str, Option<usize>) {
+    fn name(&self) -> &str {
+        self.0
+    }
+    fn replica(&self) -> Option<usize> {
+        self.1
+    }
+}
+
+impl<'a> Borrow<dyn KeyView + 'a> for MetricKey {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
+impl PartialOrd for dyn KeyView + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn KeyView + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.name(), self.replica()).cmp(&(other.name(), other.replica()))
+    }
+}
+
+/// Apply `f` to the value stored under `(name, replica)`, inserting `init`
+/// first if the key is new — the only time the key's `String` is allocated.
+fn upsert<V>(
+    map: &mut BTreeMap<MetricKey, V>,
+    name: &str,
+    replica: Option<usize>,
+    init: V,
+    f: impl FnOnce(&mut V),
+) {
+    let view: &dyn KeyView = &(name, replica);
+    match map.get_mut(view) {
+        Some(v) => f(v),
+        None => f(map.entry(MetricKey::new(name, replica)).or_insert(init)),
+    }
+}
+
 /// Escape a label value per the Prometheus text exposition format:
 /// backslash, double quote, and line feed must be backslash-escaped.
 pub fn escape_label_value(v: &str) -> String {
@@ -107,43 +179,50 @@ impl Registry {
 
     /// Add `delta` to a counter.
     pub fn counter_add(&mut self, name: &str, replica: Option<usize>, delta: u64) {
-        *self.counters.entry(MetricKey::new(name, replica)).or_insert(0) += delta;
+        upsert(&mut self.counters, name, replica, 0, |c| *c += delta);
     }
 
     /// Set a gauge to its latest value.
     pub fn gauge_set(&mut self, name: &str, replica: Option<usize>, v: f64) {
-        self.gauges.insert(MetricKey::new(name, replica), v);
+        upsert(&mut self.gauges, name, replica, v, |g| *g = v);
     }
 
     /// Raise a gauge to `v` if above its current value (high-water marks).
     pub fn gauge_max(&mut self, name: &str, replica: Option<usize>, v: f64) {
-        let e = self.gauges.entry(MetricKey::new(name, replica)).or_insert(f64::MIN);
-        if v > *e {
-            *e = v;
-        }
+        upsert(&mut self.gauges, name, replica, f64::MIN, |g| {
+            if v > *g {
+                *g = v;
+            }
+        });
     }
 
     /// Record one observation into a histogram.
     pub fn observe(&mut self, name: &str, replica: Option<usize>, v: u64) {
-        self.hists
-            .entry(MetricKey::new(name, replica))
-            .or_default()
-            .record(v);
+        upsert(
+            &mut self.hists,
+            name,
+            replica,
+            LogLinearHistogram::new(),
+            |h| h.record(v),
+        );
     }
 
     /// A counter's current value (0 if never touched).
     pub fn counter(&self, name: &str, replica: Option<usize>) -> u64 {
-        self.counters.get(&MetricKey::new(name, replica)).copied().unwrap_or(0)
+        let view: &dyn KeyView = &(name, replica);
+        self.counters.get(view).copied().unwrap_or(0)
     }
 
     /// A gauge's current value, if set.
     pub fn gauge(&self, name: &str, replica: Option<usize>) -> Option<f64> {
-        self.gauges.get(&MetricKey::new(name, replica)).copied()
+        let view: &dyn KeyView = &(name, replica);
+        self.gauges.get(view).copied()
     }
 
     /// A histogram by key, if any observation landed in it.
     pub fn histogram(&self, name: &str, replica: Option<usize>) -> Option<&LogLinearHistogram> {
-        self.hists.get(&MetricKey::new(name, replica))
+        let view: &dyn KeyView = &(name, replica);
+        self.hists.get(view)
     }
 
     /// Merge all histograms sharing `name` across replica labels — the

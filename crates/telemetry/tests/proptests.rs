@@ -5,7 +5,11 @@
 //! time-series shards must recombine byte-identically in any order.
 
 use proptest::prelude::*;
-use telemetry::{LogLinearHistogram, Registry, TimeseriesSampler, SUB_BITS};
+use std::collections::BTreeMap;
+use telemetry::{LogLinearHistogram, MetricKey, Registry, TimeseriesSampler, SUB_BITS};
+
+/// Names chosen so that name order and prefix relations both matter.
+const NAMES: [&str; 6] = ["a", "a.b", "a.b.c", "a_b", "ab", "b.a"];
 
 fn shards_from(values: &[u64], shards: usize) -> Vec<LogLinearHistogram> {
     let mut out: Vec<LogLinearHistogram> = (0..shards).map(|_| LogLinearHistogram::new()).collect();
@@ -156,5 +160,71 @@ proptest! {
             .map(|pts| pts.iter().map(|&(_, v)| v).sum())
             .unwrap_or(0.0);
         prop_assert_eq!(windowed as u64, total);
+    }
+
+    /// The record path finds its key through a borrowed `(&str, replica)`
+    /// view; the map itself is ordered by `MetricKey`. Whatever the
+    /// interleaving of calls, the result must be what building a `MetricKey`
+    /// and inserting through `entry` on every call gives — modelled here on
+    /// plain `BTreeMap<MetricKey, _>`s and rendered by merging one-key
+    /// registries, a path that places keys by `MetricKey`'s own order only.
+    #[test]
+    fn borrowed_key_lookup_matches_insert_always(
+        ops in prop::collection::vec((0u8..4, 0usize..NAMES.len(), 0usize..4, 0u64..2_000), 0..300),
+    ) {
+        let mut reg = Registry::new();
+        let mut counters: BTreeMap<MetricKey, u64> = BTreeMap::new();
+        let mut gauges: BTreeMap<MetricKey, f64> = BTreeMap::new();
+        let mut hists: BTreeMap<MetricKey, Vec<u64>> = BTreeMap::new();
+        for &(kind, name, replica, v) in &ops {
+            let (name, replica) = (NAMES[name], replica.checked_sub(1));
+            let key = MetricKey { name: name.to_string(), replica };
+            match kind {
+                0 => {
+                    reg.counter_add(name, replica, v);
+                    *counters.entry(key).or_insert(0) += v;
+                }
+                1 => {
+                    reg.gauge_set(name, replica, v as f64);
+                    gauges.insert(key, v as f64);
+                }
+                2 => {
+                    reg.gauge_max(name, replica, v as f64);
+                    let g = gauges.entry(key).or_insert(f64::MIN);
+                    *g = g.max(v as f64);
+                }
+                _ => {
+                    reg.observe(name, replica, v);
+                    hists.entry(key).or_default().push(v);
+                }
+            }
+        }
+        let mut expected = Registry::new();
+        for (k, &v) in &counters {
+            let mut one = Registry::new();
+            one.counter_add(&k.name, k.replica, v);
+            expected.merge(&one);
+            prop_assert_eq!(reg.counter(&k.name, k.replica), v);
+        }
+        for (k, &v) in &gauges {
+            let mut one = Registry::new();
+            one.gauge_set(&k.name, k.replica, v);
+            expected.merge(&one);
+            prop_assert_eq!(reg.gauge(&k.name, k.replica), Some(v));
+        }
+        for (k, values) in &hists {
+            let mut one = Registry::new();
+            for &v in values {
+                one.observe(&k.name, k.replica, v);
+            }
+            expected.merge(&one);
+            prop_assert_eq!(
+                reg.histogram(&k.name, k.replica).map(|h| h.count()),
+                Some(values.len() as u64)
+            );
+        }
+        prop_assert_eq!(reg.prometheus_text(), expected.prometheus_text());
+        prop_assert_eq!(reg.counter("a.b.d", None), 0);
+        prop_assert_eq!(reg.gauge("a", Some(9)), None);
     }
 }

@@ -20,6 +20,11 @@
 //!   batching ([`rsm::BatchingPolicy`]), handed to substrates as a
 //!   [`SharedTrafficQueue`] they pull [`TrafficBatch`]es from instead of a
 //!   saturated source.
+//! * [`WakeTimer`] — the parking contract: a proposer that finds the queue
+//!   dry arms a wake-up for [`TrafficQueue::next_ready_at`], and however
+//!   often it is asked to propose in the meantime it holds **at most one
+//!   armed wake-up** (see [`wake`]). The HotStuff leader and the Kauri root
+//!   both park through it.
 //! * [`TrafficReport`] — offered/committed/goodput accounting with
 //!   end-to-end latency percentiles and timelines, where *goodput* counts
 //!   only commands whose client-observed latency met the
@@ -29,6 +34,7 @@
 pub mod placement;
 pub mod queue;
 pub mod sampler;
+pub mod wake;
 
 pub use placement::{client_ingress_ms, place_clients, ClientPlacement};
 pub use queue::{
@@ -36,3 +42,4 @@ pub use queue::{
     TrafficReport,
 };
 pub use sampler::ArrivalSampler;
+pub use wake::WakeTimer;

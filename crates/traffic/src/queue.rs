@@ -26,7 +26,7 @@ use rsm::{BatchingPolicy, Command, CommitStats, TrafficSpec};
 use runtime::{Duration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
-use telemetry::{Stage, Telemetry, CLIENTS_PID};
+use telemetry::{Registry, Stage, Telemetry, CLIENTS_PID};
 
 /// One scheduled request, before admission.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -133,6 +133,8 @@ pub struct TrafficQueue {
     waiting: VecDeque<u64>,
     /// Batches handed out but not yet committed.
     in_flight: BTreeMap<u64, InFlight>,
+    /// Commands inside `in_flight`, kept as a running count.
+    in_flight_commands: u64,
     next_batch_id: u64,
     admitted: u64,
     rejected: u64,
@@ -186,6 +188,7 @@ impl TrafficQueue {
             cursor: 0,
             waiting: VecDeque::new(),
             in_flight: BTreeMap::new(),
+            in_flight_commands: 0,
             next_batch_id: 0,
             admitted: 0,
             rejected: 0,
@@ -280,39 +283,46 @@ impl TrafficQueue {
         for id in expired {
             self.retry_batch(id, now);
         }
+        let (mut admitted, mut rejected) = (0u64, 0u64);
         while self
             .arrivals
             .get(self.cursor)
             .is_some_and(|a| a.ingress <= now)
         {
             if self.waiting.len() >= self.capacity {
-                self.rejected += 1;
-                self.telemetry
-                    .counter_add("traffic.queue.rejected", None, 1);
+                rejected += 1;
             } else {
                 self.waiting.push_back(self.cursor as u64);
-                self.admitted += 1;
-                self.telemetry
-                    .counter_add("traffic.queue.admitted", None, 1);
+                admitted += 1;
             }
             self.cursor += 1;
         }
+        self.admitted += admitted;
+        self.rejected += rejected;
         self.max_depth = self.max_depth.max(self.waiting.len());
-        self.publish_conservation_gauges();
+        // One registry visit per call, however many arrivals it swept up.
+        self.telemetry.with_registry(|reg| {
+            if admitted > 0 {
+                reg.counter_add("traffic.queue.admitted", None, admitted);
+            }
+            if rejected > 0 {
+                reg.counter_add("traffic.queue.rejected", None, rejected);
+            }
+            self.publish_conservation_gauges(reg);
+        });
     }
 
     /// Publish the live conservation terms the audit oracle balances:
     /// `admitted = committed + abandoned + waiting + in_flight` (retried
     /// commands re-enter `waiting` without re-counting as admitted, so the
     /// retry flow cancels out of the identity).
-    fn publish_conservation_gauges(&self) {
-        if self.telemetry.is_enabled() {
-            let in_flight: usize = self.in_flight.values().map(|f| f.idxs.len()).sum();
-            self.telemetry
-                .gauge_set("traffic.queue.waiting", None, self.waiting.len() as f64);
-            self.telemetry
-                .gauge_set("traffic.queue.in_flight", None, in_flight as f64);
-        }
+    fn publish_conservation_gauges(&self, reg: &mut Registry) {
+        reg.gauge_set("traffic.queue.waiting", None, self.waiting.len() as f64);
+        reg.gauge_set(
+            "traffic.queue.in_flight",
+            None,
+            self.in_flight_commands as f64,
+        );
     }
 
     /// Ask for a batch as of `now`: flushes when the waiting queue holds a
@@ -359,7 +369,7 @@ impl TrafficQueue {
                 _ => 0.0,
             })
             .collect();
-        if self.telemetry.is_enabled() {
+        if self.telemetry.is_tracing() {
             for (&i, &fwd) in idxs.iter().zip(&forward_ms) {
                 let a = self.arrivals[i as usize];
                 self.telemetry.span(
@@ -392,17 +402,18 @@ impl TrafficQueue {
                         vec![("proposer", proposer.unwrap_or(0) as f64)],
                     );
                 }
-                self.telemetry.observe(
-                    "traffic.queue.wait_us",
-                    None,
-                    now.since(a.ingress).as_micros(),
-                );
             }
-            self.telemetry
-                .counter_add("traffic.queue.dispatched", None, idxs.len() as u64);
-            self.telemetry
-                .gauge_max("traffic.queue.depth_peak", None, self.max_depth as f64);
         }
+        self.in_flight_commands += idxs.len() as u64;
+        self.telemetry.with_registry(|reg| {
+            for &i in &idxs {
+                let waited = now.since(self.arrivals[i as usize].ingress);
+                reg.observe("traffic.queue.wait_us", None, waited.as_micros());
+            }
+            reg.counter_add("traffic.queue.dispatched", None, idxs.len() as u64);
+            reg.gauge_max("traffic.queue.depth_peak", None, self.max_depth as f64);
+            self.publish_conservation_gauges(reg);
+        });
         let id = self.next_batch_id;
         self.next_batch_id += 1;
         self.in_flight.insert(
@@ -415,7 +426,6 @@ impl TrafficQueue {
         );
         self.depth_timeline
             .push((now.as_secs_f64(), self.waiting.len() as f64));
-        self.publish_conservation_gauges();
         Some(TrafficBatch { id, commands })
     }
 
@@ -478,6 +488,7 @@ impl TrafficQueue {
         let Some(flight) = self.in_flight.remove(&id) else {
             return;
         };
+        self.in_flight_commands -= flight.idxs.len() as u64;
         let mut requeue = Vec::new();
         let mut dropped = 0;
         for i in flight.idxs {
@@ -491,12 +502,6 @@ impl TrafficQueue {
             }
         }
         self.retried += requeue.len() as u64;
-        self.telemetry
-            .counter_add("traffic.queue.retried", None, requeue.len() as u64);
-        if dropped > 0 {
-            self.telemetry
-                .counter_add("traffic.queue.abandoned", None, dropped);
-        }
         // Front of the queue, original order preserved: retried commands are
         // older than anything still waiting. Capacity is not re-checked —
         // these commands were already admitted once.
@@ -504,7 +509,13 @@ impl TrafficQueue {
             self.waiting.push_front(i);
         }
         self.max_depth = self.max_depth.max(self.waiting.len());
-        self.publish_conservation_gauges();
+        self.telemetry.with_registry(|reg| {
+            reg.counter_add("traffic.queue.retried", None, requeue.len() as u64);
+            if dropped > 0 {
+                reg.counter_add("traffic.queue.abandoned", None, dropped);
+            }
+            self.publish_conservation_gauges(reg);
+        });
     }
 
     /// Report that the block carrying batch `id` committed at `committed`:
@@ -528,11 +539,16 @@ impl TrafficQueue {
         let Some(flight) = self.in_flight.remove(&id) else {
             return;
         };
+        self.in_flight_commands -= flight.idxs.len() as u64;
+        let e2e_of = |a: &Arrival, forward_ms: f64| {
+            committed.since(a.send) + Duration::from_millis_f64(a.reply_ms + forward_ms)
+        };
+        let tracing = self.telemetry.is_tracing();
         for (&i, &forward_ms) in flight.idxs.iter().zip(&flight.forward_ms) {
             let a = self.arrivals[i as usize];
-            let e2e = committed.since(a.send) + Duration::from_millis_f64(a.reply_ms + forward_ms);
-            self.stats.record_client_commit(e2e, committed);
-            if self.telemetry.is_enabled() {
+            self.stats
+                .record_client_commit(e2e_of(&a, forward_ms), committed);
+            if tracing {
                 let args = match view {
                     Some(v) => vec![("view", v as f64)],
                     None => vec![],
@@ -545,13 +561,16 @@ impl TrafficQueue {
                     Duration::from_millis_f64(a.reply_ms).as_micros(),
                     args,
                 );
-                self.telemetry
-                    .observe("traffic.client.e2e_us", None, e2e.as_micros());
             }
         }
-        self.telemetry
-            .counter_add("traffic.client.committed", None, flight.idxs.len() as u64);
-        self.publish_conservation_gauges();
+        self.telemetry.with_registry(|reg| {
+            for (&i, &forward_ms) in flight.idxs.iter().zip(&flight.forward_ms) {
+                let e2e = e2e_of(&self.arrivals[i as usize], forward_ms);
+                reg.observe("traffic.client.e2e_us", None, e2e.as_micros());
+            }
+            reg.counter_add("traffic.client.committed", None, flight.idxs.len() as u64);
+            self.publish_conservation_gauges(reg);
+        });
     }
 
     /// Requests admitted so far.
@@ -582,7 +601,7 @@ impl TrafficQueue {
     /// Commands inside batches handed out but not yet committed, retried,
     /// or abandoned — the in-flight term of the conservation identity.
     pub fn in_flight_commands(&self) -> u64 {
-        self.in_flight.values().map(|f| f.idxs.len() as u64).sum()
+        self.in_flight_commands
     }
 
     /// The end-to-end statistics collected so far.
