@@ -17,13 +17,12 @@ impl Digest {
         Digest(sha256(data))
     }
 
-    /// Hash the concatenation of several byte slices (domain-separated by
-    /// length prefixes so `["ab","c"]` and `["a","bc"]` hash differently).
+    /// Hash the concatenation of several byte slices, each length-prefixed
+    /// by [`Sha256::update_prefixed`].
     pub fn of_parts(parts: &[&[u8]]) -> Digest {
         let mut h = Sha256::new();
         for p in parts {
-            h.update(&(p.len() as u64).to_le_bytes());
-            h.update(p);
+            h.update_prefixed(p);
         }
         Digest(h.finalize())
     }

@@ -30,4 +30,4 @@ pub use digest::{Digest, Hashable};
 pub use keys::{KeyPair, Keyring, PublicKey, SecretKey, Signature, Signed};
 pub use misbehavior::{Complaint, MisbehaviorKind, MisbehaviorProof};
 pub use quorum::{PartialSignature, QuorumCertificate, VoteAggregate};
-pub use sha256::sha256;
+pub use sha256::{sha256, Sha256};

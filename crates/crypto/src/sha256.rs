@@ -73,6 +73,14 @@ impl Sha256 {
         }
     }
 
+    /// Absorb `part` preceded by its length as a little-endian `u64`, so a
+    /// sequence of variable-length parts hashes unambiguously (`["ab", "c"]`
+    /// and `["a", "bc"]` differ). The crate's one length-prefixing rule.
+    pub fn update_prefixed(&mut self, part: &[u8]) {
+        self.update(&(part.len() as u64).to_le_bytes());
+        self.update(part);
+    }
+
     /// Finish hashing and return the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);

@@ -144,7 +144,7 @@ fn pbft_messages_round_trip() {
         PbftMessage::Propose {
             seq: 10,
             epoch: 3,
-            block,
+            block: Arc::new(block.clone()),
             timestamp_us: 55,
             measurements: vec![vec![1, 2], vec![]],
         },
@@ -175,10 +175,22 @@ fn pbft_messages_round_trip() {
             blobs: vec![vec![7; 3]],
         },
     ];
+    let block_json = serde_json::to_string(&block).unwrap();
+    let propose_json = serde_json::to_string(&cases[1]).unwrap();
+    assert!(
+        propose_json.contains(&format!("\"block\":{block_json}")),
+        "the Arc adds nothing on the wire: {propose_json}"
+    );
     for msg in cases {
         let (from, back) = round_trip(6, &msg);
         assert_eq!(from, 6);
         assert_eq!(format!("{back:?}"), format!("{msg:?}"));
+        if let PbftMessage::Propose { block: b, .. } = back {
+            assert_eq!(
+                *b, block,
+                "the shared block crosses the wire as its pointee"
+            );
+        }
     }
 }
 

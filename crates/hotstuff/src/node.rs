@@ -69,6 +69,8 @@ struct ViewEntry {
 /// One HotStuff replica.
 pub struct HotStuffNode {
     id: usize,
+    /// Every other replica: the targets of each proposal.
+    others: Vec<NodeId>,
     config: SystemConfig,
     pacemaker: Pacemaker,
     batch: BlockSource,
@@ -103,6 +105,7 @@ impl HotStuffNode {
     pub fn new(id: usize, config: SystemConfig, pacemaker: Pacemaker, batch_size: usize) -> Self {
         HotStuffNode {
             id,
+            others: (0..config.n).filter(|&r| r != id).collect(),
             config,
             pacemaker,
             batch: BlockSource::saturated(batch_size),
@@ -227,8 +230,7 @@ impl HotStuffNode {
             vec![("commands", block.len() as f64)],
         );
         if hold.is_zero() {
-            let others: Vec<NodeId> = (0..self.config.n).filter(|&r| r != self.id).collect();
-            ctx.multicast(&others, msg.clone());
+            ctx.multicast(&self.others, msg);
         } else {
             // The dissemination hold is visible as its own span under the
             // attacker's track — the widening bar of the Fig 7 trace.
@@ -250,8 +252,7 @@ impl HotStuffNode {
 
     fn release_held(&mut self, ctx: &mut Context<HotStuffMessage>, tag: u64) {
         if let Some(msg) = self.held.remove(&tag) {
-            let others: Vec<NodeId> = (0..self.config.n).filter(|&r| r != self.id).collect();
-            ctx.multicast(&others, msg);
+            ctx.multicast(&self.others, msg);
         }
     }
 

@@ -60,6 +60,9 @@ pub struct Simulation<N: Node, S: EventScheduler<N::Msg> = TimerWheel<<N as Node
     crashed: Vec<bool>,
     now: SimTime,
     next_timer: u64,
+    /// The action buffer each callback's `Context` takes and hands back
+    /// drained, so buffering a callback's actions allocates nothing.
+    actions: Vec<Action<N::Msg>>,
     events_processed: u64,
     /// Events processed per virtual second (index = ⌊now⌋ in seconds) — the
     /// windowed events/sec series the telemetry registry surfaces.
@@ -103,6 +106,7 @@ impl<N: Node, S: EventScheduler<N::Msg>> Simulation<N, S> {
             live_timers: HashMap::new(),
             now: SimTime::ZERO,
             next_timer: 0,
+            actions: Vec::new(),
             events_processed: 0,
             events_timeline: Vec::new(),
             max_events_hit: false,
@@ -252,39 +256,45 @@ impl<N: Node, S: EventScheduler<N::Msg>> Simulation<N, S> {
         }
     }
 
+    /// A context for one callback of node `id`, lending it the action
+    /// buffer.
+    fn context(&mut self, id: NodeId) -> Context<N::Msg> {
+        let actions = std::mem::take(&mut self.actions);
+        Context::new(id, self.now, self.nodes.len(), self.next_timer, actions)
+    }
+
     fn dispatch_actions(&mut self, from: NodeId, ctx: Context<N::Msg>) {
         // One timer-id allocator: the context mints ids from the engine's
         // counter and hands the advanced value back — the id inside each
         // `SetTimer` action *is* the allocation, nothing to re-derive here.
-        let (actions, next_timer) = ctx.finish();
+        let (actions, next_timer) = ctx.finish(|action| self.apply(from, action));
         self.next_timer = next_timer;
-        for action in actions {
-            match action {
-                Action::Send { to, payload } => {
-                    if to >= self.nodes.len() {
-                        continue;
-                    }
-                    let base = self.latency.latency(from, to);
-                    if let Some(delay) = self.faults.effective_delay(self.now, from, to, base) {
-                        self.sched.schedule(
-                            self.now + delay,
-                            to,
-                            EventKind::Deliver { from, payload },
-                        );
-                    }
+        self.actions = actions;
+    }
+
+    fn apply(&mut self, from: NodeId, action: Action<N::Msg>) {
+        match action {
+            Action::Send { to, payload } => {
+                if to >= self.nodes.len() {
+                    return;
                 }
-                Action::SetTimer { timer, delay, tag } => {
-                    let handle =
-                        self.sched
-                            .schedule(self.now + delay, from, EventKind::Timer { timer, tag });
-                    self.live_timers.insert(timer.0, handle);
+                let base = self.latency.latency(from, to);
+                if let Some(delay) = self.faults.effective_delay(self.now, from, to, base) {
+                    self.sched
+                        .schedule(self.now + delay, to, EventKind::Deliver { from, payload });
                 }
-                Action::CancelTimer { timer } => {
-                    // Already-fired (or double-cancelled) timers have no
-                    // entry: the cancel is a no-op and leaves no tombstone.
-                    if let Some(handle) = self.live_timers.remove(&timer.0) {
-                        self.sched.cancel(handle);
-                    }
+            }
+            Action::SetTimer { timer, delay, tag } => {
+                let handle = self
+                    .sched
+                    .schedule(self.now + delay, from, EventKind::Timer { timer, tag });
+                self.live_timers.insert(timer.0, handle);
+            }
+            Action::CancelTimer { timer } => {
+                // Already-fired (or double-cancelled) timers have no
+                // entry: the cancel is a no-op and leaves no tombstone.
+                if let Some(handle) = self.live_timers.remove(&timer.0) {
+                    self.sched.cancel(handle);
                 }
             }
         }
@@ -297,7 +307,7 @@ impl<N: Node, S: EventScheduler<N::Msg>> Simulation<N, S> {
             if self.crashed[id] {
                 continue;
             }
-            let mut ctx = Context::new(id, self.now, self.nodes.len(), self.next_timer);
+            let mut ctx = self.context(id);
             self.nodes[id].on_start(&mut ctx);
             self.dispatch_actions(id, ctx);
         }
@@ -350,7 +360,7 @@ impl<N: Node, S: EventScheduler<N::Msg>> Simulation<N, S> {
                     // unwrapped, so crashed recipients pay no clone.
                     return true;
                 }
-                let mut ctx = Context::new(id, self.now, self.nodes.len(), self.next_timer);
+                let mut ctx = self.context(id);
                 let msg = payload.into_msg();
                 self.nodes[id].on_message(&mut ctx, from, msg);
                 self.dispatch_actions(id, ctx);
@@ -362,7 +372,7 @@ impl<N: Node, S: EventScheduler<N::Msg>> Simulation<N, S> {
                 if self.crashed[id] {
                     return true;
                 }
-                let mut ctx = Context::new(id, self.now, self.nodes.len(), self.next_timer);
+                let mut ctx = self.context(id);
                 self.nodes[id].on_timer(&mut ctx, timer, tag);
                 self.dispatch_actions(id, ctx);
             }

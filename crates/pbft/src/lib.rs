@@ -35,4 +35,4 @@ pub use messages::{PbftMessage, Phase};
 pub use policy::{AwarePolicy, PbftRoundRecord, ReconfigPolicy, StaticPolicy};
 pub use replica::{ClientState, PbftNode, ReplicaState};
 pub use score::{predict_round_latency, predict_message_delays, weighted_quorum_time};
-pub use weights::WeightConfig;
+pub use weights::{VoterSet, WeightConfig};

@@ -3,6 +3,7 @@
 use crypto::Digest;
 use rsm::{Block, Command};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Protocol phases, ordered as the SuspicionSensor's causal filter expects
 /// (smaller = earlier in the round).
@@ -39,8 +40,9 @@ pub enum PbftMessage {
         seq: u64,
         /// Configuration epoch the leader believes is active.
         epoch: u64,
-        /// The proposed block.
-        block: Block,
+        /// The proposed block, shared: a recipient's copy of the message is a
+        /// reference-count bump, and on the wire it is the block itself.
+        block: Arc<Block>,
         /// The leader's proposal timestamp (µs of virtual time) — the
         /// reference point for all per-message timeouts (§4.2.3).
         timestamp_us: u64,
@@ -110,7 +112,7 @@ mod tests {
         let msg = PbftMessage::Propose {
             seq: 1,
             epoch: 0,
-            block: Block::genesis(),
+            block: Arc::new(Block::genesis()),
             timestamp_us: 42,
             measurements: vec![vec![1, 2, 3]],
         };

@@ -11,11 +11,12 @@
 
 use crate::messages::{PbftMessage, Phase};
 use crate::policy::{PbftRoundRecord, ReconfigPolicy};
-use crate::weights::WeightConfig;
+use crate::weights::{VoterSet, WeightConfig};
 use crypto::{Digest, Hashable};
 use rsm::{misbehavior, Block, Command, CommitStats, DelayStage};
 use runtime::{Context, Duration, Node, NodeId, SimTime, TimeSeries, TimerId};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use telemetry::{Stage, Telemetry};
 use traffic::SharedTrafficQueue;
 
@@ -28,7 +29,8 @@ const TIMER_DELAYED_PROPOSE: u64 = 4;
 /// One in-flight consensus instance at a replica.
 #[derive(Debug, Clone)]
 struct Instance {
-    block: Block,
+    /// The proposed block; `None` while only votes have arrived.
+    block: Option<Arc<Block>>,
     digest: Digest,
     /// Configuration epoch carried by the proposal message.
     epoch: u64,
@@ -36,11 +38,33 @@ struct Instance {
     leader: usize,
     proposal_ts: SimTime,
     measurements: Vec<Vec<u8>>,
-    write_voters: BTreeSet<usize>,
-    accept_voters: BTreeSet<usize>,
+    write_voters: VoterSet,
+    accept_voters: VoterSet,
     sent_accept: bool,
     committed: bool,
+    /// Sized once for what a round records — the proposal, then every other
+    /// replica's Write and Accept — and moved into the round's
+    /// [`PbftRoundRecord`] at commit, where late votes still land.
     arrivals: Vec<(usize, u32, SimTime)>,
+}
+
+impl Instance {
+    /// An instance with no proposal yet.
+    fn new(n: usize, digest: Digest, epoch: u64, leader: usize, proposal_ts: SimTime) -> Self {
+        Instance {
+            block: None,
+            digest,
+            epoch,
+            leader,
+            proposal_ts,
+            measurements: Vec::new(),
+            write_voters: VoterSet::default(),
+            accept_voters: VoterSet::default(),
+            sent_accept: false,
+            committed: false,
+            arrivals: Vec::with_capacity(2 * n - 1),
+        }
+    }
 }
 
 /// A record of one reconfiguration, for run reports.
@@ -58,6 +82,8 @@ pub struct ReplicaState {
     pub id: usize,
     n: usize,
     f: usize,
+    /// Every other replica: the targets of each multicast.
+    peers: Vec<NodeId>,
     batch_cap: usize,
     probe_interval: Duration,
     probe_timeout: Duration,
@@ -112,10 +138,16 @@ impl ReplicaState {
         f: usize,
         policy: Box<dyn ReconfigPolicy>,
     ) -> Self {
+        assert!(
+            n <= VoterSet::CAPACITY,
+            "a replica counts votes of at most {} replicas",
+            VoterSet::CAPACITY
+        );
         ReplicaState {
             id,
             n,
             f,
+            peers: (0..n).filter(|&r| r != id).collect(),
             batch_cap: 1000,
             probe_interval: Duration::from_secs(5),
             probe_timeout: Duration::from_millis(800),
@@ -248,6 +280,7 @@ impl ReplicaState {
     ) {
         self.next_seq = seq + 1;
         let epoch = self.config.epoch;
+        let block = Arc::new(block);
         let msg = PbftMessage::Propose {
             seq,
             epoch,
@@ -262,8 +295,7 @@ impl ReplicaState {
             ctx.now.as_micros(),
             vec![("commands", block.len() as f64)],
         );
-        let replicas: Vec<NodeId> = (0..self.n).filter(|&r| r != self.id).collect();
-        ctx.multicast(&replicas, msg);
+        ctx.multicast(&self.peers, msg);
         // Process our own proposal locally.
         self.handle_propose(
             ctx,
@@ -283,7 +315,7 @@ impl ReplicaState {
         from: usize,
         seq: u64,
         epoch: u64,
-        block: Block,
+        block: Arc<Block>,
         timestamp_us: u64,
         measurements: Vec<Vec<u8>>,
     ) {
@@ -291,24 +323,17 @@ impl ReplicaState {
             return;
         }
         let digest = block.digest();
-        let entry = self.instances.entry(seq).or_insert_with(|| Instance {
-            block: block.clone(),
-            digest,
-            epoch,
-            leader: from,
-            proposal_ts: SimTime::from_micros(timestamp_us),
-            measurements: measurements.clone(),
-            write_voters: BTreeSet::new(),
-            accept_voters: BTreeSet::new(),
-            sent_accept: false,
-            committed: false,
-            arrivals: Vec::new(),
-        });
-        entry.block = block;
+        let proposal_ts = SimTime::from_micros(timestamp_us);
+        let n = self.n;
+        let entry = self
+            .instances
+            .entry(seq)
+            .or_insert_with(|| Instance::new(n, digest, epoch, from, proposal_ts));
+        entry.block = Some(block);
         entry.digest = digest;
         entry.epoch = epoch;
         entry.leader = from;
-        entry.proposal_ts = SimTime::from_micros(timestamp_us);
+        entry.proposal_ts = proposal_ts;
         entry.measurements = measurements;
         entry.arrivals.push((from, Phase::Propose.tag(), ctx.now));
         if from != self.id {
@@ -332,8 +357,7 @@ impl ReplicaState {
             digest,
             voter: self.id,
         };
-        let replicas: Vec<NodeId> = (0..self.n).filter(|&r| r != self.id).collect();
-        ctx.multicast(&replicas, write);
+        ctx.multicast(&self.peers, write);
         self.handle_write(ctx, self.id, seq, digest);
     }
 
@@ -360,27 +384,15 @@ impl ReplicaState {
             Some(e) if e.digest == digest => e,
             // Write may arrive before the proposal; buffer a placeholder.
             Some(_) => return,
-            None => {
-                self.instances.insert(
-                    seq,
-                    Instance {
-                        block: Block::genesis(),
-                        digest,
-                        // Best guess until the proposal arrives; overwritten
-                        // by handle_propose.
-                        epoch: self.config.epoch,
-                        leader: self.config.leader,
-                        proposal_ts: ctx.now,
-                        measurements: Vec::new(),
-                        write_voters: BTreeSet::new(),
-                        accept_voters: BTreeSet::new(),
-                        sent_accept: false,
-                        committed: false,
-                        arrivals: Vec::new(),
-                    },
-                );
-                self.instances.get_mut(&seq).expect("just inserted")
-            }
+            // Best guess at epoch, leader and timestamp until the proposal
+            // arrives; handle_propose overwrites them.
+            None => self.instances.entry(seq).or_insert(Instance::new(
+                self.n,
+                digest,
+                self.config.epoch,
+                self.config.leader,
+                ctx.now,
+            )),
         };
         if voter != self.id {
             entry.arrivals.push((voter, Phase::Write.tag(), ctx.now));
@@ -393,8 +405,7 @@ impl ReplicaState {
                 digest,
                 voter: self.id,
             };
-            let replicas: Vec<NodeId> = (0..self.n).filter(|&r| r != self.id).collect();
-            ctx.multicast(&replicas, accept);
+            ctx.multicast(&self.peers, accept);
             self.handle_accept(ctx, self.id, seq, digest);
         }
     }
@@ -442,16 +453,17 @@ impl ReplicaState {
         // so a replica that later gains the leader role proposes the right
         // sequence number.
         self.next_seq = self.next_seq.max(seq + 1);
-        if !instance.block.is_empty() {
+        let commands: &[Command] = instance.block.as_ref().map_or(&[], |b| &b.commands);
+        if !commands.is_empty() {
             self.stats
-                .record_commit(instance.proposal_ts, ctx.now, instance.block.len());
+                .record_commit(instance.proposal_ts, ctx.now, commands.len());
             self.telemetry.span(
                 Stage::Commit,
                 self.id,
                 seq,
                 instance.proposal_ts.as_micros(),
                 ctx.now.since(instance.proposal_ts).as_micros(),
-                vec![("commands", instance.block.len() as f64)],
+                vec![("commands", commands.len() as f64)],
             );
             self.telemetry
                 .counter_add("pbft.replica.commits", Some(self.id), 1);
@@ -471,7 +483,7 @@ impl ReplicaState {
             }
         } else {
             // Reply to clients and remember executed requests.
-            for cmd in &instance.block.commands {
+            for cmd in commands {
                 self.committed_requests.insert((cmd.client, cmd.seq));
                 ctx.send(
                     self.client_node(cmd.client),
@@ -503,7 +515,7 @@ impl ReplicaState {
             prev_proposal_ts: self.prev_proposal_ts,
             prev_epoch: self.prev_epoch,
             commit_time: ctx.now,
-            arrivals: instance.arrivals.clone(),
+            arrivals: instance.arrivals,
         };
         self.pending_records.push(record);
         self.prev_proposal_ts = Some(instance.proposal_ts);
@@ -566,8 +578,7 @@ impl ReplicaState {
             nonce: self.probe_nonce,
             sent_at_us: ctx.now.as_micros(),
         };
-        let replicas: Vec<NodeId> = (0..self.n).filter(|&r| r != self.id).collect();
-        ctx.multicast(&replicas, msg);
+        ctx.multicast(&self.peers, msg);
         ctx.set_timer(self.probe_timeout, TIMER_PROBE_COLLECT);
         ctx.set_timer(self.probe_interval, TIMER_PROBE_START);
     }
@@ -583,7 +594,8 @@ impl ReplicaState {
 pub struct ClientState {
     /// Client id (its node id is `n + id`).
     pub id: u64,
-    n: usize,
+    /// Every replica: the targets of each request.
+    replicas: Vec<NodeId>,
     f: usize,
     next_seq: u64,
     sent_at: SimTime,
@@ -599,7 +611,7 @@ impl ClientState {
     pub fn new(id: u64, n: usize, f: usize) -> Self {
         ClientState {
             id,
-            n,
+            replicas: (0..n).collect(),
             f,
             next_seq: 0,
             sent_at: SimTime::ZERO,
@@ -613,8 +625,7 @@ impl ClientState {
         let cmd = Command::empty(self.id, self.next_seq);
         self.sent_at = ctx.now;
         self.repliers.clear();
-        let replicas: Vec<NodeId> = (0..self.n).collect();
-        ctx.multicast(&replicas, PbftMessage::Request { cmd });
+        ctx.multicast(&self.replicas, PbftMessage::Request { cmd });
     }
 
     fn on_reply(&mut self, ctx: &mut Context<PbftMessage>, client_seq: u64, replica: usize) {

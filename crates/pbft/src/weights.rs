@@ -10,7 +10,6 @@
 //! arithmetic; the latency prediction lives in [`crate::score`].
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// A voting-weight configuration: the leader plus each replica's weight.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -98,8 +97,8 @@ impl WeightConfig {
     /// True if the votes of `voters` reach the weighted quorum threshold.
     /// A set, so no replica counts twice; this runs on every vote a replica
     /// receives and allocates nothing.
-    pub fn is_quorum(&self, voters: &BTreeSet<usize>, f: usize) -> bool {
-        let sum: u32 = voters.iter().map(|&v| self.weight(v)).sum();
+    pub fn is_quorum(&self, voters: &VoterSet, f: usize) -> bool {
+        let sum: u32 = voters.iter().map(|v| self.weight(v)).sum();
         sum >= self.quorum_threshold(f)
     }
 
@@ -111,9 +110,50 @@ impl WeightConfig {
     }
 }
 
+/// The replicas that cast one phase's vote in one consensus instance: a
+/// bitset over replica ids, held inline so recording a vote never touches
+/// the heap.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct VoterSet([u64; 4]);
+
+impl VoterSet {
+    /// One more than the largest replica id a set can hold; a replica
+    /// refuses to run in a larger cluster.
+    pub const CAPACITY: usize = 256;
+
+    /// Record a vote from `voter`. Ids at or past [`Self::CAPACITY`] are
+    /// outside every cluster a replica runs in, carry no weight, and are
+    /// dropped.
+    pub fn insert(&mut self, voter: usize) {
+        if voter < Self::CAPACITY {
+            self.0[voter / 64] |= 1 << (voter % 64);
+        }
+    }
+
+    /// The voters, in increasing id order.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().enumerate().flat_map(|(word, &bits)| {
+            let mut rest = bits;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    word * 64 + bit
+                })
+            })
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn set(voters: impl IntoIterator<Item = usize>) -> VoterSet {
+        let mut set = VoterSet::default();
+        voters.into_iter().for_each(|v| set.insert(v));
+        set
+    }
 
     #[test]
     fn initial_config_gives_vmax_to_2f() {
@@ -148,7 +188,7 @@ mod tests {
         let c = WeightConfig::initial(7, 2);
         // W = 11, threshold = (11 + 4)/2 + 1 = 8. Four V_max replicas
         // (weight 8) suffice…
-        let votes = |voters: &[usize]| c.is_quorum(&voters.iter().copied().collect(), 2);
+        let votes = |voters: &[usize]| c.is_quorum(&set(voters.iter().copied()), 2);
         assert!(votes(&[0, 1, 2, 3]));
         // …whereas one V_max + three V_min replicas (weight 5) do not.
         assert!(!votes(&[3, 4, 5, 6]));
@@ -158,6 +198,26 @@ mod tests {
         assert!(!votes(&[0, 1, 2, 7, 8, 9]));
         // All replicas always form a quorum.
         assert!(votes(&[0, 1, 2, 3, 4, 5, 6]));
+    }
+
+    #[test]
+    fn voter_set_counts_each_replica_once_across_words() {
+        let voters = set([72, 3, 64, 3, 0, 63, 255, 256, 1_000]);
+        assert_eq!(
+            voters.iter().collect::<Vec<_>>(),
+            vec![0, 3, 63, 64, 72, 255],
+            "sorted, deduplicated, ids past the capacity dropped"
+        );
+        assert_eq!(VoterSet::default().iter().count(), 0);
+
+        // Aware's largest deployment, n = 73 and f = 24: V_max on 25..73,
+        // W = 121, threshold 85. The votes of replicas 64..68 decide it.
+        let c = WeightConfig::with_assignment(73, 72, &(25..73).collect::<Vec<_>>(), 1);
+        assert_eq!(c.quorum_threshold(24), 85);
+        let below = set(25..64);
+        let above = set(25..68);
+        assert!(!c.is_quorum(&below, 24), "39 x V_max = 78");
+        assert!(c.is_quorum(&above, 24), "43 x V_max = 86");
     }
 
     #[test]

@@ -16,6 +16,12 @@
 //! Because nodes only ever see `Context`, the *same* replica struct runs
 //! unmodified in both worlds; nothing in the protocol code can tell virtual
 //! microseconds from wall-clock microseconds.
+//!
+//! The action buffer is the runtime's and is recycled: each callback's
+//! `Context` takes it in [`Context::new`], and [`Context::finish`] hands it
+//! back drained with its capacity kept. Once a node has made its widest
+//! callback, buffering actions allocates nothing — a 20-way multicast costs
+//! its one payload `Arc`, not a `Vec` regrown from empty every time.
 
 use crate::time::{Duration, SimTime};
 use std::sync::Arc;
@@ -91,9 +97,11 @@ pub enum Action<M> {
 
 /// The interface nodes use to interact with the world.
 ///
-/// A `Context` is created fresh for each callback; actions are buffered and
+/// A `Context` is created for each callback; actions are buffered and
 /// applied by the runtime after the callback returns, in order. Runtimes
-/// construct one with [`Context::new`] and drain it with [`Context::finish`].
+/// construct one with [`Context::new`], handing it their action buffer, and
+/// get the buffer back from [`Context::finish`] once every action has been
+/// applied.
 pub struct Context<M> {
     /// Identity of the node being called.
     pub id: NodeId,
@@ -110,13 +118,23 @@ impl<M> Context<M> {
     /// Create a context for one callback. `next_timer` is the runtime's
     /// persistent timer-id allocator state; ids minted during the callback
     /// continue from it, and [`Context::finish`] hands the advanced value
-    /// back so the runtime can thread it into the next context.
-    pub fn new(id: NodeId, now: SimTime, n: usize, next_timer: u64) -> Self {
+    /// back so the runtime can thread it into the next context. `actions` is
+    /// the runtime's action buffer, as the previous [`Context::finish`]
+    /// returned it (`Vec::new()` the first time); its capacity is what lets a
+    /// callback buffer its actions without allocating.
+    pub fn new(
+        id: NodeId,
+        now: SimTime,
+        n: usize,
+        next_timer: u64,
+        actions: Vec<Action<M>>,
+    ) -> Self {
+        debug_assert!(actions.is_empty(), "the action buffer comes back drained");
         Context {
             id,
             now,
             n,
-            actions: Vec::new(),
+            actions,
             next_timer,
         }
     }
@@ -186,9 +204,11 @@ impl<M> Context<M> {
         self.actions.push(Action::CancelTimer { timer });
     }
 
-    /// Consume the context, yielding the buffered actions and the advanced
-    /// timer-id allocator state for the runtime to persist.
-    pub fn finish(self) -> (Vec<Action<M>>, u64) {
+    /// Consume the context: hand every buffered action to `apply`, in order,
+    /// then return the drained action buffer (capacity kept, for the next
+    /// [`Context::new`]) and the advanced timer-id allocator state.
+    pub fn finish(mut self, apply: impl FnMut(Action<M>)) -> (Vec<Action<M>>, u64) {
+        self.actions.drain(..).for_each(apply);
         (self.actions, self.next_timer)
     }
 }
@@ -215,14 +235,21 @@ pub trait Node {
 mod tests {
     use super::*;
 
+    /// Finish `ctx`, collecting what it buffered.
+    fn collect<M>(ctx: Context<M>) -> (Vec<Action<M>>, u64) {
+        let mut actions = Vec::new();
+        let (_, next) = ctx.finish(|a| actions.push(a));
+        (actions, next)
+    }
+
     #[test]
     fn set_timer_mints_sequential_ids_and_embeds_them() {
-        let mut ctx: Context<()> = Context::new(0, SimTime::ZERO, 3, 41);
+        let mut ctx: Context<()> = Context::new(0, SimTime::ZERO, 3, 41, Vec::new());
         let a = ctx.set_timer(Duration::from_millis(5), 7);
         let b = ctx.set_timer(Duration::from_millis(9), 8);
         assert_eq!(a, TimerId(41));
         assert_eq!(b, TimerId(42));
-        let (actions, next) = ctx.finish();
+        let (actions, next) = collect(ctx);
         assert_eq!(next, 43, "allocator state advances past minted ids");
         match (&actions[0], &actions[1]) {
             (
@@ -238,9 +265,9 @@ mod tests {
 
     #[test]
     fn broadcast_skips_self_and_shares_one_arc() {
-        let mut ctx: Context<u32> = Context::new(1, SimTime::ZERO, 4, 0);
+        let mut ctx: Context<u32> = Context::new(1, SimTime::ZERO, 4, 0, Vec::new());
         ctx.broadcast(99);
-        let (actions, _) = ctx.finish();
+        let (actions, _) = collect(ctx);
         let targets: Vec<NodeId> = actions
             .iter()
             .map(|a| match a {
@@ -257,11 +284,11 @@ mod tests {
 
     #[test]
     fn multicast_owns_singleton_and_shares_fanout() {
-        let mut ctx: Context<u32> = Context::new(0, SimTime::ZERO, 5, 0);
+        let mut ctx: Context<u32> = Context::new(0, SimTime::ZERO, 5, 0, Vec::new());
         ctx.multicast(&[], 1);
         ctx.multicast(&[3], 2);
         ctx.multicast(&[1, 4], 3);
-        let (actions, _) = ctx.finish();
+        let (actions, _) = collect(ctx);
         assert_eq!(actions.len(), 3);
         assert!(matches!(
             &actions[0],
@@ -269,6 +296,27 @@ mod tests {
         ));
         assert!(matches!(&actions[1], Action::Send { to: 1, payload: Payload::Shared(_) }));
         assert!(matches!(&actions[2], Action::Send { to: 4, payload: Payload::Shared(_) }));
+    }
+
+    #[test]
+    fn finish_hands_the_buffer_back_drained_with_its_capacity() {
+        let mut ctx: Context<u32> = Context::new(0, SimTime::ZERO, 21, 0, Vec::new());
+        ctx.broadcast(5);
+        let mut applied = 0;
+        let (buffer, _) = ctx.finish(|_| applied += 1);
+        assert_eq!(applied, 20);
+        assert!(buffer.is_empty());
+        let capacity = buffer.capacity();
+        assert!(capacity >= 20);
+
+        let mut ctx: Context<u32> = Context::new(3, SimTime::ZERO, 21, 0, buffer);
+        ctx.broadcast(6);
+        let (buffer, _) = ctx.finish(|_| {});
+        assert_eq!(
+            buffer.capacity(),
+            capacity,
+            "the same fan-out does not regrow"
+        );
     }
 
     #[test]

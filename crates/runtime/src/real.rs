@@ -203,12 +203,17 @@ where
 
     /// Run the event loop to shutdown; returns the node for post-run inspection.
     fn run(mut self) -> N {
+        // Reused across callbacks, and locals rather than worker fields: the
+        // worker moves into the replica thread, and a buffer of `Arc`-shared
+        // payloads could only move with it if `N::Msg: Sync`.
+        let mut actions = Vec::new();
+        let mut touched = Vec::new();
         loop {
             let event = match self.rx.recv() {
                 Ok(ev) => ev,
                 Err(_) => break, // cluster handle dropped without shutdown
             };
-            let mut ctx = Context::new(self.id, self.now(), self.n, self.next_timer);
+            let mut ctx = Context::new(self.id, self.now(), self.n, self.next_timer, actions);
             match event {
                 ReplicaEvent::Start => self.node.on_start(&mut ctx),
                 ReplicaEvent::Deliver { from, msg } => self.node.on_message(&mut ctx, from, msg),
@@ -217,69 +222,67 @@ where
                 }
                 ReplicaEvent::Shutdown => break,
             }
-            let (actions, next_timer) = ctx.finish();
-            self.next_timer = next_timer;
-            self.apply(actions);
+            actions = self.apply(ctx, &mut touched);
         }
         self.node
     }
 
-    fn apply(&mut self, actions: Vec<Action<N::Msg>>) {
-        let mut touched: Vec<NodeId> = Vec::new();
+    /// Carry out the callback's actions and return the drained buffer.
+    fn apply(&mut self, ctx: Context<N::Msg>, touched: &mut Vec<NodeId>) -> Vec<Action<N::Msg>> {
         // A multicast arrives as consecutive sends sharing one `Arc`: its
         // frame is encoded for the first recipient and reused for the rest.
         let mut shared_frame: Option<(Arc<N::Msg>, Vec<u8>)> = None;
-        for action in actions {
-            match action {
-                Action::Send { to, payload } => {
-                    if to >= self.n {
-                        continue;
-                    }
-                    if to == self.id {
-                        // Zero-latency self-delivery, matching the simulator.
-                        let _ = self.self_tx.send(ReplicaEvent::Deliver {
-                            from: self.id,
-                            msg: payload.into_msg(),
-                        });
-                    } else if let Some(stream) = &mut self.peers[to] {
-                        let written = match &payload {
-                            Payload::Owned(msg) => write_frame(stream, self.id, msg),
-                            Payload::Shared(msg) => {
-                                if !shared_frame
-                                    .as_ref()
-                                    .is_some_and(|(encoded, _)| Arc::ptr_eq(encoded, msg))
-                                {
-                                    shared_frame = encode_frame(self.id, &**msg)
-                                        .ok()
-                                        .map(|frame| (msg.clone(), frame));
-                                }
-                                match &shared_frame {
-                                    Some((_, frame)) => stream.write_all(frame),
-                                    None => Err(io::ErrorKind::InvalidData.into()),
-                                }
+        let (actions, next_timer) = ctx.finish(|action| match action {
+            Action::Send { to, payload } => {
+                if to >= self.n {
+                    return;
+                }
+                if to == self.id {
+                    // Zero-latency self-delivery, matching the simulator.
+                    let _ = self.self_tx.send(ReplicaEvent::Deliver {
+                        from: self.id,
+                        msg: payload.into_msg(),
+                    });
+                } else if let Some(stream) = &mut self.peers[to] {
+                    let written = match &payload {
+                        Payload::Owned(msg) => write_frame(stream, self.id, msg),
+                        Payload::Shared(msg) => {
+                            if !shared_frame
+                                .as_ref()
+                                .is_some_and(|(encoded, _)| Arc::ptr_eq(encoded, msg))
+                            {
+                                shared_frame = encode_frame(self.id, &**msg)
+                                    .ok()
+                                    .map(|frame| (msg.clone(), frame));
                             }
-                        };
-                        // A failed write means the peer is gone (shutdown or
-                        // crash); consensus tolerates the omission, so drop
-                        // the message rather than poisoning the event loop.
-                        if written.is_ok() && !touched.contains(&to) {
-                            touched.push(to);
+                            match &shared_frame {
+                                Some((_, frame)) => stream.write_all(frame),
+                                None => Err(io::ErrorKind::InvalidData.into()),
+                            }
                         }
+                    };
+                    // A failed write means the peer is gone (shutdown or
+                    // crash); consensus tolerates the omission, so drop
+                    // the message rather than poisoning the event loop.
+                    if written.is_ok() && !touched.contains(&to) {
+                        touched.push(to);
                     }
                 }
-                Action::SetTimer { timer, delay, tag } => {
-                    let due = Instant::now() + std::time::Duration::from_micros(delay.as_micros());
-                    self.timers.set(self.id, timer, tag, due);
-                }
-                Action::CancelTimer { timer } => self.timers.cancel(self.id, timer),
             }
-        }
+            Action::SetTimer { timer, delay, tag } => {
+                let due = Instant::now() + std::time::Duration::from_micros(delay.as_micros());
+                self.timers.set(self.id, timer, tag, due);
+            }
+            Action::CancelTimer { timer } => self.timers.cancel(self.id, timer),
+        });
+        self.next_timer = next_timer;
         // One flush per touched peer per callback, not per frame.
-        for to in touched {
+        for to in touched.drain(..) {
             if let Some(stream) = &mut self.peers[to] {
                 let _ = stream.flush();
             }
         }
+        actions
     }
 }
 

@@ -67,7 +67,14 @@ mod tests {
     const TAG: u64 = 9;
 
     fn ctx_at(ms: u64, next_timer: u64) -> Context<()> {
-        Context::new(0, SimTime::from_millis(ms), 1, next_timer)
+        Context::new(0, SimTime::from_millis(ms), 1, next_timer, Vec::new())
+    }
+
+    /// Finish `ctx`, collecting what it buffered.
+    fn finish(ctx: Context<()>) -> (Vec<Action<()>>, u64) {
+        let mut actions = Vec::new();
+        let (_, next) = ctx.finish(|a| actions.push(a));
+        (actions, next)
     }
 
     #[test]
@@ -77,7 +84,7 @@ mod tests {
         wake.arm(&mut ctx, SimTime::from_millis(10), TAG);
         wake.arm(&mut ctx, SimTime::from_millis(10), TAG);
         wake.arm(&mut ctx, SimTime::from_millis(25), TAG);
-        let (actions, _) = ctx.finish();
+        let (actions, _) = finish(ctx);
         assert_eq!(actions.len(), 1, "one timer however often it is asked for");
         assert!(matches!(
             actions[0],
@@ -91,7 +98,7 @@ mod tests {
         let mut ctx = ctx_at(0, 0);
         wake.arm(&mut ctx, SimTime::from_millis(10), TAG);
         wake.arm(&mut ctx, SimTime::from_millis(4), TAG);
-        let (actions, _) = ctx.finish();
+        let (actions, _) = finish(ctx);
         assert!(matches!(
             actions[..],
             [
@@ -107,12 +114,12 @@ mod tests {
         let mut wake = WakeTimer::new();
         let mut ctx = ctx_at(0, 0);
         wake.arm(&mut ctx, SimTime::from_millis(10), TAG);
-        let (_, next) = ctx.finish();
+        let (_, next) = finish(ctx);
 
         let mut ctx = ctx_at(10, next);
         wake.fired(TimerId(0));
         wake.arm(&mut ctx, SimTime::from_millis(30), TAG);
-        let (actions, _) = ctx.finish();
+        let (actions, _) = finish(ctx);
         assert!(matches!(
             actions[..],
             [Action::SetTimer { timer: TimerId(1), delay, .. }] if delay == Duration::from_millis(20)
@@ -125,17 +132,17 @@ mod tests {
         let mut ctx = ctx_at(0, 0);
         wake.arm(&mut ctx, SimTime::from_millis(10), TAG);
         wake.arm(&mut ctx, SimTime::from_millis(4), TAG);
-        let (_, next) = ctx.finish();
+        let (_, next) = finish(ctx);
 
         let mut ctx = ctx_at(1, next);
         wake.fired(TimerId(0));
         wake.arm(&mut ctx, SimTime::from_millis(4), TAG);
-        assert!(ctx.finish().0.is_empty(), "timer 1 is still the wake-up");
+        assert!(finish(ctx).0.is_empty(), "timer 1 is still the wake-up");
 
         let mut ctx = ctx_at(4, next);
         wake.fired(TimerId(1));
         wake.arm(&mut ctx, SimTime::from_millis(8), TAG);
-        assert_eq!(ctx.finish().0.len(), 1);
+        assert_eq!(finish(ctx).0.len(), 1);
     }
 
     #[test]
@@ -145,7 +152,7 @@ mod tests {
         wake.arm(&mut ctx, SimTime::from_millis(10), TAG);
         wake.clear();
         wake.arm(&mut ctx, SimTime::from_millis(10), TAG);
-        let (actions, _) = ctx.finish();
+        let (actions, _) = finish(ctx);
         assert!(matches!(
             actions[..],
             [Action::SetTimer { .. }, Action::SetTimer { .. }]
