@@ -183,7 +183,7 @@ mod tests {
     #[test]
     fn dump_writes_perfetto_trace_and_report() {
         let t = Telemetry::tracing_with_capacity(16);
-        t.instant(telemetry::Stage::Commit, 0, 1, 10, vec![("view", 1.0)]);
+        t.instant(telemetry::Stage::Commit, 0, 1, 10, &[("view", 1.0)]);
         t.counter_add("traffic.queue.admitted", None, 5);
         t.install_timeseries(1_000);
         t.tick_timeseries(10_000);

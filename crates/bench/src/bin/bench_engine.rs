@@ -126,7 +126,7 @@ impl Node for FanoutNode {
                         round,
                         ctx.now.as_micros(),
                         ONE_WAY_US,
-                        vec![],
+                        &[],
                     );
                 }
                 self.arm_view_timer(ctx, round);

@@ -11,6 +11,13 @@
 //! mutation operator, and a score (lower is better); [`Annealer`] runs the
 //! exponential-cooling schedule with an iteration budget standing in for the
 //! paper's wall-clock search time.
+//!
+//! A search allocates only when it starts a restart: [`SearchSpace::mutate`]
+//! changes a configuration in place, and the annealer keeps one `current`,
+//! one `candidate` and one `best` buffer, refilling them with
+//! [`Clone::clone_from`] and swapping `candidate` into `current` on accept.
+//! A configuration type that owns heap storage should implement `clone_from`
+//! by reusing it (`Vec` does; a `#[derive(Clone)]` struct does not).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,9 +30,11 @@ pub trait SearchSpace {
     /// A random valid starting configuration.
     fn random_config(&self, rng: &mut StdRng) -> Self::Config;
 
-    /// Mutate a configuration into a neighbouring one. Implementations must
-    /// preserve validity (e.g. only swap special roles with candidates).
-    fn mutate(&self, config: &Self::Config, rng: &mut StdRng) -> Self::Config;
+    /// Turn `config` into a neighbouring configuration, in place.
+    /// Implementations must preserve validity (e.g. only swap special roles
+    /// with candidates) and should not allocate: the annealer calls this
+    /// once per iteration on a buffer it reuses.
+    fn mutate(&self, config: &mut Self::Config, rng: &mut StdRng);
 
     /// Score a configuration; lower is better (predicted latency in ms).
     fn score(&self, config: &Self::Config) -> f64;
@@ -129,6 +138,7 @@ impl Annealer {
             let mut current_score = space.score(&current);
             let mut best = current.clone();
             let mut best_score = current_score;
+            let mut candidate = current.clone();
             let mut temperature = self.params.initial_temperature;
             let per_restart = self.params.iterations / self.params.restarts.max(1);
 
@@ -137,7 +147,8 @@ impl Annealer {
                 if temperature < self.params.min_temperature {
                     break;
                 }
-                let candidate = space.mutate(&current, &mut rng);
+                candidate.clone_from(&current);
+                space.mutate(&mut candidate, &mut rng);
                 let candidate_score = space.score(&candidate);
                 let delta = candidate_score - current_score;
                 let accept = delta <= 0.0 || {
@@ -145,11 +156,11 @@ impl Annealer {
                     rng.gen::<f64>() < p
                 };
                 if accept {
-                    current = candidate;
+                    std::mem::swap(&mut current, &mut candidate);
                     current_score = candidate_score;
                     accepted_moves += 1;
                     if current_score < best_score {
-                        best = current.clone();
+                        best.clone_from(&current);
                         best_score = current_score;
                     }
                 }
@@ -196,12 +207,10 @@ mod tests {
             v
         }
 
-        fn mutate(&self, config: &Vec<usize>, rng: &mut StdRng) -> Vec<usize> {
-            let mut c = config.clone();
-            let i = rng.gen_range(0..c.len());
-            let j = rng.gen_range(0..c.len());
-            c.swap(i, j);
-            c
+        fn mutate(&self, config: &mut Vec<usize>, rng: &mut StdRng) {
+            let i = rng.gen_range(0..config.len());
+            let j = rng.gen_range(0..config.len());
+            config.swap(i, j);
         }
 
         fn score(&self, config: &Vec<usize>) -> f64 {

@@ -227,7 +227,7 @@ impl HotStuffNode {
             self.id,
             view,
             ctx.now.as_micros(),
-            vec![("commands", block.len() as f64)],
+            &[("commands", block.len() as f64)],
         );
         if hold.is_zero() {
             ctx.multicast(&self.others, msg);
@@ -240,7 +240,7 @@ impl HotStuffNode {
                 view,
                 ctx.now.as_micros(),
                 hold.as_micros(),
-                vec![],
+                &[],
             );
             let tag = self.next_held;
             self.next_held += 1;
@@ -301,7 +301,7 @@ impl HotStuffNode {
                             view - 2,
                             ts.as_micros(),
                             ctx.now.since(ts).as_micros(),
-                            vec![("commands", commands as f64)],
+                            &[("commands", commands as f64)],
                         );
                         self.telemetry
                             .counter_add("hotstuff.node.commits", Some(self.id), 1);
@@ -325,7 +325,7 @@ impl HotStuffNode {
 
         // Vote to the leader of the next view.
         self.telemetry
-            .instant(Stage::Vote, self.id, view, ctx.now.as_micros(), vec![]);
+            .instant(Stage::Vote, self.id, view, ctx.now.as_micros(), &[]);
         let next_leader = self.leader_of(view + 1);
         let vote = HotStuffMessage::Vote {
             view,
@@ -378,7 +378,7 @@ impl Node for HotStuffNode {
                     view,
                     timestamp_us,
                     ctx.now.as_micros().saturating_sub(timestamp_us),
-                    vec![],
+                    &[],
                 );
                 self.handle_proposal(ctx, view, digest, commands, timestamp_us)
             }

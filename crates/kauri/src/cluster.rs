@@ -114,15 +114,12 @@ impl<F: Fn(usize) -> Box<dyn TreePolicy>> Cluster for KauriCluster<F> {
     fn build(&self) -> Vec<KauriNode> {
         let config = &self.config;
         let n = config.system.n;
-        // All replicas start from the same initial tree: the first tree of a
-        // fresh policy instance.
-        let initial_tree = (self.policy)(usize::MAX).next_tree(n, config.branch);
-        (0..n)
+        let nodes: Vec<KauriNode> = (0..n)
             .map(|id| {
                 let mut policy = (self.policy)(id);
-                // Consume the initial tree so the policy's next call yields tree #2.
+                // The policy's first tree is the initial tree; consuming it
+                // here makes the policy's next call yield tree #2.
                 let tree = policy.next_tree(n, config.branch);
-                debug_assert_eq!(tree.root, initial_tree.root);
                 KauriNode::new(
                     id,
                     config.system,
@@ -137,7 +134,13 @@ impl<F: Fn(usize) -> Box<dyn TreePolicy>> Cluster for KauriCluster<F> {
                 .with_traffic(config.traffic.clone())
                 .with_telemetry(config.telemetry.clone())
             })
-            .collect()
+            .collect();
+        // Identically seeded policies hand every replica the same start.
+        debug_assert!(
+            nodes.iter().all(|node| node.tree() == nodes[0].tree()),
+            "replicas must start from one initial tree"
+        );
+        nodes
     }
 
     fn report(

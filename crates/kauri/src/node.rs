@@ -144,7 +144,6 @@ struct ViewState {
     proposal_ts: SimTime,
     commands: usize,
     voters: BTreeSet<usize>,
-    missing: BTreeSet<usize>,
     /// Traffic batch carried by the view (proposer side), echoed to the
     /// queue on commit for end-to-end accounting.
     batch_id: Option<u64>,
@@ -183,7 +182,8 @@ pub struct KauriNode {
     /// Operating tree: what this replica routes and detects on. Equals the
     /// adopted tree except in the transition window after a local failure
     /// detection, when it is the *pending* successor awaiting commitment.
-    tree: Tree,
+    /// Shared with every proposal routed on it.
+    tree: Arc<Tree>,
     /// Operating epoch (pending until its command commits).
     epoch: u64,
     /// The replicated configuration log: committed, adopted state.
@@ -288,7 +288,7 @@ impl KauriNode {
             id,
             system,
             config: ConfigLog::new(tree.clone(), TREE_EPOCH_HISTORY),
-            tree,
+            tree: Arc::new(tree),
             epoch: 0,
             policy,
             batch: BlockSource::saturated(batch_size),
@@ -369,15 +369,10 @@ impl KauriNode {
     /// active: the scripted root/intermediate withholds the payloads it is
     /// supposed to disseminate while its votes and aggregates (as a
     /// follower) flow normally — the protocol-level delay attack.
-    fn send_down(
-        &mut self,
-        ctx: &mut Context<KauriMessage>,
-        targets: Vec<usize>,
-        msg: KauriMessage,
-    ) {
+    fn send_down(&mut self, ctx: &mut Context<KauriMessage>, targets: &[usize], msg: KauriMessage) {
         let hold = misbehavior::hold_at(&self.delays, ctx.now);
         if hold.is_zero() {
-            ctx.multicast(&targets, msg);
+            ctx.multicast(targets, msg);
             return;
         }
         // The dissemination hold shows up as its own span on the attacker's
@@ -392,10 +387,11 @@ impl KauriNode {
             view,
             ctx.now.as_micros(),
             hold.as_micros(),
-            vec![],
+            &[],
         );
         let tag = self.next_held;
         self.next_held += 1;
+        let targets = targets.to_vec();
         self.held.insert(tag, HeldPayload { targets, msg });
         ctx.set_timer(hold, TIMER_HELD_BASE + tag);
     }
@@ -497,7 +493,7 @@ impl KauriNode {
                     for _ in 0..behind {
                         let _ = self.policy.next_tree(self.system.n, self.branch);
                     }
-                    self.tree = adopted.config; // the committed tree, not the catch-up's
+                    self.tree = Arc::new(adopted.config); // the committed tree, not the catch-up's
                     if self.is_root() {
                         self.propose_next(ctx);
                     }
@@ -505,7 +501,7 @@ impl KauriNode {
                     // Our own pending epoch committed (the normal case): the
                     // operating tree was already in place; the committed copy
                     // is authoritative.
-                    self.tree = adopted.config;
+                    self.tree = Arc::new(adopted.config);
                 }
                 None
             }
@@ -731,19 +727,19 @@ impl KauriNode {
                     proposal_ts: ctx.now,
                     commands: block.len(),
                     voters: [self.id].into_iter().collect(),
-                    missing: BTreeSet::new(),
                     batch_id,
                     cmds,
                 },
             );
             self.refresh_wire();
+            let tree = Arc::clone(&self.tree);
             let msg = KauriMessage::Proposal {
                 view,
                 digest,
                 commands: block.len(),
                 timestamp_us: ctx.now.as_micros(),
                 epoch: self.epoch,
-                tree: Arc::new(self.tree.clone()),
+                tree: Arc::clone(&tree),
                 committed: self.committed_wire.clone(),
             };
             self.telemetry.instant(
@@ -751,10 +747,9 @@ impl KauriNode {
                 self.id,
                 view,
                 ctx.now.as_micros(),
-                vec![("commands", block.len() as f64)],
+                &[("commands", block.len() as f64)],
             );
-            let children = self.tree.children_of(self.id);
-            self.send_down(ctx, children, msg);
+            self.send_down(ctx, tree.children_of(self.id), msg);
             ctx.set_timer(self.policy.view_timeout(), TIMER_VIEW_BASE + view);
         }
     }
@@ -801,7 +796,7 @@ impl KauriNode {
                 view,
                 timestamp_us,
                 ctx.now.as_micros().saturating_sub(timestamp_us),
-                vec![("depth", depth as f64)],
+                &[("depth", depth as f64)],
             );
         }
 
@@ -846,7 +841,7 @@ impl KauriNode {
             // Leaf: vote to parent.
             if let Some(parent) = tree.parent(self.id) {
                 self.telemetry
-                    .instant(Stage::Vote, self.id, view, ctx.now.as_micros(), vec![]);
+                    .instant(Stage::Vote, self.id, view, ctx.now.as_micros(), &[]);
                 ctx.send(
                     parent,
                     KauriMessage::Vote {
@@ -878,7 +873,7 @@ impl KauriNode {
         // A scripted intermediate holds its forwarded payloads too.
         self.send_down(ctx, children, msg);
         self.telemetry
-            .instant(Stage::Vote, self.id, view, ctx.now.as_micros(), vec![]);
+            .instant(Stage::Vote, self.id, view, ctx.now.as_micros(), &[]);
         let agg = self.aggregate(view, ctx.now);
         agg.digest = digest;
         agg.votes.insert(id);
@@ -954,38 +949,37 @@ impl KauriNode {
         view: u64,
         timeout: bool,
     ) {
-        let (forwarded, votes, view_tree) = match self.aggregates.get(&view) {
-            Some(a) => (a.forwarded, a.votes.clone(), a.tree.clone()),
-            None => return,
+        let Some(agg) = self.aggregates.get(&view) else {
+            return;
         };
-        if forwarded {
+        if agg.forwarded {
             return;
         }
         // Aggregate on the tree the view routed on (falling back to the
         // durable tree for votes that arrived without a proposal).
-        let tree = view_tree.as_deref().unwrap_or(&self.tree);
-        let children: BTreeSet<usize> = tree.children_of(self.id).into_iter().collect();
-        let have_all = children.iter().all(|c| votes.contains(c));
+        let tree = agg.tree.as_deref().unwrap_or(&self.tree);
+        let children = tree.children_of(self.id);
+        let have_all = children.iter().all(|c| agg.votes.contains(c));
         if !have_all && !timeout {
             return;
         }
         let parent = tree.parent(self.id);
-        if let Some(a) = self.aggregates.get_mut(&view) {
-            a.forwarded = true;
-        }
-        let voters: Vec<usize> = votes.iter().copied().collect();
+        let voters: Vec<usize> = agg.votes.iter().copied().collect();
         let missing: Vec<usize> = children
             .iter()
             .copied()
-            .filter(|c| !votes.contains(c))
+            .filter(|c| !agg.votes.contains(c))
             .collect();
+        if let Some(a) = self.aggregates.get_mut(&view) {
+            a.forwarded = true;
+        }
         if let Some(parent) = parent {
             self.telemetry.instant(
                 Stage::Aggregate,
                 self.id,
                 view,
                 ctx.now.as_micros(),
-                vec![("votes", voters.len() as f64)],
+                &[("votes", voters.len() as f64)],
             );
             ctx.send(
                 parent,
@@ -1002,7 +996,7 @@ impl KauriNode {
     fn handle_vote(&mut self, ctx: &mut Context<KauriMessage>, view: u64, voter: usize) {
         if self.is_root() {
             // Star topology (or direct children of the root): count directly.
-            self.add_root_votes(ctx, view, &[voter], &[]);
+            self.add_root_votes(ctx, view, [voter]);
             return;
         }
         self.aggregate(view, ctx.now).votes.insert(voter);
@@ -1013,34 +1007,26 @@ impl KauriNode {
         &mut self,
         ctx: &mut Context<KauriMessage>,
         view: u64,
-        voters: Vec<usize>,
-        missing: Vec<usize>,
+        voters: &[usize],
         aggregator: usize,
     ) {
         if !self.is_root() {
             return;
         }
-        let mut all = voters;
-        all.push(aggregator);
-        self.add_root_votes(ctx, view, &all, &missing);
+        self.add_root_votes(ctx, view, voters.iter().copied().chain([aggregator]));
     }
 
     fn add_root_votes(
         &mut self,
         ctx: &mut Context<KauriMessage>,
         view: u64,
-        voters: &[usize],
-        missing: &[usize],
+        voters: impl IntoIterator<Item = usize>,
     ) {
         let threshold = self.vote_threshold();
         let Some(state) = self.views.get_mut(&view) else {
             return;
         };
-        state.voters.extend(voters.iter().copied());
-        state.missing.extend(missing.iter().copied());
-        for v in voters {
-            state.missing.remove(v);
-        }
+        state.voters.extend(voters);
         if state.voters.len() >= threshold {
             let state = self.views.remove(&view).expect("view looked up above");
             let (ts, commands, batch_id) = (state.proposal_ts, state.commands, state.batch_id);
@@ -1053,7 +1039,7 @@ impl KauriNode {
                 view,
                 ts.as_micros(),
                 ctx.now.since(ts).as_micros(),
-                vec![("commands", commands as f64)],
+                &[("commands", commands as f64)],
             );
             self.telemetry
                 .counter_add("kauri.node.commits", Some(self.id), 1);
@@ -1086,7 +1072,7 @@ impl KauriNode {
         if self.config.epoch() < self.epoch {
             let cmd = ConfigCommand::Config {
                 epoch: self.epoch,
-                config: self.tree.clone(),
+                config: Tree::clone(&self.tree),
             };
             self.apply_committed(ctx, &cmd);
         }
@@ -1152,7 +1138,7 @@ impl KauriNode {
 
     fn reconfigure(&mut self, ctx: &mut Context<KauriMessage>, missing: &[usize]) {
         self.policy.on_view_failure(missing);
-        self.tree = self.policy.next_tree(self.system.n, self.branch);
+        self.tree = Arc::new(self.policy.next_tree(self.system.n, self.branch));
         self.epoch += 1;
         self.reconfig_times.push(ctx.now);
         self.telemetry.instant(
@@ -1160,7 +1146,7 @@ impl KauriNode {
             self.id,
             self.epoch,
             ctx.now.as_micros(),
-            vec![("missing", missing.len() as f64)],
+            &[("missing", missing.len() as f64)],
         );
         self.telemetry
             .counter_add("kauri.node.reconfigurations", Some(self.id), 1);
@@ -1224,12 +1210,14 @@ impl Node for KauriNode {
                 committed,
             ),
             KauriMessage::Vote { view, voter } => self.handle_vote(ctx, view, voter),
+            // The root counts voters only; an aggregate's `missing` children
+            // are exactly the ones its voters leave out.
             KauriMessage::Aggregate {
                 view,
                 voters,
-                missing,
                 aggregator,
-            } => self.handle_aggregate(ctx, view, voters, missing, aggregator),
+                ..
+            } => self.handle_aggregate(ctx, view, &voters, aggregator),
             KauriMessage::Evidence { cmds } => {
                 // Only the replica currently proposing can order evidence;
                 // senders re-flush after reconfigurations, so evidence that

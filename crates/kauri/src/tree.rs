@@ -111,11 +111,11 @@ impl Tree {
     }
 
     /// The children of an internal node (empty for leaves).
-    pub fn children_of(&self, replica: usize) -> Vec<usize> {
+    pub fn children_of(&self, replica: usize) -> &[usize] {
         if replica == self.root && !self.is_star() {
-            return self.intermediates.clone();
+            return &self.intermediates;
         }
-        self.children.get(&replica).cloned().unwrap_or_default()
+        self.leaves_of(replica)
     }
 
     /// Total number of replicas covered by the tree.

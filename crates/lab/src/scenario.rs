@@ -775,6 +775,13 @@ impl SuspicionAttackScenario {
 }
 
 /// Fig 12: tree latency as a function of the SA search budget.
+///
+/// Budgets are iterations per calibrated wall-clock second, not fixed
+/// counts: the same search seconds buy as many iterations as the host runs
+/// in that time, so a faster annealing step raises every budget (the
+/// allocation-free step runs about 6× the iterations per second of one that
+/// built a tree per iteration, on the same host) and lowers the scores with
+/// it. Compare runs by their `iterations` column, not by search time alone.
 #[derive(Debug, Clone)]
 pub struct TreeSearchScenario {
     /// Configuration sizes.

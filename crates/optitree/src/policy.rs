@@ -60,6 +60,10 @@ pub struct OptiTreePolicy {
     /// replicas the committed pairs exclude, and their `u` contribution.
     monitor_excluded: BTreeSet<usize>,
     monitor_u: usize,
+    /// `(view, child)` timeouts of `last_tree` at the current `k()`,
+    /// recomputed whenever either changes (see `refresh_timeouts`); `None`
+    /// before the first tree.
+    timeouts: Option<(Duration, Duration)>,
 }
 
 impl OptiTreePolicy {
@@ -82,6 +86,7 @@ impl OptiTreePolicy {
             terms: 0,
             monitor_excluded: BTreeSet::new(),
             monitor_u: 0,
+            timeouts: None,
             system,
             matrix_rtt_ms,
             last_tree: None,
@@ -95,6 +100,23 @@ impl OptiTreePolicy {
         let sel = self.monitor.selection();
         self.monitor_excluded = (0..self.system.n).filter(|&r| !sel.contains(r)).collect();
         self.monitor_u = sel.estimate_u;
+        self.refresh_timeouts();
+    }
+
+    /// Re-derive the cached timeouts. They depend on `last_tree` and, via
+    /// `k()`, on `estimate_u` and `monitor_u`: every write to one of those
+    /// is followed by this call, so the per-message timeout queries read a
+    /// cached pair instead of re-scoring the tree.
+    fn refresh_timeouts(&mut self) {
+        let (n, k, delta) = (self.system.n, self.k(), self.delta);
+        self.timeouts = self.last_tree.as_ref().map(|tree| {
+            let (view, child) = tree_timeouts(tree, &self.matrix_rtt_ms, n, k, delta);
+            // Leave headroom for pipelined views queued behind each other.
+            (
+                view * 3 + Duration::from_millis(50),
+                child + Duration::from_millis(5),
+            )
+        });
     }
 
     /// Override the annealing budget (maps the paper's search time).
@@ -177,6 +199,7 @@ impl TreePolicy for OptiTreePolicy {
         );
         self.reconfigurations += 1;
         self.last_tree = Some(tree.clone());
+        self.refresh_timeouts();
         tree
     }
 
@@ -185,25 +208,13 @@ impl TreePolicy for OptiTreePolicy {
     }
 
     fn child_timeout(&self) -> Duration {
-        match &self.last_tree {
-            Some(tree) => {
-                tree_timeouts(tree, &self.matrix_rtt_ms, self.system.n, self.k(), self.delta).1
-                    + Duration::from_millis(5)
-            }
-            None => Duration::from_millis(400),
-        }
+        self.timeouts
+            .map_or(Duration::from_millis(400), |(_, child)| child)
     }
 
     fn view_timeout(&self) -> Duration {
-        match &self.last_tree {
-            Some(tree) => {
-                let (view, _) =
-                    tree_timeouts(tree, &self.matrix_rtt_ms, self.system.n, self.k(), self.delta);
-                // Leave headroom for pipelined views queued behind each other.
-                view * 3 + Duration::from_millis(50)
-            }
-            None => Duration::from_millis(2_000),
-        }
+        self.timeouts
+            .map_or(Duration::from_millis(2_000), |(view, _)| view)
     }
 
     fn on_view_failure(&mut self, missing: &[usize]) {
@@ -224,13 +235,14 @@ impl TreePolicy for OptiTreePolicy {
             // committed pair evidence names the culprit once it flows
             // through the log; until then, provision for one more fault.
             self.estimate_u = (self.estimate_u + 1).min(self.system.f);
-            return;
-        }
-        for internal in failed_internals {
-            if self.candidates.remove(&internal) {
-                self.estimate_u = (self.estimate_u + 1).min(self.system.n);
+        } else {
+            for internal in failed_internals {
+                if self.candidates.remove(&internal) {
+                    self.estimate_u = (self.estimate_u + 1).min(self.system.n);
+                }
             }
         }
+        self.refresh_timeouts();
     }
 
     fn on_committed_pair(&mut self, pair: &SuspicionPair) {

@@ -21,13 +21,86 @@ fn one_way(matrix_rtt_ms: &[f64], n: usize, a: usize, b: usize) -> f64 {
     }
 }
 
+/// Most subtrees a root can wait on: a star's direct children or a tree's
+/// intermediates. Definition 1's order statistic runs on a stack buffer this
+/// long, so a star fallback covers at most this many replicas plus its root.
+const MAX_SUBTREES: usize = 256;
+
 /// Aggregation latency of an intermediate node: the maximum one-way latency
 /// to any of its children (Definition 1's `L_agg`).
-pub fn aggregation_latency(tree: &Tree, matrix_rtt_ms: &[f64], n: usize, intermediate: usize) -> f64 {
-    tree.leaves_of(intermediate)
-        .iter()
-        .map(|&leaf| one_way(matrix_rtt_ms, n, intermediate, leaf))
+pub fn aggregation_latency(
+    tree: &Tree,
+    matrix_rtt_ms: &[f64],
+    n: usize,
+    intermediate: usize,
+) -> f64 {
+    let leaves = tree.leaves_of(intermediate).iter().copied();
+    slowest_link(matrix_rtt_ms, n, intermediate, leaves)
+}
+
+/// The slowest one-way link from `from` to any replica in `to` (0 for none).
+fn slowest_link(
+    matrix_rtt_ms: &[f64],
+    n: usize,
+    from: usize,
+    to: impl Iterator<Item = usize>,
+) -> f64 {
+    to.map(|r| one_way(matrix_rtt_ms, n, from, r))
         .fold(0.0, f64::max)
+}
+
+/// When the votes of intermediate `i`'s subtree reach the root: proposal
+/// down + (forward to leaves + votes back = 2 × `agg`) + aggregate up.
+fn subtree_ready(matrix_rtt_ms: &[f64], n: usize, root: usize, i: usize, agg: f64) -> f64 {
+    one_way(matrix_rtt_ms, n, root, i) + 2.0 * agg + one_way(matrix_rtt_ms, n, i, root)
+}
+
+/// A star's subtrees: each direct child is one vote, one round trip away.
+fn star_subtrees<'a>(
+    matrix_rtt_ms: &'a [f64],
+    n: usize,
+    root: usize,
+    children: &'a [usize],
+) -> impl Iterator<Item = (f64, usize)> + 'a {
+    children
+        .iter()
+        .map(move |&c| (2.0 * one_way(matrix_rtt_ms, n, root, c), 1))
+}
+
+/// Definition 1 over the root's subtrees, each given as `(ready, votes)`:
+/// the earliest ready time by which the fastest subtrees together carry
+/// `k − 1` votes (the root's own vote is free), or `f64::INFINITY` if all of
+/// them fall short. Allocates nothing.
+///
+/// # Panics
+/// Panics on more than [`MAX_SUBTREES`] subtrees or a NaN ready time.
+fn earliest_quorum(k: usize, subtrees: impl Iterator<Item = (f64, usize)>) -> f64 {
+    if k <= 1 {
+        return 0.0;
+    }
+    let mut buffer = [(0.0, 0); MAX_SUBTREES];
+    let mut len = 0;
+    for subtree in subtrees {
+        assert!(
+            len < MAX_SUBTREES,
+            "a root waits on at most {MAX_SUBTREES} subtrees"
+        );
+        buffer[len] = subtree;
+        len += 1;
+    }
+    let subtrees = &mut buffer[..len];
+    // Subtrees that tie share their ready time, so the order an unstable
+    // sort leaves them in cannot change which time is returned.
+    subtrees.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
+    let needed = k - 1;
+    let mut collected = 0usize;
+    for &(ready, votes) in subtrees.iter() {
+        collected += votes;
+        if collected >= needed {
+            return ready;
+        }
+    }
+    f64::INFINITY
 }
 
 /// `score(k, τ)`: the minimum latency (in ms) for the root to collect votes
@@ -38,48 +111,48 @@ pub fn aggregation_latency(tree: &Tree, matrix_rtt_ms: &[f64], n: usize, interme
 /// intermediate node, the aggregation latency for its subtree (down to the
 /// leaves and back), and one one-way delay for the aggregate to return to the
 /// root — matching how the paper predicts tree latency from link latencies.
+/// A star's root collects individual votes: the `k − 1` fastest round trips.
 pub fn tree_score(tree: &Tree, matrix_rtt_ms: &[f64], n: usize, k: usize) -> f64 {
-    if k <= 1 {
-        return 0.0;
-    }
+    let root = tree.root;
     if tree.is_star() {
-        // Star: the root collects individual votes; the k-1 fastest round trips.
-        let mut rtts: Vec<f64> = tree
-            .children_of(tree.root)
-            .iter()
-            .map(|&c| 2.0 * one_way(matrix_rtt_ms, n, tree.root, c))
-            .collect();
-        rtts.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        return if rtts.len() >= k - 1 {
-            rtts[k - 2]
-        } else {
-            f64::INFINITY
-        };
+        let children = tree.children_of(root);
+        return earliest_quorum(k, star_subtrees(matrix_rtt_ms, n, root, children));
     }
-
-    // Ready time and vote count of each intermediate's subtree.
-    let mut subtrees: Vec<(f64, usize)> = tree
-        .intermediates
-        .iter()
-        .map(|&i| {
-            let down = one_way(matrix_rtt_ms, n, tree.root, i);
+    earliest_quorum(
+        k,
+        tree.intermediates.iter().map(|&i| {
             let agg = aggregation_latency(tree, matrix_rtt_ms, n, i);
-            let up = one_way(matrix_rtt_ms, n, i, tree.root);
-            // Proposal down + (forward to leaves + votes back = 2 * agg) + aggregate up.
-            (down + 2.0 * agg + up, tree.leaves_of(i).len() + 1)
-        })
-        .collect();
-    subtrees.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
+            let ready = subtree_ready(matrix_rtt_ms, n, root, i, agg);
+            (ready, tree.leaves_of(i).len() + 1)
+        }),
+    )
+}
 
-    let needed = k - 1; // the root's own vote is counted separately
-    let mut collected = 0usize;
-    for (ready, votes) in subtrees {
-        collected += votes;
-        if collected >= needed {
-            return ready;
-        }
+/// [`tree_score`] of the tree [`Tree::from_ordering`]`(order, b)` builds,
+/// read straight off the ordering without building it: `order[1..=b]` are
+/// the intermediates and the leaves are dealt to them round-robin, so every
+/// `b`-th leaf position belongs to one intermediate. Bit-identical to
+/// building the tree and scoring it, and allocates nothing — the annealing
+/// search calls it once per iteration.
+///
+/// `order` must be a permutation of the replicas; unlike
+/// [`Tree::from_ordering`] this does not check for duplicates.
+pub fn ordering_score(order: &[usize], b: usize, matrix_rtt_ms: &[f64], n: usize, k: usize) -> f64 {
+    let root = order[0];
+    let inner = b.min(order.len() - 1);
+    if inner == 0 {
+        return earliest_quorum(k, star_subtrees(matrix_rtt_ms, n, root, &order[1..]));
     }
-    f64::INFINITY
+    let (intermediates, leaves) = order[1..].split_at(inner);
+    earliest_quorum(
+        k,
+        intermediates.iter().enumerate().map(|(j, &i)| {
+            let own = leaves.iter().skip(j).step_by(inner).copied();
+            let votes = own.len() + 1;
+            let agg = slowest_link(matrix_rtt_ms, n, i, own);
+            (subtree_ready(matrix_rtt_ms, n, root, i, agg), votes)
+        }),
+    )
 }
 
 /// Round duration and per-link timeouts for a tree, used to configure the

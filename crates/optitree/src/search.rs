@@ -5,8 +5,13 @@
 //! intermediates, then the leaves). The search space only generates and
 //! mutates orderings whose internal positions are filled from the candidate
 //! set `K`; the score is Definition 1's `score(k, τ)` with `k = q + u`.
+//!
+//! An iteration allocates nothing: [`SearchSpace::mutate`] swaps two
+//! positions of the ordering in place, candidate membership is a mask in the
+//! [`Layout`], and [`ordering_score`] reads the score off the ordering
+//! without building the [`Tree`] it encodes.
 
-use crate::score::tree_score;
+use crate::score::ordering_score;
 use kauri::Tree;
 use optilog::{Annealer, AnnealingParams, SearchSpace};
 use rand::rngs::StdRng;
@@ -26,6 +31,35 @@ pub struct TreeSearchSpace {
     pub k: usize,
 }
 
+/// One configuration of the search: an ordering of all replicas and the
+/// candidate mask its moves respect. The mask is the same for every
+/// configuration of one search; it rides along so a move tests membership
+/// in O(1).
+#[derive(Debug)]
+pub struct Layout {
+    /// Root, intermediates, then leaves, as [`Tree::from_ordering`] reads
+    /// them.
+    pub order: Vec<usize>,
+    /// `candidate[r]`: replica `r` may hold an internal position.
+    candidate: Vec<bool>,
+}
+
+impl Clone for Layout {
+    fn clone(&self) -> Self {
+        Layout {
+            order: self.order.clone(),
+            candidate: self.candidate.clone(),
+        }
+    }
+
+    /// Reuses both buffers: the annealer refills its scratch configurations
+    /// with this every iteration.
+    fn clone_from(&mut self, source: &Self) {
+        self.order.clone_from(&source.order);
+        self.candidate.clone_from(&source.candidate);
+    }
+}
+
 impl TreeSearchSpace {
     /// Number of internal positions (root + intermediates).
     fn internal_slots(&self) -> usize {
@@ -39,9 +73,9 @@ impl TreeSearchSpace {
 }
 
 impl SearchSpace for TreeSearchSpace {
-    type Config = Vec<usize>;
+    type Config = Layout;
 
-    fn random_config(&self, rng: &mut StdRng) -> Vec<usize> {
+    fn random_config(&self, rng: &mut StdRng) -> Layout {
         // Internal slots drawn from candidates, remaining replicas as leaves.
         let mut cands = self.candidates.clone();
         // Fisher-Yates on the candidate list.
@@ -58,42 +92,48 @@ impl SearchSpace for TreeSearchSpace {
         }
         let mut order = internals;
         order.extend(rest);
-        order
+        let mut candidate = vec![false; self.n];
+        for &r in &self.candidates {
+            candidate[r] = true;
+        }
+        Layout { order, candidate }
     }
 
-    fn mutate(&self, config: &Vec<usize>, rng: &mut StdRng) -> Vec<usize> {
-        let mut c = config.clone();
+    fn mutate(&self, layout: &mut Layout, rng: &mut StdRng) {
+        let Layout { order, candidate } = layout;
         let slots = self.internal_slots();
         // Either swap an internal position with a candidate leaf, or swap two
         // leaves (changes which leaves hang below which intermediate).
-        if rng.gen_bool(0.7) && slots < c.len() {
+        if rng.gen_bool(0.7) && slots < order.len() {
             let i = rng.gen_range(0..slots);
-            // Choose a leaf position holding a candidate replica, if any.
-            let leaf_candidates: Vec<usize> = (slots..c.len())
-                .filter(|&p| self.candidates.contains(&c[p]))
-                .collect();
-            if let Some(&p) = leaf_candidates.get(rng.gen_range(0..leaf_candidates.len().max(1)).min(leaf_candidates.len().saturating_sub(1))) {
-                if !leaf_candidates.is_empty() {
-                    c.swap(i, p);
-                }
+            // Pick a leaf position holding a candidate replica, if any. The
+            // pick is drawn even when there is none: the search's RNG stream,
+            // and so every tree it finds, depends on that draw.
+            let candidate_leaves = order[slots..].iter().filter(|&&r| candidate[r]).count();
+            let pick = rng.gen_range(0..candidate_leaves.max(1));
+            let mut candidate_positions = (slots..order.len()).filter(|&p| candidate[order[p]]);
+            if let Some(p) = candidate_positions.nth(pick) {
+                order.swap(i, p);
             }
         } else {
-            let i = rng.gen_range(0..c.len());
-            let j = rng.gen_range(0..c.len());
+            let i = rng.gen_range(0..order.len());
+            let j = rng.gen_range(0..order.len());
             // Never move a non-candidate into an internal slot.
             let into_internal = i < slots || j < slots;
-            if !into_internal
-                || (self.candidates.contains(&c[i]) && self.candidates.contains(&c[j]))
-            {
-                c.swap(i, j);
+            if !into_internal || (candidate[order[i]] && candidate[order[j]]) {
+                order.swap(i, j);
             }
         }
-        c
     }
 
-    fn score(&self, config: &Vec<usize>) -> f64 {
-        let tree = self.tree_of(config);
-        tree_score(&tree, &self.matrix_rtt_ms, self.n, self.k)
+    fn score(&self, layout: &Layout) -> f64 {
+        ordering_score(
+            &layout.order,
+            self.branch,
+            &self.matrix_rtt_ms,
+            self.n,
+            self.k,
+        )
     }
 }
 
@@ -104,7 +144,7 @@ pub fn search_tree(
     seed: u64,
 ) -> (Tree, f64) {
     let result = Annealer::new(params).search(space, seed);
-    (space.tree_of(&result.config), result.score)
+    (space.tree_of(&result.config.order), result.score)
 }
 
 #[cfg(test)]
@@ -140,8 +180,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..20 {
             let cfg = sp.random_config(&mut rng);
-            assert_eq!(cfg.len(), 21);
-            for &r in cfg.iter().take(sp.internal_slots()) {
+            assert_eq!(cfg.order.len(), 21);
+            for &r in cfg.order.iter().take(sp.internal_slots()) {
                 assert!(sp.candidates.contains(&r), "internal {r} not a candidate");
             }
         }
@@ -153,11 +193,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut cfg = sp.random_config(&mut rng);
         for _ in 0..200 {
-            cfg = sp.mutate(&cfg, &mut rng);
-            let mut sorted = cfg.clone();
+            sp.mutate(&mut cfg, &mut rng);
+            let mut sorted = cfg.order.clone();
             sorted.sort_unstable();
             assert_eq!(sorted, (0..21).collect::<Vec<_>>(), "still a permutation");
-            for &r in cfg.iter().take(sp.internal_slots()) {
+            for &r in cfg.order.iter().take(sp.internal_slots()) {
                 assert!(sp.candidates.contains(&r));
             }
         }

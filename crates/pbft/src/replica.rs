@@ -262,7 +262,7 @@ impl ReplicaState {
                 self.next_seq,
                 ctx.now.as_micros(),
                 hold.as_micros(),
-                vec![],
+                &[],
             );
             self.delayed_block = Some((self.next_seq, block, measurements));
             ctx.set_timer(hold, TIMER_DELAYED_PROPOSE);
@@ -293,7 +293,7 @@ impl ReplicaState {
             self.id,
             seq,
             ctx.now.as_micros(),
-            vec![("commands", block.len() as f64)],
+            &[("commands", block.len() as f64)],
         );
         ctx.multicast(&self.peers, msg);
         // Process our own proposal locally.
@@ -345,11 +345,11 @@ impl ReplicaState {
                 seq,
                 timestamp_us,
                 ctx.now.as_micros().saturating_sub(timestamp_us),
-                vec![],
+                &[],
             );
         }
         self.telemetry
-            .instant(Stage::Vote, self.id, seq, ctx.now.as_micros(), vec![]);
+            .instant(Stage::Vote, self.id, seq, ctx.now.as_micros(), &[]);
 
         // Vote Write.
         let write = PbftMessage::Write {
@@ -463,7 +463,7 @@ impl ReplicaState {
                 seq,
                 instance.proposal_ts.as_micros(),
                 ctx.now.since(instance.proposal_ts).as_micros(),
-                vec![("commands", commands.len() as f64)],
+                &[("commands", commands.len() as f64)],
             );
             self.telemetry
                 .counter_add("pbft.replica.commits", Some(self.id), 1);
@@ -544,7 +544,7 @@ impl ReplicaState {
                     self.id,
                     new_config.epoch,
                     ctx.now.as_micros(),
-                    vec![("leader", new_config.leader as f64)],
+                    &[("leader", new_config.leader as f64)],
                 );
                 self.config = new_config.clone();
                 self.reconfigs.push(ReconfigEvent {

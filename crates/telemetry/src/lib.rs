@@ -152,7 +152,9 @@ impl Telemetry {
         }
     }
 
-    /// Record a span event (`dur_us > 0`) into the trace, if tracing.
+    /// Record a span event (`dur_us > 0`) into the trace, if tracing. The
+    /// arguments are copied into the event only under a sink, so a call
+    /// that records nothing allocates nothing.
     #[inline]
     pub fn span(
         &self,
@@ -161,7 +163,7 @@ impl Telemetry {
         tid: u64,
         ts_us: u64,
         dur_us: u64,
-        args: Vec<(&'static str, f64)>,
+        args: &[(&'static str, f64)],
     ) {
         if let Some(i) = &self.inner {
             if let Some(sink) = &i.sink {
@@ -171,7 +173,7 @@ impl Telemetry {
                     tid,
                     ts_us,
                     dur_us,
-                    args,
+                    args: args.to_vec(),
                 });
                 // Ring eviction is visible in the registry; lock order is
                 // sink before registry (never the reverse anywhere).
@@ -194,7 +196,7 @@ impl Telemetry {
         pid: usize,
         tid: u64,
         ts_us: u64,
-        args: Vec<(&'static str, f64)>,
+        args: &[(&'static str, f64)],
     ) {
         self.span(stage, pid, tid, ts_us, 0, args);
     }
@@ -303,7 +305,7 @@ mod tests {
         assert!(!t.is_tracing());
         t.counter_add("a.b.c", None, 1);
         t.observe("a.b.h", Some(0), 10);
-        t.span(Stage::Commit, 0, 1, 0, 5, vec![]);
+        t.span(Stage::Commit, 0, 1, 0, 5, &[]);
         assert!(t.registry_snapshot().is_empty());
         assert_eq!(t.chrome_trace_json(&[]), None);
         assert_eq!(t.prometheus_text(), "");
@@ -315,7 +317,7 @@ mod tests {
         assert!(t.is_enabled());
         assert!(!t.is_tracing());
         t.counter_add("a.b.c", Some(2), 3);
-        t.span(Stage::Commit, 0, 1, 0, 5, vec![]);
+        t.span(Stage::Commit, 0, 1, 0, 5, &[]);
         assert_eq!(t.registry_snapshot().counter("a.b.c", Some(2)), 3);
         assert!(t.stage_counts().is_empty());
         assert_eq!(t.chrome_trace_json(&[]), None);
@@ -325,8 +327,8 @@ mod tests {
     fn tracing_captures_both_and_clones_share_state() {
         let t = Telemetry::tracing();
         let t2 = t.clone();
-        t.span(Stage::Propose, 1, 9, 100, 0, vec![]);
-        t2.span(Stage::Commit, 1, 9, 100, 400, vec![("commands", 8.0)]);
+        t.span(Stage::Propose, 1, 9, 100, 0, &[]);
+        t2.span(Stage::Commit, 1, 9, 100, 400, &[("commands", 8.0)]);
         t2.counter_add("x.y.z", None, 1);
         assert_eq!(t.stage_counts()["propose"], 1);
         assert_eq!(t.stage_counts()["commit"], 1);
@@ -358,7 +360,7 @@ mod tests {
     fn capacity_handle_counts_evictions_in_the_registry() {
         let t = Telemetry::tracing_with_capacity(2);
         for tid in 0..5 {
-            t.instant(Stage::Vote, 0, tid, tid * 10, vec![]);
+            t.instant(Stage::Vote, 0, tid, tid * 10, &[]);
         }
         assert_eq!(t.stage_counts()["vote"], 2, "ring retains capacity events");
         assert_eq!(
@@ -372,7 +374,7 @@ mod tests {
         // Unbounded tracing never touches the eviction counter.
         let unbounded = Telemetry::tracing();
         for tid in 0..5 {
-            unbounded.instant(Stage::Vote, 0, tid, tid * 10, vec![]);
+            unbounded.instant(Stage::Vote, 0, tid, tid * 10, &[]);
         }
         assert_eq!(
             unbounded
@@ -385,17 +387,10 @@ mod tests {
     #[test]
     fn command_paths_come_from_the_trace() {
         let t = Telemetry::tracing();
-        t.span(Stage::ClientEmit, CLIENTS_PID, 0, 0, 1_000, vec![]);
-        t.span(Stage::Admission, CLIENTS_PID, 0, 1_000, 500, vec![]);
-        t.instant(Stage::Propose, 0, 3, 2_000, vec![]);
-        t.span(
-            Stage::Reply,
-            CLIENTS_PID,
-            0,
-            9_000,
-            400,
-            vec![("view", 3.0)],
-        );
+        t.span(Stage::ClientEmit, CLIENTS_PID, 0, 0, 1_000, &[]);
+        t.span(Stage::Admission, CLIENTS_PID, 0, 1_000, 500, &[]);
+        t.instant(Stage::Propose, 0, 3, 2_000, &[]);
+        t.span(Stage::Reply, CLIENTS_PID, 0, 9_000, 400, &[("view", 3.0)]);
         let paths = t.command_paths();
         assert_eq!(paths.len(), 1);
         assert_eq!(paths[0].view, Some(3));
@@ -409,7 +404,7 @@ mod tests {
             t.counter_add("s.n.commits", Some(0), 4);
             t.observe("s.n.lat_us", Some(1), 12_345);
             t.gauge_max("s.n.depth", None, 7.0);
-            t.span(Stage::Commit, 0, 1, 10, 20, vec![]);
+            t.span(Stage::Commit, 0, 1, 10, 20, &[]);
         };
         let rec = Telemetry::recording();
         let tra = Telemetry::tracing();

@@ -378,7 +378,7 @@ impl TrafficQueue {
                     i,
                     a.send.as_micros(),
                     a.ingress.since(a.send).as_micros(),
-                    vec![("client", a.client as f64)],
+                    &[("client", a.client as f64)],
                 );
                 self.telemetry.span(
                     Stage::Admission,
@@ -386,7 +386,7 @@ impl TrafficQueue {
                     i,
                     a.ingress.as_micros(),
                     now.since(a.ingress).as_micros(),
-                    vec![],
+                    &[],
                 );
                 if fwd > 0.0 {
                     let ingress_pid = self
@@ -399,7 +399,7 @@ impl TrafficQueue {
                         i,
                         now.as_micros(),
                         Duration::from_millis_f64(fwd).as_micros(),
-                        vec![("proposer", proposer.unwrap_or(0) as f64)],
+                        &[("proposer", proposer.unwrap_or(0) as f64)],
                     );
                 }
             }
@@ -549,17 +549,14 @@ impl TrafficQueue {
             self.stats
                 .record_client_commit(e2e_of(&a, forward_ms), committed);
             if tracing {
-                let args = match view {
-                    Some(v) => vec![("view", v as f64)],
-                    None => vec![],
-                };
+                let view_arg = view.map(|v| ("view", v as f64));
                 self.telemetry.span(
                     Stage::Reply,
                     CLIENTS_PID,
                     i,
                     committed.as_micros(),
                     Duration::from_millis_f64(a.reply_ms).as_micros(),
-                    args,
+                    view_arg.as_slice(),
                 );
             }
         }
