@@ -243,18 +243,6 @@ pub fn load_attack_spec(run_secs: u64, n: usize, seeds: Vec<u64>) -> ScenarioSpe
     ScenarioSpec::new("load_attack", seeds, ScenarioKind::Protocol(scenario))
 }
 
-/// Parse an optional positional argument as a number with a default — the
-/// harness binaries accept `<run-seconds>` / `<repetitions>` overrides so a
-/// quick smoke run and a full paper-scale run use the same binary.
-/// (Prefer [`lab::LabArgs`] in new binaries: it also understands
-/// `--threads` / `--seeds` / `--out`.)
-pub fn arg_or(idx: usize, default: u64) -> u64 {
-    std::env::args()
-        .nth(idx)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,8 +4,9 @@
 //! OptiLog's ConfigSensor explores them heuristically. The search is
 //! intentionally *non-deterministic across replicas* (different seeds /
 //! starting points increase the chance that some replica finds a good
-//! configuration); determinism is restored by logging the results and letting
-//! the deterministic ConfigMonitor pick among them.
+//! configuration); determinism is restored by committing the results to the
+//! replicated configuration log, which every replica applies in the same
+//! order (`configlog`).
 //!
 //! The [`SearchSpace`] trait supplies a random initial configuration, a
 //! mutation operator, and a score (lower is better); [`Annealer`] runs the

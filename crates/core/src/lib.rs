@@ -3,18 +3,15 @@
 //! This crate implements the paper's primary contribution: a framework of
 //! *sensors* and *monitors* built around a shared, consensus-ordered,
 //! append-only log of measurements. Sensors capture local, possibly
-//! non-deterministic measurements (link latencies, suspicions, misbehavior
-//! proofs, configuration search results) and propose them to the log; the
-//! corresponding monitors consume the *committed* measurements — identical at
-//! every replica — and deterministically derive metrics and reconfiguration
-//! decisions (§4).
+//! non-deterministic measurements (link latencies, suspicions) and propose
+//! them to the log; the corresponding monitors consume the *committed*
+//! measurements — identical at every replica — and deterministically derive
+//! metrics and reconfiguration decisions (§4).
 //!
-//! The low-latency role-assignment pipeline of §4.2 is provided in full:
+//! The sensors, monitors and search of the §4.2 pipeline live here:
 //!
 //! * [`latency`] — LatencySensor / LatencyMonitor and the latency matrix `L`
 //!   with the symmetric `max(Lr(A,B), Lr(B,A))` rule.
-//! * [`misbehavior`] — MisbehaviorMonitor maintaining the provably-faulty set
-//!   `F` from verified complaints.
 //! * [`suspicion`] — SuspicionSensor (conditions (a), (b), (c)) and
 //!   SuspicionMonitor (causal filtering, crash set `C`, suspicion graph `G`,
 //!   candidate set `K`, estimate `u`, sliding-window expiry).
@@ -23,26 +20,21 @@
 //!   OptiTree (§6.4).
 //! * [`candidates`] — the two candidate-selection strategies packaged behind
 //!   one interface.
-//! * [`config`] — ConfigSensor / ConfigMonitor: validity against `K`, waiting
-//!   for `f+1` proposals, score-based selection, improvement thresholds.
 //! * [`annealing`] — the generic simulated-annealing search used by
 //!   configuration sensors (§4.2.4).
 //! * [`timing`] — timeout derivation: round duration `d_rnd`, per-message
 //!   delays `d_m`, and the δ-scaled checks of Appendix C (TR1–TR3).
-//! * [`measurement`] — the measurement types appended to the log and their
-//!   wire-size model (Fig 13).
-//! * [`pipeline`] — a ready-made [`pipeline::OptiLogInstance`] wiring all
-//!   monitors together the way OptiAware and OptiTree consume them.
+//!
+//! The pipeline itself is wired by its two consumers, `optiaware` and
+//! `optitree`: each feeds committed rounds to a [`LatencyMonitor`] and a
+//! [`SuspicionMonitor`], searches a configuration over the candidate set, and
+//! adopts it through the replicated [`ConfigLog`] (the `configlog` crate).
 
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 pub mod annealing;
 pub mod candidates;
-pub mod config;
 pub mod graph;
 pub mod latency;
-pub mod measurement;
-pub mod misbehavior;
-pub mod pipeline;
 pub mod suspicion;
 pub mod timing;
 
@@ -53,11 +45,8 @@ pub use configlog::{AdoptedConfig, ConfigCommand, ConfigLog, PhaseFilter, Suspic
 
 pub use annealing::{Annealer, AnnealingParams, SearchSpace};
 pub use candidates::{CandidateSelection, CandidateSelector, SelectionStrategy};
-pub use config::{ConfigDecision, ConfigMonitor, ConfigMonitorParams, ConfigProposal};
 pub use graph::{SuspicionGraph, TreeExclusion};
 pub use latency::{LatencyMatrix, LatencyMonitor, LatencyVector};
-pub use measurement::{Measurement, MeasurementLog};
-pub use misbehavior::MisbehaviorMonitor;
 pub use suspicion::{
     MessageExpectation, RoundObservation, Suspicion, SuspicionKind, SuspicionMonitor,
     SuspicionMonitorParams, SuspicionSensor, DEADLINE_SLACK,

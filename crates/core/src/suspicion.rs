@@ -291,7 +291,7 @@ struct EdgeState {
 pub struct SuspicionMonitor {
     params: SuspicionMonitorParams,
     selector: CandidateSelector,
-    /// Provably faulty replicas (from the MisbehaviorMonitor).
+    /// Provably faulty replicas `F`, as last given to [`Self::set_faulty`].
     faulty: BTreeSet<usize>,
     /// Replicas considered crashed.
     crashed: BTreeSet<usize>,
@@ -356,7 +356,8 @@ impl SuspicionMonitor {
         self.revision
     }
 
-    /// Update the set of provably faulty replicas (from the MisbehaviorMonitor).
+    /// Replace the set of provably faulty replicas `F` — replicas with a
+    /// verified proof of misbehavior, which never enter the candidate set.
     pub fn set_faulty(&mut self, faulty: BTreeSet<usize>) {
         if self.faulty != faulty {
             self.faulty = faulty;

@@ -4,7 +4,7 @@
 //! protocol violations: equivocation (two conflicting signed messages for the
 //! same view), invalid signatures or certificates, and — for OptiTree — an
 //! incomplete vote aggregate (§6.3). Complaints are signed, proposed through
-//! the log, and verified by every replica's MisbehaviorMonitor before the
+//! the log, and verified by every replica ([`Complaint::verify`]) before the
 //! accused replica is added to the provably-faulty set F.
 
 use crate::digest::{Digest, Hashable};

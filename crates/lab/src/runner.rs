@@ -307,7 +307,8 @@ impl LabArgs {
         out
     }
 
-    /// The `idx`-th positional argument (1-based, like the old `arg_or`).
+    /// The `idx`-th positional argument, counted from 1 (the first argument
+    /// after the program name).
     pub fn pos_or(&self, idx: usize, default: u64) -> u64 {
         self.positionals.get(idx - 1).copied().unwrap_or(default)
     }

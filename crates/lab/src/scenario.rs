@@ -31,7 +31,7 @@ use pbft::{AwarePolicy, PbftConfig, ReconfigPolicy, StaticPolicy};
 use rand::rngs::StdRng;
 use rand::seq::index;
 use rand::{Rng, SeedableRng};
-use rsm::{MisbehaviorPlan, RunReport, SystemConfig, TrafficSpec, WorkloadSpec};
+use rsm::{MisbehaviorPlan, RunReport, SystemConfig, TrafficSpec};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 use telemetry::Telemetry;
@@ -201,9 +201,6 @@ pub struct ProtocolScenario {
     pub adversaries: Vec<AdversaryScript>,
     /// Virtual run duration.
     pub duration: Duration,
-    /// The client/batch workload (saturated source; used when the traffic
-    /// axis is empty).
-    pub workload: WorkloadSpec,
     /// Offered-load axis. Empty = the paper's saturated workload. Non-empty
     /// = every cell drives its substrate from an open-loop traffic queue
     /// compiled from the cell's [`TrafficSpec`] — *every* substrate consumes
@@ -226,7 +223,6 @@ impl ProtocolScenario {
             topologies,
             adversaries: vec![AdversaryScript::clean()],
             duration: Duration::from_secs(120),
-            workload: WorkloadSpec::saturated(),
             traffics: Vec::new(),
             optimize_after: SimTime::from_secs(40),
             reconfig_delay: None,
@@ -379,13 +375,9 @@ impl ProtocolScenario {
         // simulation), HotStuff and the trees report the per-commit
         // consensus-latency timeline of the common report.
         let window_mean: Box<dyn Fn(f64, f64) -> f64> = if substrate.is_pbft() {
-            // Open-loop cells replace the simulated closed-loop clients with
-            // the traffic queue's geo-placed population.
-            let clients = if traffic.is_some() {
-                0
-            } else {
-                self.workload.clients_for(n)
-            };
+            // Open-loop cells replace the simulated closed-loop clients (one
+            // per replica) with the traffic queue's geo-placed population.
+            let clients = if traffic.is_some() { 0 } else { n };
             let mut cfg = PbftConfig::new(n, f, clients, |id| {
                 substrate.pbft_policy(id, n, f, self.optimize_after)
             })
@@ -407,7 +399,6 @@ impl ProtocolScenario {
         } else if substrate.is_tree() {
             let mut cfg = KauriConfig::new(n);
             cfg.run_for = self.duration;
-            cfg.batch_size = self.workload.batch_size;
             cfg.misbehavior = misbehavior;
             cfg.traffic = traffic.clone();
             cfg.telemetry = telemetry.clone();
@@ -487,7 +478,6 @@ impl ProtocolScenario {
             };
             let mut cfg = HotStuffConfig::new(n, pacemaker);
             cfg.run_for = self.duration;
-            cfg.batch_size = self.workload.batch_size;
             cfg.misbehavior = misbehavior;
             cfg.traffic = traffic.clone();
             cfg.telemetry = telemetry.clone();
@@ -850,23 +840,31 @@ pub struct ProposalSizeScenario {
     pub base_bytes: usize,
 }
 
+/// Bytes of a logged configuration proposal ahead of its `n`-byte payload:
+/// proposer, epoch and score, eight bytes each.
+const CONFIG_PROPOSAL_HEADER_BYTES: usize = 24;
+
 impl ProposalSizeScenario {
     fn run_cell(&self, n: usize) -> CellMetrics {
         use crypto::{Complaint, Digest, Keyring, MisbehaviorKind, MisbehaviorProof};
-        use optilog::measurement::LoggedConfigProposal;
-        use optilog::{LatencyVector, Measurement, Suspicion, SuspicionKind};
+        use optilog::{LatencyVector, Suspicion, SuspicionKind};
 
+        // Every log entry carries a one-byte tag naming its kind ahead of
+        // the entry's own encoding.
+        let entry = |bytes: usize| 1 + bytes;
         let base = self.base_bytes;
-        let lv = Measurement::Latency(LatencyVector::new(0, vec![1.0; n])).wire_bytes();
-        let suspicion = Measurement::Suspicion(Suspicion {
-            kind: SuspicionKind::Slow,
-            accuser: 1,
-            accused: 2,
-            round: 10,
-            phase: 2,
-            accuser_is_leader: false,
-        })
-        .wire_bytes();
+        let lv = entry(LatencyVector::new(0, vec![1.0; n]).wire_bytes());
+        let suspicion = entry(
+            Suspicion {
+                kind: SuspicionKind::Slow,
+                accuser: 1,
+                accused: 2,
+                round: 10,
+                phase: 2,
+                accuser_is_leader: false,
+            }
+            .wire_bytes(),
+        );
         let ring = Keyring::new(1, n);
         let d1 = Digest::of(b"proposal-a");
         let d2 = Digest::of(b"proposal-b");
@@ -878,14 +876,9 @@ impl ProposalSizeScenario {
                 second: (d2, ring.key(3).sign(&d2)),
             },
         };
-        let complaint = Measurement::Complaint(Complaint::new(0, proof, &ring)).wire_bytes();
-        let config = Measurement::Config(LoggedConfigProposal {
-            proposer: 0,
-            epoch: 1,
-            score: 100.0,
-            payload: vec![0u8; n],
-        })
-        .wire_bytes();
+        let complaint = entry(Complaint::new(0, proof, &ring).wire_bytes());
+        // A configuration proposal's payload is one byte per replica.
+        let config = entry(CONFIG_PROPOSAL_HEADER_BYTES + n);
 
         let mut m = CellMetrics::new();
         m.set("bytes_base", base as f64)
@@ -1234,6 +1227,17 @@ mod tests {
         let large = sc.run_cell(80);
         assert!(small.values["bytes_latency_vec"] < large.values["bytes_latency_vec"]);
         assert!(large.values["bytes_misbehavior"] > large.values["bytes_suspicions"]);
+        // The exact bytes `fig13_proposal_size` reports at these sizes; a
+        // change to any entry's wire-size model moves them.
+        for (cell, [base, latency_vec, suspicions, misbehavior]) in [
+            (small, [256.0, 305.0, 365.0, 631.0]),
+            (large, [256.0, 425.0, 485.0, 811.0]),
+        ] {
+            assert_eq!(cell.values["bytes_base"], base);
+            assert_eq!(cell.values["bytes_latency_vec"], latency_vec);
+            assert_eq!(cell.values["bytes_suspicions"], suspicions);
+            assert_eq!(cell.values["bytes_misbehavior"], misbehavior);
+        }
     }
 
     #[test]

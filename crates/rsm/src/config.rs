@@ -1,6 +1,7 @@
-//! System-wide configuration: replica counts, quorum sizes, and role
-//! assignments (the paper's "configuration" — an assignment of roles to
-//! replicas, §2).
+//! System-wide parameters: replica counts, fault threshold, quorum sizes and
+//! the δ timer multiplier. The paper's "configuration" — an assignment of
+//! roles to replicas (§2) — is protocol-specific and lives with each family
+//! (Aware weights, Kauri trees), adopted through the `configlog` crate.
 
 use serde::{Deserialize, Serialize};
 
@@ -84,47 +85,6 @@ impl SystemConfig {
     }
 }
 
-/// An assignment of special roles to replicas — the generic notion of
-/// "configuration" from §2. Protocol crates attach their own meaning to the
-/// entries (leader + voting weights for Aware, tree positions for Kauri).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RoleAssignment {
-    /// The replica holding the leader (or tree-root) role.
-    pub leader: usize,
-    /// Replicas holding other special roles, in protocol-defined order
-    /// (e.g. Aware's max-weight replicas, Kauri's intermediate nodes).
-    pub special: Vec<usize>,
-    /// Monotonically increasing configuration epoch.
-    pub epoch: u64,
-}
-
-impl RoleAssignment {
-    /// The initial assignment: replica 0 leads, no other special roles.
-    pub fn initial() -> Self {
-        RoleAssignment {
-            leader: 0,
-            special: Vec::new(),
-            epoch: 0,
-        }
-    }
-
-    /// All replicas holding special roles, including the leader.
-    pub fn special_roles(&self) -> Vec<usize> {
-        let mut v = vec![self.leader];
-        v.extend(&self.special);
-        v.dedup();
-        v
-    }
-
-    /// True if every special role is held by a replica in `candidates`
-    /// (the paper's validity condition for configurations, §4.2.4).
-    pub fn is_valid(&self, candidates: &[usize]) -> bool {
-        self.special_roles()
-            .iter()
-            .all(|r| candidates.contains(r))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,17 +151,5 @@ mod tests {
     #[should_panic(expected = "delta")]
     fn delta_below_one_rejected() {
         SystemConfig::new(4).with_delta(0.5);
-    }
-
-    #[test]
-    fn role_assignment_validity() {
-        let ra = RoleAssignment {
-            leader: 2,
-            special: vec![4, 5],
-            epoch: 1,
-        };
-        assert!(ra.is_valid(&[1, 2, 3, 4, 5]));
-        assert!(!ra.is_valid(&[1, 2, 3, 4]));
-        assert_eq!(ra.special_roles(), vec![2, 4, 5]);
     }
 }

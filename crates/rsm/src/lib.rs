@@ -10,7 +10,7 @@
 //! * [`Application`] — the state machine executing committed commands
 //!   ([`KvApp`], [`CounterApp`], [`NullApp`] are provided).
 //! * [`AppendLog`] — the ordered log of committed entries.
-//! * [`SystemConfig`] — `n`, `f`, quorum sizes, and role bookkeeping.
+//! * [`SystemConfig`] — `n`, `f`, quorum sizes, and the δ timer multiplier.
 //! * [`CommitStats`] — throughput and consensus-latency collection used by the
 //!   experiment harnesses.
 //! * [`BlockSource`] — saturated batch generation matching the paper's
@@ -40,8 +40,8 @@ pub mod workload;
 pub use app::{Application, CounterApp, KvApp, NullApp};
 pub use block::{Block, Command};
 pub use cluster::{Cluster, RunReport};
-pub use config::{RoleAssignment, SystemConfig};
+pub use config::SystemConfig;
 pub use log::AppendLog;
 pub use misbehavior::{DelayStage, MisbehaviorPlan};
 pub use stats::{timeline_mean, CommitStats, RunSummary};
-pub use workload::{ArrivalProcess, BatchingPolicy, BlockSource, TrafficSpec, WorkloadSpec};
+pub use workload::{ArrivalProcess, BatchingPolicy, BlockSource, TrafficSpec};

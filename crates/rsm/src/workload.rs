@@ -15,14 +15,11 @@
 
 use crate::block::Command;
 use runtime::Duration;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// A saturated source of command batches.
 #[derive(Debug, Clone)]
 pub struct BlockSource {
     batch_size: usize,
-    payload_bytes: usize,
     next_seq: u64,
     client: u64,
 }
@@ -33,25 +30,9 @@ impl BlockSource {
     pub fn saturated(batch_size: usize) -> Self {
         BlockSource {
             batch_size,
-            payload_bytes: 0,
             next_seq: 0,
             client: 0,
         }
-    }
-
-    /// A source producing batches with fixed-size payloads.
-    pub fn with_payload(batch_size: usize, payload_bytes: usize) -> Self {
-        BlockSource {
-            batch_size,
-            payload_bytes,
-            next_seq: 0,
-            client: 0,
-        }
-    }
-
-    /// The configured batch size.
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
     }
 
     /// Produce the next batch of commands.
@@ -60,70 +41,9 @@ impl BlockSource {
             .map(|_| {
                 let seq = self.next_seq;
                 self.next_seq += 1;
-                Command::new(self.client, seq, vec![0u8; self.payload_bytes])
+                Command::empty(self.client, seq)
             })
             .collect()
-    }
-
-    /// Total commands generated so far.
-    pub fn generated(&self) -> u64 {
-        self.next_seq
-    }
-}
-
-/// A declarative description of the client workload an experiment drives,
-/// shared by the scenario layer so every substrate is loaded the same way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkloadSpec {
-    /// Commands per block (the paper's throughput runs use 1000).
-    pub batch_size: usize,
-    /// Payload bytes per command (0 = the paper's empty-command benchmark).
-    pub payload_bytes: usize,
-    /// Closed-loop clients for client-driven substrates; `None` places one
-    /// client per replica.
-    pub clients: Option<usize>,
-}
-
-impl Default for WorkloadSpec {
-    fn default() -> Self {
-        WorkloadSpec {
-            batch_size: 1000,
-            payload_bytes: 0,
-            clients: None,
-        }
-    }
-}
-
-impl WorkloadSpec {
-    /// The paper's saturated benchmark workload.
-    pub fn saturated() -> Self {
-        WorkloadSpec::default()
-    }
-
-    /// Override the batch size.
-    pub fn with_batch(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size;
-        self
-    }
-
-    /// Override the client count.
-    pub fn with_clients(mut self, clients: usize) -> Self {
-        self.clients = Some(clients);
-        self
-    }
-
-    /// The number of clients to run against `n` replicas.
-    pub fn clients_for(&self, n: usize) -> usize {
-        self.clients.unwrap_or(n)
-    }
-
-    /// Build the block source the spec describes.
-    pub fn source(&self) -> BlockSource {
-        if self.payload_bytes == 0 {
-            BlockSource::saturated(self.batch_size)
-        } else {
-            BlockSource::with_payload(self.batch_size, self.payload_bytes)
-        }
     }
 }
 
@@ -240,7 +160,7 @@ impl Default for BatchingPolicy {
 }
 
 /// A declarative open-loop traffic workload: the offered-load counterpart of
-/// the saturated [`WorkloadSpec`]. Pure data — the `traffic` crate turns it
+/// the saturated [`BlockSource`]. Pure data — the `traffic` crate turns it
 /// into a seeded arrival schedule and a leader-side admission queue.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficSpec {
@@ -323,47 +243,9 @@ impl TrafficSpec {
     }
 }
 
-/// Generates randomized key-value operations for the quickstart example and
-/// integration tests, deterministically from a seed.
-#[derive(Debug)]
-pub struct KvWorkload {
-    rng: StdRng,
-    keys: usize,
-    next_seq: u64,
-}
-
-impl KvWorkload {
-    /// Create a workload over `keys` distinct keys.
-    pub fn new(seed: u64, keys: usize) -> Self {
-        KvWorkload {
-            rng: StdRng::seed_from_u64(seed),
-            keys: keys.max(1),
-            next_seq: 0,
-        }
-    }
-
-    /// Produce the next command: 80% puts, 20% deletes over a small key space.
-    pub fn next_command(&mut self, client: u64) -> Command {
-        use crate::app::KvOp;
-        let key = format!("key-{}", self.rng.gen_range(0..self.keys));
-        let op = if self.rng.gen_bool(0.8) {
-            KvOp::Put {
-                key,
-                value: format!("value-{}", self.next_seq),
-            }
-        } else {
-            KvOp::Delete { key }
-        };
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        Command::new(client, seq, op.encode())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::app::KvOp;
 
     #[test]
     fn saturated_source_produces_full_batches() {
@@ -371,8 +253,6 @@ mod tests {
         let batch = src.next_batch();
         assert_eq!(batch.len(), 1000);
         assert!(batch.iter().all(|c| c.payload.is_empty()));
-        assert_eq!(src.generated(), 1000);
-        assert_eq!(src.batch_size(), 1000);
     }
 
     #[test]
@@ -382,13 +262,6 @@ mod tests {
         let b = src.next_batch();
         assert_eq!(a[9].seq, 9);
         assert_eq!(b[0].seq, 10);
-    }
-
-    #[test]
-    fn payload_source_sizes_commands() {
-        let mut src = BlockSource::with_payload(5, 64);
-        let batch = src.next_batch();
-        assert!(batch.iter().all(|c| c.payload.len() == 64));
     }
 
     #[test]
@@ -447,17 +320,5 @@ mod tests {
             .label(),
             "ramp@10-90"
         );
-    }
-
-    #[test]
-    fn kv_workload_is_deterministic_and_decodable() {
-        let mut a = KvWorkload::new(3, 10);
-        let mut b = KvWorkload::new(3, 10);
-        for _ in 0..50 {
-            let ca = a.next_command(1);
-            let cb = b.next_command(1);
-            assert_eq!(ca, cb);
-            assert!(KvOp::decode(&ca.payload).is_some());
-        }
     }
 }

@@ -25,6 +25,11 @@ impl<T: serde::Serialize + serde::de::DeserializeOwned + Send + 'static> WireMsg
 /// must not make the reader allocate unbounded memory.
 pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 
+/// Most body bytes reserved before any arrive. A length prefix is only the
+/// peer's word: a larger body grows the buffer as its bytes come in, so a
+/// sender that claims 64 MiB and stops costs this much, not the claim.
+const BODY_RESERVE_BYTES: u32 = 64 * 1024;
+
 /// Serialize one `(from, msg)` frame into a byte vector (length prefix included).
 pub fn encode_frame<M: WireMsg>(from: NodeId, msg: &M) -> io::Result<Vec<u8>> {
     let body = serde_json::to_vec(&(from, msg))
@@ -60,8 +65,11 @@ pub fn read_frame<M: WireMsg, R: Read>(r: &mut R) -> io::Result<(NodeId, M)> {
             format!("frame length {len} exceeds MAX_FRAME_BYTES"),
         ));
     }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
+    let mut body = Vec::with_capacity(len.min(BODY_RESERVE_BYTES) as usize);
+    r.by_ref().take(u64::from(len)).read_to_end(&mut body)?;
+    if body.len() < len as usize {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
     let (from, msg): (NodeId, M) =
         serde_json::from_slice(&body).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.0))?;
     Ok((from, msg))
@@ -109,6 +117,21 @@ mod tests {
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
         let err = read_frame::<TestMsg, _>(&mut io::Cursor::new(buf)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn body_cut_short_is_unexpected_eof() {
+        let frame = encode_frame(2, &TestMsg::Blob(vec![7; 100_000])).unwrap();
+        for cut in [5, 1000, frame.len() - 1] {
+            let err =
+                read_frame::<TestMsg, _>(&mut io::Cursor::new(&frame[..cut])).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
+        }
+        // The same frame whole, larger than the up-front reservation.
+        assert_eq!(
+            read_frame::<TestMsg, _>(&mut io::Cursor::new(&frame)).unwrap(),
+            (2, TestMsg::Blob(vec![7; 100_000]))
+        );
     }
 
     #[test]

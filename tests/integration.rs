@@ -9,7 +9,6 @@ use lab::harness::{colocated_latency, run};
 use netsim::{CityDataset, Duration, FaultPlan, LatencyModel, MatrixLatency, SimTime};
 use optiaware::OptiAwarePolicy;
 use optilog::{AnnealingParams, SuspicionMonitorParams};
-use optilog::pipeline::OptiLogInstance;
 use optitree::{search_tree, tree_score, OptiTreePolicy, TreeSearchSpace};
 use pbft::{AwarePolicy, PbftConfig, PbftRoles, ReconfigPolicy, StaticPolicy};
 use rsm::{RunReport, SystemConfig};
@@ -244,41 +243,53 @@ fn tree_protocols_commit_and_pipeline_on_emulated_wan() {
     assert!(opti.summary.mean_latency_ms <= kauri.summary.mean_latency_ms * 1.1);
 }
 
+/// Table 1's consistency property: replicas that feed the same committed
+/// measurements, in log order, to their own monitors derive the same latency
+/// matrix, candidate set and fault estimate.
 #[test]
 fn optilog_instances_converge_across_replicas() {
-    use optilog::{LatencyVector, Measurement, Suspicion, SuspicionKind};
+    use optilog::{LatencyMonitor, LatencyVector, Suspicion, SuspicionKind, SuspicionMonitor};
     let n = 7;
-    let keyring = crypto::Keyring::new(1, n);
-    let measurements: Vec<Measurement> = vec![
-        Measurement::Latency(LatencyVector::new(0, vec![0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0])),
-        Measurement::Suspicion(Suspicion {
+    let latency = LatencyVector::new(0, vec![0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0]);
+    let suspicions = [
+        Suspicion {
             kind: SuspicionKind::Slow,
             accuser: 2,
             accused: 5,
             round: 3,
             phase: 1,
             accuser_is_leader: false,
-        }),
-        Measurement::Suspicion(Suspicion {
+        },
+        Suspicion {
             kind: SuspicionKind::False,
             accuser: 5,
             accused: 2,
             round: 3,
             phase: 1,
             accuser_is_leader: false,
-        }),
+        },
     ];
-    let mut instances: Vec<OptiLogInstance> = (0..n)
-        .map(|_| OptiLogInstance::new(keyring.clone(), SuspicionMonitorParams::new(n, 2)))
+    let mut replicas: Vec<(LatencyMonitor, SuspicionMonitor)> = (0..n)
+        .map(|_| {
+            (
+                LatencyMonitor::new(n),
+                SuspicionMonitor::new(SuspicionMonitorParams::new(n, 2)),
+            )
+        })
         .collect();
-    for m in &measurements {
-        for inst in instances.iter_mut() {
-            inst.on_measurement(m);
+    for (latency_monitor, suspicion_monitor) in replicas.iter_mut() {
+        latency_monitor.on_vector(&latency);
+        for s in &suspicions {
+            suspicion_monitor.on_suspicion(s);
         }
     }
-    let selections: Vec<_> = instances.iter_mut().map(|i| i.selection().clone()).collect();
-    let digests: Vec<_> = instances.iter().map(|i| i.log().prefix_digest()).collect();
+    let matrices: Vec<_> = replicas.iter().map(|(l, _)| l.matrix().clone()).collect();
+    let selections: Vec<_> = replicas
+        .iter_mut()
+        .map(|(_, s)| s.selection().clone())
+        .collect();
+    assert!(matrices.windows(2).all(|w| w[0] == w[1]));
     assert!(selections.windows(2).all(|w| w[0] == w[1]));
-    assert!(digests.windows(2).all(|w| w[0] == w[1]));
+    assert_eq!(matrices[0].rtt(0, 6), 60.0);
     assert_eq!(selections[0].estimate_u, 1);
 }
