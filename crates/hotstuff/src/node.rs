@@ -23,6 +23,7 @@ use crypto::{Digest, Hashable};
 use rsm::{misbehavior, Block, BlockSource, CommitStats, DelayStage, SystemConfig};
 use runtime::{Context, Node, NodeId, SimTime, TimerId};
 use serde::{Deserialize, Serialize};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use telemetry::{Stage, Telemetry};
 use traffic::{SharedTrafficQueue, WakeTimer};
@@ -75,6 +76,10 @@ pub struct HotStuffNode {
     pacemaker: Pacemaker,
     batch: BlockSource,
     views: BTreeMap<u64, ViewEntry>,
+    /// Stored views that carry commands and have not committed yet: what
+    /// decides whether an idle leader sends an empty flush view or parks.
+    uncommitted_payload: usize,
+    /// Votes for views not yet superseded by a proposal of this replica.
     votes: BTreeMap<u64, BTreeSet<usize>>,
     highest_proposed: u64,
     /// Scripted proposal-delay attack stages for this replica (empty when
@@ -110,6 +115,7 @@ impl HotStuffNode {
             pacemaker,
             batch: BlockSource::saturated(batch_size),
             views: BTreeMap::new(),
+            uncommitted_payload: 0,
             votes: BTreeMap::new(),
             highest_proposed: 0,
             delays: Vec::new(),
@@ -190,7 +196,7 @@ impl HotStuffNode {
                 // empty flush block drives the chain instead; at most two
                 // are needed before every payload view has committed and
                 // the leader can park for real.
-                None if self.views.values().any(|e| !e.committed && e.commands > 0) => Vec::new(),
+                None if self.uncommitted_payload > 0 => Vec::new(),
                 None => {
                     // Nothing flushable, nothing in flight: park the view
                     // and wake up when the queue's size or timeout condition
@@ -209,6 +215,8 @@ impl HotStuffNode {
             self.batch.next_batch()
         };
         self.highest_proposed = view;
+        // Every vote below this view is now inert (see `handle_vote`).
+        self.votes.retain(|&v, _| v >= view);
         let block = Block::new(Digest::ZERO, view, view, self.id, commands);
         let digest = block.digest();
         let msg = HotStuffMessage::Proposal {
@@ -264,12 +272,17 @@ impl HotStuffNode {
         commands: usize,
         timestamp_us: u64,
     ) {
-        self.views.entry(view).or_insert(ViewEntry {
-            digest,
-            commands,
-            proposal_ts: SimTime::from_micros(timestamp_us),
-            committed: false,
-        });
+        if let Entry::Vacant(slot) = self.views.entry(view) {
+            slot.insert(ViewEntry {
+                digest,
+                commands,
+                proposal_ts: SimTime::from_micros(timestamp_us),
+                committed: false,
+            });
+            if commands > 0 {
+                self.uncommitted_payload += 1;
+            }
+        }
 
         // Three-chain commit: views v-2, v-1, v contiguous → commit v-2.
         if view >= 2 {
@@ -292,6 +305,7 @@ impl HotStuffNode {
                     // Empty chain-flush blocks (open-loop idle) carry no
                     // commands and are not commits worth recording.
                     if entry.commands > 0 {
+                        self.uncommitted_payload -= 1;
                         self.stats
                             .record_commit(entry.proposal_ts, ctx.now, entry.commands);
                         let (ts, commands) = (entry.proposal_ts, entry.commands);
@@ -340,6 +354,10 @@ impl HotStuffNode {
     }
 
     fn handle_vote(&mut self, ctx: &mut Context<HotStuffMessage>, view: u64, voter: usize) {
+        // A quorum for this view could only lead to a view already proposed.
+        if view < self.highest_proposed {
+            return;
+        }
         let votes = self.votes.entry(view).or_default();
         votes.insert(voter);
         if votes.len() >= self.config.quorum() && self.leader_of(view + 1) == self.id {
@@ -403,5 +421,76 @@ impl Node for HotStuffNode {
         // The simulator drops a crashed node's timers silently; see
         // `traffic::wake`.
         self.wake.clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use runtime::Action;
+    use std::collections::VecDeque;
+
+    type Pending = VecDeque<(NodeId, NodeId, HotStuffMessage)>;
+
+    /// Run one callback of `node` and queue the messages it sends.
+    fn callback(
+        node: &mut HotStuffNode,
+        pending: &mut Pending,
+        f: impl FnOnce(&mut HotStuffNode, &mut Context<HotStuffMessage>),
+    ) {
+        let from = node.id;
+        let mut ctx = Context::new(from, SimTime::ZERO, node.config.n, 0, Vec::new());
+        f(node, &mut ctx);
+        ctx.finish(|action| {
+            if let Action::Send { to, payload } = action {
+                pending.push_back((from, to, payload.into_msg()));
+            }
+        });
+    }
+
+    /// Four replicas under the saturated source with leader 0, every
+    /// message delivered in send order: the first `deliveries` of the run.
+    fn run(deliveries: usize) -> Vec<HotStuffNode> {
+        let config = SystemConfig::new(4);
+        let mut nodes: Vec<HotStuffNode> = (0..config.n)
+            .map(|id| HotStuffNode::new(id, config, Pacemaker::Fixed { leader: 0 }, 10))
+            .collect();
+        let mut pending = Pending::new();
+        for node in &mut nodes {
+            callback(node, &mut pending, |node, ctx| node.on_start(ctx));
+        }
+        for _ in 0..deliveries {
+            let (from, to, msg) = pending.pop_front().expect("a saturated leader never idles");
+            callback(&mut nodes[to], &mut pending, |node, ctx| {
+                node.on_message(ctx, from, msg)
+            });
+        }
+        nodes
+    }
+
+    #[test]
+    fn the_leader_keeps_only_in_flight_votes() {
+        let nodes = run(4_000);
+        let leader = &nodes[0];
+        assert!(
+            leader.highest_proposed > 500,
+            "{} views",
+            leader.highest_proposed
+        );
+        assert!(
+            leader.votes.len() <= 2,
+            "{} vote entries after {} views",
+            leader.votes.len(),
+            leader.highest_proposed
+        );
+        // The counter answers what a scan of the stored views would.
+        for node in &nodes {
+            let scanned = node
+                .views
+                .values()
+                .filter(|e| !e.committed && e.commands > 0)
+                .count();
+            assert_eq!(node.uncommitted_payload, scanned, "replica {}", node.id);
+        }
     }
 }

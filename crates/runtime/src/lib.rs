@@ -34,4 +34,6 @@ pub use node::{Action, Context, Node, NodeId, Payload, TimerId};
 pub use real::RealCluster;
 pub use stats::{Histogram, RateCounter, TimeSeries};
 pub use time::{Duration, FaultWindow, SimTime};
-pub use wire::{encode_frame, read_frame, write_frame, WireMsg, MAX_FRAME_BYTES};
+pub use wire::{
+    encode_frame, encode_frame_into, read_frame, read_frame_into, WireMsg, MAX_FRAME_BYTES,
+};

@@ -25,10 +25,14 @@
 //! The replica thread is the only one touching the node, so callbacks are
 //! serialized exactly as in the simulator — no locks in protocol code, no
 //! concurrent callbacks, the same single-threaded state-machine discipline.
+//!
+//! Frames go through reused buffers: the replica thread encodes every
+//! outgoing frame into one buffer (a multicast once, for all recipients) and
+//! each reader thread decodes through one body buffer of its own.
 
 use crate::node::{Action, Context, Node, NodeId, Payload, TimerId};
 use crate::time::SimTime;
-use crate::wire::{encode_frame, read_frame, write_frame, WireMsg};
+use crate::wire::{encode_frame_into, read_frame_into, WireMsg};
 use std::collections::{BinaryHeap, HashSet};
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -188,6 +192,9 @@ struct ReplicaWorker<N: Node> {
     next_timer: u64,
     /// Outgoing streams, indexed by peer id (`None` at `self.id`).
     peers: Vec<Option<BufWriter<TcpStream>>>,
+    /// Every outgoing frame is encoded here, so a warm send allocates no
+    /// frame of its own.
+    frame: Vec<u8>,
     timers: Arc<TimerService<N::Msg>>,
     self_tx: Sender<ReplicaEvent<N::Msg>>,
     rx: Receiver<ReplicaEvent<N::Msg>>,
@@ -231,7 +238,8 @@ where
     fn apply(&mut self, ctx: Context<N::Msg>, touched: &mut Vec<NodeId>) -> Vec<Action<N::Msg>> {
         // A multicast arrives as consecutive sends sharing one `Arc`: its
         // frame is encoded for the first recipient and reused for the rest.
-        let mut shared_frame: Option<(Arc<N::Msg>, Vec<u8>)> = None;
+        // `encoded` names the multicast whose frame `self.frame` holds.
+        let mut encoded: Option<Arc<N::Msg>> = None;
         let (actions, next_timer) = ctx.finish(|action| match action {
             Action::Send { to, payload } => {
                 if to >= self.n {
@@ -244,23 +252,24 @@ where
                         msg: payload.into_msg(),
                     });
                 } else if let Some(stream) = &mut self.peers[to] {
-                    let written = match &payload {
-                        Payload::Owned(msg) => write_frame(stream, self.id, msg),
+                    let frame = match &payload {
+                        Payload::Shared(msg)
+                            if encoded.as_ref().is_some_and(|e| Arc::ptr_eq(e, msg)) =>
+                        {
+                            Ok(())
+                        }
                         Payload::Shared(msg) => {
-                            if !shared_frame
-                                .as_ref()
-                                .is_some_and(|(encoded, _)| Arc::ptr_eq(encoded, msg))
-                            {
-                                shared_frame = encode_frame(self.id, &**msg)
-                                    .ok()
-                                    .map(|frame| (msg.clone(), frame));
-                            }
-                            match &shared_frame {
-                                Some((_, frame)) => stream.write_all(frame),
-                                None => Err(io::ErrorKind::InvalidData.into()),
-                            }
+                            let result = encode_frame_into(&mut self.frame, self.id, &**msg);
+                            encoded = result.is_ok().then(|| msg.clone());
+                            result
+                        }
+                        Payload::Owned(msg) => {
+                            // Overwrites the multicast's frame.
+                            encoded = None;
+                            encode_frame_into(&mut self.frame, self.id, msg)
                         }
                     };
+                    let written = frame.and_then(|()| stream.write_all(&self.frame));
                     // A failed write means the peer is gone (shutdown or
                     // crash); consensus tolerates the omission, so drop
                     // the message rather than poisoning the event loop.
@@ -358,8 +367,10 @@ where
                 let tx = txs[j].clone();
                 readers.push(std::thread::spawn(move || {
                     let mut reader = BufReader::new(stream);
+                    let mut body = Vec::new();
                     // EOF or a closed receiver both mean the run is over.
-                    while let Ok((from, msg)) = read_frame::<N::Msg, _>(&mut reader) {
+                    while let Ok((from, msg)) = read_frame_into::<N::Msg, _>(&mut reader, &mut body)
+                    {
                         if tx.send(ReplicaEvent::Deliver { from, msg }).is_err() {
                             break;
                         }
@@ -387,6 +398,7 @@ where
                 epoch,
                 next_timer: 0,
                 peers,
+                frame: Vec::new(),
                 timers: timers.clone(),
                 self_tx: txs[id].clone(),
                 rx,

@@ -6,6 +6,12 @@
 //! the length prefix makes frame boundaries explicit so a reader never has
 //! to scan for delimiters inside message bodies.
 //!
+//! The real runtime encodes with [`encode_frame_into`] and decodes with
+//! [`read_frame_into`], each through one buffer it keeps per replica or per
+//! connection: a warm frame costs no block of its own size, only the
+//! `serde` value tree in between. [`encode_frame`] and [`read_frame`] are
+//! the same codec with a fresh buffer per call.
+//!
 //! [`WireMsg`] is the bound the real runtime places on a node's message
 //! type. It is deliberately *not* part of the [`crate::Node`] trait:
 //! simulation-only message types (e.g. test nodes exchanging closures or
@@ -13,7 +19,7 @@
 //! simply by deriving `Serialize`/`Deserialize` on its message enum.
 
 use crate::node::NodeId;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// Marker bound for messages that can cross a real socket. Blanket-implemented
 /// for every serializable, sendable type — never implement it by hand.
@@ -32,30 +38,45 @@ const BODY_RESERVE_BYTES: u32 = 64 * 1024;
 
 /// Serialize one `(from, msg)` frame into a byte vector (length prefix included).
 pub fn encode_frame<M: WireMsg>(from: NodeId, msg: &M) -> io::Result<Vec<u8>> {
-    let body = serde_json::to_vec(&(from, msg))
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.0))?;
-    if body.len() as u64 > MAX_FRAME_BYTES as u64 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame body of {} bytes exceeds MAX_FRAME_BYTES", body.len()),
-        ));
-    }
-    let mut frame = Vec::with_capacity(4 + body.len());
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&body);
+    let mut frame = Vec::new();
+    encode_frame_into(&mut frame, from, msg)?;
     Ok(frame)
 }
 
-/// Write one `(from, msg)` frame.
-pub fn write_frame<M: WireMsg, W: Write>(w: &mut W, from: NodeId, msg: &M) -> io::Result<()> {
-    let frame = encode_frame(from, msg)?;
-    w.write_all(&frame)
+/// Serialize one `(from, msg)` frame (length prefix included) into `frame`,
+/// replacing what it held and keeping its capacity. After an error its
+/// contents are not a frame and must not be sent.
+pub fn encode_frame_into<M: WireMsg>(frame: &mut Vec<u8>, from: NodeId, msg: &M) -> io::Result<()> {
+    frame.clear();
+    // A placeholder prefix, patched once the body's length is known.
+    frame.extend_from_slice(&[0; 4]);
+    serde_json::to_writer(&mut *frame, &(from, msg))
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.0))?;
+    let body = frame.len() - 4;
+    if body as u64 > MAX_FRAME_BYTES as u64 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame body of {body} bytes exceeds MAX_FRAME_BYTES"),
+        ));
+    }
+    frame[..4].copy_from_slice(&(body as u32).to_le_bytes());
+    Ok(())
 }
 
 /// Read one `(from, msg)` frame. An EOF *between* frames surfaces as
 /// `ErrorKind::UnexpectedEof` with an empty prefix read — the normal
 /// peer-disconnected signal; EOF inside a frame is a protocol error either way.
 pub fn read_frame<M: WireMsg, R: Read>(r: &mut R) -> io::Result<(NodeId, M)> {
+    read_frame_into(r, &mut Vec::new())
+}
+
+/// [`read_frame`] through a caller-kept body buffer: `body` is overwritten
+/// with the frame's body bytes, and once its capacity covers the frames a
+/// connection carries, reading one allocates nothing for them.
+pub fn read_frame_into<M: WireMsg, R: Read>(
+    r: &mut R,
+    body: &mut Vec<u8>,
+) -> io::Result<(NodeId, M)> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
     let len = u32::from_le_bytes(len_buf);
@@ -65,14 +86,13 @@ pub fn read_frame<M: WireMsg, R: Read>(r: &mut R) -> io::Result<(NodeId, M)> {
             format!("frame length {len} exceeds MAX_FRAME_BYTES"),
         ));
     }
-    let mut body = Vec::with_capacity(len.min(BODY_RESERVE_BYTES) as usize);
-    r.by_ref().take(u64::from(len)).read_to_end(&mut body)?;
+    body.clear();
+    body.reserve(len.min(BODY_RESERVE_BYTES) as usize);
+    r.by_ref().take(u64::from(len)).read_to_end(body)?;
     if body.len() < len as usize {
         return Err(io::ErrorKind::UnexpectedEof.into());
     }
-    let (from, msg): (NodeId, M) =
-        serde_json::from_slice(&body).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.0))?;
-    Ok((from, msg))
+    serde_json::from_slice(body).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.0))
 }
 
 #[cfg(test)]
@@ -88,9 +108,8 @@ mod tests {
 
     #[test]
     fn frame_round_trips_through_a_byte_stream() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, 3, &TestMsg::Ping { round: 17 }).unwrap();
-        write_frame(&mut buf, 1, &TestMsg::Blob(vec![0, 255, 128])).unwrap();
+        let mut buf = encode_frame(3, &TestMsg::Ping { round: 17 }).unwrap();
+        buf.extend(encode_frame(1, &TestMsg::Blob(vec![0, 255, 128])).unwrap());
         let mut r = io::Cursor::new(buf);
         assert_eq!(
             read_frame::<TestMsg, _>(&mut r).unwrap(),
@@ -109,6 +128,25 @@ mod tests {
         let frame = encode_frame(0, &TestMsg::Ping { round: 1 }).unwrap();
         let len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
         assert_eq!(len, frame.len() - 4);
+    }
+
+    #[test]
+    fn encoding_into_a_dirty_buffer_gives_encode_frames_bytes() {
+        let mut frame = vec![0xAB; 1000];
+        for msg in [TestMsg::Blob(vec![9; 300]), TestMsg::Ping { round: 5 }] {
+            encode_frame_into(&mut frame, 4, &msg).unwrap();
+            assert_eq!(frame, encode_frame(4, &msg).unwrap());
+        }
+    }
+
+    #[test]
+    fn one_body_buffer_reads_a_large_frame_then_a_small_one() {
+        let (large, small) = (TestMsg::Blob(vec![7; 100_000]), TestMsg::Ping { round: 9 });
+        let mut stream = encode_frame(1, &large).unwrap();
+        stream.extend(encode_frame(2, &small).unwrap());
+        let (mut r, mut body) = (io::Cursor::new(stream), Vec::new());
+        assert_eq!(read_frame_into(&mut r, &mut body).unwrap(), (1, large));
+        assert_eq!(read_frame_into(&mut r, &mut body).unwrap(), (2, small));
     }
 
     #[test]
