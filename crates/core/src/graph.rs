@@ -9,8 +9,7 @@
 //! * **Maximum independent set** (OptiLog default): computed with a
 //!   Bron-Kerbosch maximum-clique search on the complement graph — the same
 //!   approach the paper benchmarks in Fig 8 — with a work budget that turns
-//!   the search into a heuristic on adversarially large graphs. A greedy
-//!   min-degree fallback is also provided.
+//!   the search into a heuristic on adversarially large graphs.
 //! * **Disjoint-edge / triangle exclusion** (OptiTree, §6.4): maintain a
 //!   maximal set of disjoint edges `E_d` and the triangle set `T`; exclude
 //!   both endpoints of every `E_d` edge and every `T` vertex, giving a
@@ -64,23 +63,6 @@ impl SuspicionGraph {
         out
     }
 
-    /// Add a vertex (no-op if present).
-    pub fn add_vertex(&mut self, v: usize) {
-        self.vertices.insert(v);
-    }
-
-    /// Remove a vertex and all incident edges.
-    pub fn remove_vertex(&mut self, v: usize) {
-        self.vertices.remove(&v);
-        if let Some(nbrs) = self.adjacency.remove(&v) {
-            for n in nbrs {
-                if let Some(s) = self.adjacency.get_mut(&n) {
-                    s.remove(&v);
-                }
-            }
-        }
-    }
-
     /// Add an undirected edge. Both endpoints are added to the vertex set if
     /// missing. Self-loops are ignored.
     pub fn add_edge(&mut self, a: usize, b: usize) {
@@ -91,16 +73,6 @@ impl SuspicionGraph {
         self.vertices.insert(b);
         self.adjacency.entry(a).or_default().insert(b);
         self.adjacency.entry(b).or_default().insert(a);
-    }
-
-    /// Remove an edge if present.
-    pub fn remove_edge(&mut self, a: usize, b: usize) {
-        if let Some(s) = self.adjacency.get_mut(&a) {
-            s.remove(&b);
-        }
-        if let Some(s) = self.adjacency.get_mut(&b) {
-            s.remove(&a);
-        }
     }
 
     /// True if the edge `(a, b)` exists.
@@ -192,32 +164,6 @@ impl SuspicionGraph {
         );
         best.extend(best_clique);
         best
-    }
-
-    /// Greedy minimum-degree independent set: repeatedly pick the vertex of
-    /// minimum degree and remove its neighbourhood. Deterministic, `O(V·E)`.
-    pub fn greedy_independent_set(&self) -> BTreeSet<usize> {
-        let mut remaining = self.vertices.clone();
-        let mut result = BTreeSet::new();
-        while !remaining.is_empty() {
-            // Min degree within the remaining subgraph; ties broken by id.
-            let v = *remaining
-                .iter()
-                .min_by_key(|&&v| {
-                    (
-                        self.neighbors(v).intersection(&remaining).count(),
-                        v,
-                    )
-                })
-                .expect("remaining non-empty");
-            result.insert(v);
-            let nbrs = self.neighbors(v);
-            remaining.remove(&v);
-            for n in nbrs {
-                remaining.remove(&n);
-            }
-        }
-        result
     }
 
     /// Vertices that form a triangle with the edge `(a, b)`.
@@ -360,16 +306,13 @@ mod tests {
 
     #[test]
     fn edge_bookkeeping() {
-        let mut g = graph_with_edges(5, &[(0, 1), (1, 2)]);
+        let g = graph_with_edges(5, &[(0, 1), (1, 2)]);
         assert_eq!(g.edge_count(), 2);
         assert!(g.has_edge(1, 0));
         assert!(!g.has_edge(0, 2));
         assert_eq!(g.degree(1), 2);
-        g.remove_edge(0, 1);
-        assert_eq!(g.edge_count(), 1);
-        g.remove_vertex(2);
-        assert_eq!(g.edge_count(), 0);
-        assert_eq!(g.vertex_count(), 4);
+        assert_eq!(g.edges(), vec![(0, 1), (1, 2)]);
+        assert_eq!(g.vertex_count(), 5);
     }
 
     #[test]
@@ -419,16 +362,6 @@ mod tests {
             g.maximum_independent_set(10_000),
             g.maximum_independent_set(10_000)
         );
-    }
-
-    #[test]
-    fn greedy_is_valid_and_reasonable() {
-        let g = graph_with_edges(8, &[(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)]);
-        let greedy = g.greedy_independent_set();
-        assert!(g.is_independent_set(&greedy));
-        let exact = g.maximum_independent_set(100_000);
-        assert!(greedy.len() <= exact.len());
-        assert!(greedy.len() + 1 >= exact.len(), "greedy close to exact on small graphs");
     }
 
     #[test]

@@ -88,17 +88,6 @@ impl LatencyMatrix {
         m
     }
 
-    /// Build a fully known matrix directly from RTT data (used by harnesses
-    /// that bootstrap from the city dataset).
-    pub fn from_rtt_ms(n: usize, rtt_ms: Vec<f64>) -> Self {
-        assert_eq!(rtt_ms.len(), n * n, "matrix must be n*n");
-        LatencyMatrix {
-            n,
-            recorded: rtt_ms.clone(),
-            rtt_ms,
-        }
-    }
-
     /// Number of replicas.
     pub fn len(&self) -> usize {
         self.n
@@ -300,13 +289,5 @@ mod tests {
         m.apply_vector(&LatencyVector::new(0, vec![0.0, 1.0])); // wrong length
         m.apply_vector(&LatencyVector::new(7, vec![0.0, 1.0, 2.0])); // bad reporter
         assert!(!m.is_known(0, 1));
-    }
-
-    #[test]
-    fn from_rtt_matrix_is_complete() {
-        let m = LatencyMatrix::from_rtt_ms(2, vec![0.0, 42.0, 42.0, 0.0]);
-        assert!(m.is_complete());
-        assert_eq!(m.rtt(0, 1), 42.0);
-        assert_eq!(m.as_slice().len(), 4);
     }
 }

@@ -265,12 +265,6 @@ impl SuspicionMonitorParams {
         self.window = w;
         self
     }
-
-    /// Override the reciprocation window.
-    pub fn with_reciprocation_views(mut self, v: u64) -> Self {
-        self.reciprocation_views = v;
-        self
-    }
 }
 
 /// State of one suspicion edge waiting for reciprocation.

@@ -64,52 +64,6 @@ impl RoundTimeouts {
     pub fn proposal_interval_ok(&self, interval: Duration, delta: f64) -> bool {
         interval <= self.d_rnd.mul_f64(delta)
     }
-
-    /// True if a message that arrived `elapsed` after the proposal timestamp
-    /// met its δ-scaled deadline.
-    pub fn arrival_ok(&self, from: usize, kind: u32, elapsed: Duration, delta: f64) -> bool {
-        match self.expected(from, kind) {
-            Some(d_m) => elapsed <= d_m.mul_f64(delta),
-            // No expectation registered for this message: cannot be late.
-            None => true,
-        }
-    }
-
-    /// Check the structural timeout requirements of Appendix C against a
-    /// one-way latency matrix (milliseconds):
-    ///
-    /// * TR3 — `d_rnd` equals the delay of some expected message;
-    /// * TR1/TR2 — every message's `d_m` is at least the one-way latency of
-    ///   its final hop towards `to` (the recipient), i.e. timeouts are not
-    ///   tighter than physically possible.
-    ///
-    /// Returns a list of human-readable violations (empty = satisfied).
-    pub fn check_requirements(&self, recipient: usize, one_way_ms: &[f64], n: usize) -> Vec<String> {
-        let mut violations = Vec::new();
-        if !self.messages.is_empty()
-            && !self
-                .messages
-                .iter()
-                .any(|m| m.d_m == self.d_rnd)
-        {
-            violations.push(format!(
-                "TR3: d_rnd {} does not match any message timeout",
-                self.d_rnd
-            ));
-        }
-        for m in &self.messages {
-            if m.from < n && recipient < n {
-                let link = one_way_ms[m.from * n + recipient];
-                if link.is_finite() && m.d_m.as_millis_f64() + 1e-9 < link {
-                    violations.push(format!(
-                        "TR1/TR2: message kind {} from {} has d_m {} below link latency {link} ms",
-                        m.kind, m.from, m.d_m
-                    ));
-                }
-            }
-        }
-        violations
-    }
 }
 
 #[cfg(test)]
@@ -143,44 +97,8 @@ mod tests {
     }
 
     #[test]
-    fn arrival_deadline_scaled_by_delta() {
-        let t = timeouts();
-        assert!(t.arrival_ok(1, 0, Duration::from_millis(40), 1.0));
-        assert!(!t.arrival_ok(1, 0, Duration::from_millis(41), 1.0));
-        assert!(t.arrival_ok(1, 0, Duration::from_millis(55), 1.4));
-        // Unknown messages are never late.
-        assert!(t.arrival_ok(5, 7, Duration::from_secs(10), 1.0));
-    }
-
-    #[test]
     fn deadline_helper() {
         let m = MessageTimeout::new(0, 0, Duration::from_millis(50));
         assert_eq!(m.deadline(1.2).as_millis(), 60);
-    }
-
-    #[test]
-    fn requirements_satisfied_for_consistent_timeouts() {
-        let t = timeouts();
-        // one-way latencies: from 1 -> 0 is 30ms (below 40), from 2 -> 0 is 80ms (below 100).
-        let n = 3;
-        let mut one_way = vec![0.0; 9];
-        one_way[3] = 30.0; // (1, 0)
-        one_way[6] = 80.0; // (2, 0)
-        assert!(t.check_requirements(0, &one_way, n).is_empty());
-    }
-
-    #[test]
-    fn requirements_flag_too_tight_timeout_and_missing_round_anchor() {
-        let t = RoundTimeouts::new(
-            Duration::from_millis(10),
-            vec![MessageTimeout::new(1, 0, Duration::from_millis(5))],
-        );
-        let n = 2;
-        let mut one_way = vec![0.0; 4];
-        one_way[2] = 50.0; // (1, 0)
-        let violations = t.check_requirements(0, &one_way, n);
-        assert_eq!(violations.len(), 2);
-        assert!(violations.iter().any(|v| v.contains("TR3")));
-        assert!(violations.iter().any(|v| v.contains("TR1/TR2")));
     }
 }

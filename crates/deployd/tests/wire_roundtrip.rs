@@ -86,7 +86,6 @@ fn kauri_messages_round_trip() {
         KauriMessage::Aggregate {
             view: 5,
             voters: vec![1, 2, 3],
-            missing: vec![4],
             aggregator: 1,
         },
         KauriMessage::Evidence {

@@ -171,15 +171,6 @@ impl HotStuffNode {
         self.views.iter().map(|(&v, e)| (v, e.digest)).collect()
     }
 
-    /// Views this replica has committed, in view order.
-    pub fn committed_views(&self) -> Vec<u64> {
-        self.views
-            .iter()
-            .filter(|(_, e)| e.committed)
-            .map(|(&v, _)| v)
-            .collect()
-    }
-
     fn propose(&mut self, ctx: &mut Context<HotStuffMessage>, view: u64) {
         if view <= self.highest_proposed {
             return;

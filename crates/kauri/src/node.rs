@@ -3,10 +3,11 @@
 //!
 //! Message flow per view: the root disseminates a proposal to its
 //! intermediate nodes, which forward it to their leaves; leaves vote to their
-//! parent, intermediates aggregate the votes of their subtree (adding an
-//! explicit "missing" entry for children that did not answer before the child
-//! timeout, per OptiTree's aggregation rule) and forward the aggregate to the
-//! root; the root commits the view once it has collected the vote threshold.
+//! parent, intermediates aggregate the votes of their subtree (whatever has
+//! arrived by the child timeout, per OptiTree's aggregation rule) and forward
+//! the aggregate to the root, which reads the children that did not answer
+//! off its own tree; the root commits the view once it has collected the vote
+//! threshold.
 //! The root pipelines several views concurrently (§6.1.1).
 //!
 //! Role configuration as log content: every replica carries a
@@ -116,8 +117,6 @@ pub enum KauriMessage {
         view: u64,
         /// Replicas whose votes are included (the aggregator and its children).
         voters: Vec<usize>,
-        /// Children that did not vote before the child timeout.
-        missing: Vec<usize>,
         /// The aggregating replica.
         aggregator: usize,
     },
@@ -965,11 +964,6 @@ impl KauriNode {
         }
         let parent = tree.parent(self.id);
         let voters: Vec<usize> = agg.votes.iter().copied().collect();
-        let missing: Vec<usize> = children
-            .iter()
-            .copied()
-            .filter(|c| !agg.votes.contains(c))
-            .collect();
         if let Some(a) = self.aggregates.get_mut(&view) {
             a.forwarded = true;
         }
@@ -986,7 +980,6 @@ impl KauriNode {
                 KauriMessage::Aggregate {
                     view,
                     voters,
-                    missing,
                     aggregator: self.id,
                 },
             );
@@ -1210,13 +1203,10 @@ impl Node for KauriNode {
                 committed,
             ),
             KauriMessage::Vote { view, voter } => self.handle_vote(ctx, view, voter),
-            // The root counts voters only; an aggregate's `missing` children
-            // are exactly the ones its voters leave out.
             KauriMessage::Aggregate {
                 view,
                 voters,
                 aggregator,
-                ..
             } => self.handle_aggregate(ctx, view, &voters, aggregator),
             KauriMessage::Evidence { cmds } => {
                 // Only the replica currently proposing can order evidence;

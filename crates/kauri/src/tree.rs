@@ -147,16 +147,6 @@ pub fn conformity_bins(n: usize, b: usize) -> Vec<Vec<usize>> {
     (0..t).map(|k| ((k * i)..(k * i + i)).collect()).collect()
 }
 
-/// Build the `k`-th conformity tree: internals from bin `k`, leaves from the
-/// remaining replicas.
-pub fn conformity_tree(n: usize, b: usize, k: usize) -> Tree {
-    let bins = conformity_bins(n, b);
-    let bin = &bins[k % bins.len()];
-    let mut order = bin.clone();
-    order.extend((0..n).filter(|r| !bin.contains(r)));
-    Tree::from_ordering(&order, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,11 +205,7 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), len_before, "bins are disjoint");
-        for (k, bin) in bins.iter().enumerate() {
-            let tree = conformity_tree(n, b, k);
-            assert_eq!(tree.internal_nodes(), *bin);
-            assert_eq!(tree.size(), n);
-        }
+        assert_eq!(all, (0..bins.len() * (b + 1)).collect::<Vec<_>>());
     }
 
     #[test]

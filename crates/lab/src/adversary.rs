@@ -151,11 +151,6 @@ impl AdversaryScript {
         self
     }
 
-    /// True if no stage ever activates.
-    pub fn is_clean(&self) -> bool {
-        self.stages.is_empty()
-    }
-
     /// Lower the script onto a concrete run.
     pub fn compile(&self, ctx: &CompileContext) -> CompiledAdversary {
         let mut out = CompiledAdversary {

@@ -64,12 +64,6 @@ impl SweepOptions {
         self.threads = threads.max(1);
         self
     }
-
-    /// Enable per-cell critical-path breakdown attribution.
-    pub fn with_breakdown(mut self) -> Self {
-        self.breakdown = true;
-        self
-    }
 }
 
 /// Run the full sweep and aggregate per-point reports.
@@ -177,8 +171,8 @@ fn dump_failed_cell(telemetry: &telemetry::Telemetry, opts: &SweepOptions, label
 }
 
 /// Run the sweep, print a metric table, and write `BENCH_<scenario>.json`.
-/// This is the whole body of a figure binary.
-// Sanctioned CLI output: this function *is* the figure binary's stdout.
+/// This is what the `lab` binary does with each sweep of a scenario.
+// Sanctioned CLI output: the `lab` binary prints its tables through here.
 #[allow(clippy::print_stdout, clippy::print_stderr)]
 pub fn run_and_report(
     spec: &ScenarioSpec,
@@ -208,7 +202,7 @@ pub fn run_and_report(
 /// Run one extra traced cell (outside the sweep — `BENCH_*.json` is already
 /// written and untouched) and write its Chrome `trace_event` JSON to `path`,
 /// plus the metrics registry in Prometheus text format to `path.prom`.
-// Sanctioned CLI output: invoked only from `--trace` on figure binaries.
+// Sanctioned CLI output: invoked only from `lab`'s `--trace`.
 #[allow(clippy::print_stdout, clippy::print_stderr)]
 pub fn export_trace(spec: &ScenarioSpec, path: &std::path::Path) -> std::io::Result<()> {
     let Some(traced) = spec.run_cell_traced() else {
@@ -234,9 +228,9 @@ pub fn export_trace(spec: &ScenarioSpec, path: &std::path::Path) -> std::io::Res
     Ok(())
 }
 
-/// Command-line arguments shared by every experiment binary: positional
-/// numeric overrides (as before) plus `--threads N`, `--seeds N`, `--out DIR`
-/// and `--no-json`.
+/// The command-line arguments after a `lab` scenario name: positional
+/// numeric overrides plus `--threads N`, `--seeds N`, `--out DIR`,
+/// `--no-json`, `--trace FILE` and `--breakdown`.
 #[derive(Debug, Clone)]
 pub struct LabArgs {
     positionals: Vec<u64>,
@@ -254,11 +248,6 @@ pub struct LabArgs {
 }
 
 impl LabArgs {
-    /// Parse `std::env::args()`.
-    pub fn parse() -> Self {
-        Self::from_iter(std::env::args().skip(1))
-    }
-
     /// Parse from an explicit argument list (testable).
     #[allow(clippy::should_implement_trait)] // parses CLI words, not a collection
     pub fn from_iter(args: impl IntoIterator<Item = String>) -> Self {
@@ -308,7 +297,7 @@ impl LabArgs {
     }
 
     /// The `idx`-th positional argument, counted from 1 (the first argument
-    /// after the program name).
+    /// after the scenario name).
     pub fn pos_or(&self, idx: usize, default: u64) -> u64 {
         self.positionals.get(idx - 1).copied().unwrap_or(default)
     }

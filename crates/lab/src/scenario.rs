@@ -590,18 +590,16 @@ impl ProtocolScenario {
     /// breakdown to the cell metrics (the `--breakdown` sweep mode).
     ///
     /// End-to-end latency only exists where clients do: a scenario running
-    /// the saturated workload (no traffic axis) gets the same default
-    /// open-loop load [`ScenarioSpec::run_cell_traced`] injects, so every
-    /// sweep has a commit path to attribute. Per-cell sinks are
+    /// the saturated workload (no traffic axis) gets the same `probe_load`
+    /// that [`ScenarioSpec::run_cell_traced`] injects, so every sweep has a
+    /// commit path to attribute. Per-cell sinks are
     /// thread-independent, so breakdown-bearing BENCH json stays
     /// byte-identical across `--threads`.
     pub fn run_cell_breakdown(&self, point: &Point, seed: u64) -> CellMetrics {
         let telemetry = Telemetry::tracing();
         let mut metrics = if self.traffics.is_empty() {
             let mut loaded = self.clone();
-            loaded.traffics = vec![TrafficSpec::poisson(300.0)
-                .with_clients(16)
-                .with_batching(60, Duration::from_millis(40))];
+            loaded.traffics = vec![probe_load()];
             let mut point = point.clone();
             point.idx.push(0);
             loaded.run_cell_with(&point, seed, &telemetry)
@@ -612,6 +610,15 @@ impl ProtocolScenario {
         append_breakdown_metrics(&mut metrics, &paths, &self.windows);
         metrics
     }
+}
+
+/// The open-loop load injected into a saturated-workload scenario whenever a
+/// cell needs clients to observe (`--breakdown` cells and the `--trace`
+/// cell): Poisson 300 cmd/s from 16 clients, batches of 60 or 40 ms.
+fn probe_load() -> TrafficSpec {
+    TrafficSpec::poisson(300.0)
+        .with_clients(16)
+        .with_batching(60, Duration::from_millis(40))
 }
 
 /// The metrics path every family shares: the six consensus-side summary
@@ -1107,9 +1114,7 @@ impl ScenarioSpec {
         };
         let mut traced = proto.clone();
         if traced.traffics.is_empty() {
-            traced.traffics = vec![TrafficSpec::poisson(300.0)
-                .with_clients(16)
-                .with_batching(60, Duration::from_millis(40))];
+            traced.traffics = vec![probe_load()];
         }
         let points = traced.points();
         // Prefer an OptiTree cell — the paper's protagonist, and the one

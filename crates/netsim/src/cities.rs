@@ -214,18 +214,6 @@ impl CityDataset {
         m
     }
 
-    /// RTT matrix restricted to a subset of city indices, in subset order.
-    pub fn subset_rtt_matrix_ms(&self, subset: &[usize]) -> Vec<f64> {
-        let n = subset.len();
-        let mut m = vec![0.0; n * n];
-        for (i, &a) in subset.iter().enumerate() {
-            for (j, &b) in subset.iter().enumerate() {
-                m[i * n + j] = self.rtt_ms(a, b);
-            }
-        }
-        m
-    }
-
     fn take_from_region(&self, region: Region, count: usize) -> Vec<usize> {
         let idx = self.region_indices(region);
         assert!(
@@ -434,15 +422,6 @@ mod tests {
         assert_eq!(sorted.len(), 40, "cities must be distinct");
         assert!(assign.iter().all(|c| subset.contains(c)));
         assert_eq!(ds.assign_distinct(&subset, 40, 9), assign);
-    }
-
-    #[test]
-    fn subset_rtt_matrix_matches_pairwise() {
-        let ds = CityDataset::worldwide();
-        let subset = ds.europe21();
-        let m = ds.subset_rtt_matrix_ms(&subset);
-        assert_eq!(m.len(), 21 * 21);
-        assert_eq!(m[1], ds.rtt_ms(subset[0], subset[1])); // row 0, col 1
     }
 
     #[test]

@@ -97,11 +97,6 @@ impl MatrixLatency {
     pub fn set(&mut self, from: NodeId, to: NodeId, one_way: Duration) {
         self.matrix[from * self.n + to] = one_way;
     }
-
-    /// One-way latency in milliseconds as a float (for scoring code).
-    pub fn millis(&self, from: NodeId, to: NodeId) -> f64 {
-        self.latency(from, to).as_millis_f64()
-    }
 }
 
 impl LatencyModel for MatrixLatency {
@@ -175,19 +170,6 @@ impl LatencyModel for GeoLatency {
     }
 }
 
-/// Extract the full one-way latency matrix (in milliseconds) from any model.
-/// Protocol-side scoring code (Aware, OptiTree) works on this snapshot.
-pub fn snapshot_millis(model: &dyn LatencyModel) -> Vec<f64> {
-    let n = model.len();
-    let mut out = vec![0.0; n * n];
-    for a in 0..n {
-        for b in 0..n {
-            out[a * n + b] = model.latency(a, b).as_millis_f64();
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,14 +218,5 @@ mod tests {
         assert!(geo.latency(0, 1) < geo.latency(0, 2));
         assert_eq!(geo.latency(1, 1), Duration::ZERO);
         assert_eq!(geo.len(), 3);
-    }
-
-    #[test]
-    fn snapshot_matches_model() {
-        let m = UniformLatency::new(3, Duration::from_millis(7));
-        let snap = snapshot_millis(&m);
-        assert_eq!(snap.len(), 9);
-        assert_eq!(snap[1], 7.0); // row 0, col 1
-        assert_eq!(snap[2 * 3 + 2], 0.0);
     }
 }

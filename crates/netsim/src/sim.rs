@@ -17,7 +17,7 @@
 use crate::event::EventKind;
 use crate::faults::FaultPlan;
 use crate::latency::LatencyModel;
-use crate::sched::{EngineProfile, EventHandle, EventScheduler, TimerWheel};
+use crate::sched::{EventHandle, EventScheduler, TimerWheel};
 use crate::time::SimTime;
 use std::collections::HashMap;
 
@@ -170,11 +170,6 @@ impl<N: Node, S: EventScheduler<N::Msg>> Simulation<N, S> {
         &self.nodes[id]
     }
 
-    /// Mutable access to a node (e.g. to reconfigure between phases).
-    pub fn node_mut(&mut self, id: NodeId) -> &mut N {
-        &mut self.nodes[id]
-    }
-
     /// Iterate over all nodes.
     pub fn nodes(&self) -> impl Iterator<Item = &N> {
         self.nodes.iter()
@@ -207,13 +202,6 @@ impl<N: Node, S: EventScheduler<N::Msg>> Simulation<N, S> {
     /// Number of events currently pending in the scheduler.
     pub fn pending_events(&self) -> usize {
         self.sched.len()
-    }
-
-    /// The scheduler's engine profiling counters (cascades, slab occupancy,
-    /// queue-depth high-water). Deterministic — a function of the event
-    /// sequence only.
-    pub fn engine_profile(&self) -> EngineProfile {
-        self.sched.profile()
     }
 
     /// Events processed per virtual second; index `i` covers `[i, i+1)`

@@ -20,7 +20,7 @@
 //! the identical committed pair sequence, the exclusion decisions converge
 //! without trusting any replica's private blame.
 
-use crate::score::{tree_score, tree_timeouts};
+use crate::score::tree_timeouts;
 use crate::search::{search_tree, TreeSearchSpace};
 use kauri::{Tree, TreePolicy};
 use runtime::Duration;
@@ -373,14 +373,10 @@ impl TreePolicy for KauriSaPolicy {
     }
 }
 
-/// Score a policy-produced tree with Definition 1 (helper for harnesses).
-pub fn score_tree(tree: &Tree, matrix_rtt_ms: &[f64], n: usize, k: usize) -> f64 {
-    tree_score(tree, matrix_rtt_ms, n, k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::score::tree_score;
 
     fn clustered(n: usize, cluster: usize) -> Vec<f64> {
         let mut m = vec![0.0; n * n];

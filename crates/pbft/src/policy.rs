@@ -16,7 +16,7 @@
 //! may turn into measurement blobs), so identical logs yield identical
 //! decisions at every replica.
 
-use crate::score::{optimize_configuration, predict_round_latency};
+use crate::score::optimize_configuration;
 use crate::weights::WeightConfig;
 use runtime::{Duration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -271,12 +271,6 @@ impl ReconfigPolicy for AwarePolicy {
     fn name(&self) -> &'static str {
         "aware"
     }
-}
-
-/// Score a configuration the same way [`AwarePolicy`] would — exposed so
-/// other policies (OptiAware) and harnesses can reuse it.
-pub fn score_config(matrix: &[f64], n: usize, f: usize, config: &WeightConfig) -> f64 {
-    predict_round_latency(matrix, n, f, config, &[])
 }
 
 #[cfg(test)]

@@ -56,25 +56,9 @@ impl SystemConfig {
         self.n - self.f
     }
 
-    /// The `2f + 1` quorum used by PBFT-style protocols when `n = 3f + 1`.
-    /// For larger `n` this still returns `n - f`, the intersection-safe size.
-    pub fn byzantine_quorum(&self) -> usize {
-        self.quorum()
-    }
-
-    /// Number of matching replies a client must collect (`f + 1`).
-    pub fn reply_quorum(&self) -> usize {
-        self.f + 1
-    }
-
     /// All replica ids.
     pub fn replicas(&self) -> impl Iterator<Item = usize> {
         0..self.n
-    }
-
-    /// Round-robin leader for a view.
-    pub fn round_robin_leader(&self, view: u64) -> usize {
-        (view % self.n as u64) as usize
     }
 
     /// Branch factor used for height-3 trees, `b = (sqrt(4n-3) - 1) / 2`
@@ -94,7 +78,6 @@ mod tests {
         let c = SystemConfig::new(4);
         assert_eq!(c.f, 1);
         assert_eq!(c.quorum(), 3);
-        assert_eq!(c.reply_quorum(), 2);
 
         let c = SystemConfig::new(21);
         assert_eq!(c.f, 6);
@@ -121,14 +104,6 @@ mod tests {
     #[should_panic(expected = "at least 4")]
     fn too_small_system_rejected() {
         SystemConfig::new(3);
-    }
-
-    #[test]
-    fn round_robin_rotates() {
-        let c = SystemConfig::new(4);
-        assert_eq!(c.round_robin_leader(0), 0);
-        assert_eq!(c.round_robin_leader(5), 1);
-        assert_eq!(c.round_robin_leader(7), 3);
     }
 
     #[test]

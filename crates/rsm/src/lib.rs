@@ -3,12 +3,12 @@
 //! The OptiLog paper describes its framework as an extension of a *generic*
 //! RSM (Fig 1): clients submit commands, a consensus engine replicates them
 //! into an append-only log, and the application executes committed commands.
-//! This crate provides the protocol-agnostic pieces shared by every consensus
-//! implementation in the workspace:
+//! The reproduction stops at the log: replicas order and commit command
+//! batches, and the harnesses measure when they commit, but no state machine
+//! executes them. This crate provides the protocol-agnostic pieces shared by
+//! every consensus implementation in the workspace:
 //!
 //! * [`Command`], [`Block`] — client commands and the batches protocols agree on.
-//! * [`Application`] — the state machine executing committed commands
-//!   ([`KvApp`], [`CounterApp`], [`NullApp`] are provided).
 //! * [`AppendLog`] — the ordered log of committed entries.
 //! * [`SystemConfig`] — `n`, `f`, quorum sizes, and the δ timer multiplier.
 //! * [`CommitStats`] — throughput and consensus-latency collection used by the
@@ -28,7 +28,6 @@
 //!   same report shape in the simulator and over real sockets.
 
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
-pub mod app;
 pub mod block;
 pub mod cluster;
 pub mod config;
@@ -37,7 +36,6 @@ pub mod misbehavior;
 pub mod stats;
 pub mod workload;
 
-pub use app::{Application, CounterApp, KvApp, NullApp};
 pub use block::{Block, Command};
 pub use cluster::{Cluster, RunReport};
 pub use config::SystemConfig;

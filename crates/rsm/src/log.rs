@@ -6,7 +6,6 @@
 //! numbers and can never be mutated or removed, which is what lets monitors
 //! at different replicas derive identical metrics from identical prefixes.
 
-use crypto::{Digest, Hashable};
 use serde::{Deserialize, Serialize};
 
 /// A committed log entry.
@@ -70,17 +69,6 @@ impl<T> AppendLog<T> {
     }
 }
 
-impl<T: Hashable> AppendLog<T> {
-    /// A digest of the whole log prefix, for cross-replica consistency checks.
-    pub fn prefix_digest(&self) -> Digest {
-        let mut acc = Digest::of(b"log");
-        for e in &self.entries {
-            acc = Digest::of_parts(&[&acc.0, &e.seq.to_le_bytes(), &e.value.digest().0]);
-        }
-        acc
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,21 +100,5 @@ mod tests {
         }
         let tail: Vec<u32> = log.iter_from(7).map(|e| e.value).collect();
         assert_eq!(tail, vec![7, 8, 9]);
-    }
-
-    #[test]
-    fn prefix_digest_is_order_sensitive() {
-        let mut a = AppendLog::new();
-        let mut b = AppendLog::new();
-        a.append(b"x".to_vec());
-        a.append(b"y".to_vec());
-        b.append(b"y".to_vec());
-        b.append(b"x".to_vec());
-        assert_ne!(a.prefix_digest(), b.prefix_digest());
-
-        let mut c = AppendLog::new();
-        c.append(b"x".to_vec());
-        c.append(b"y".to_vec());
-        assert_eq!(a.prefix_digest(), c.prefix_digest());
     }
 }

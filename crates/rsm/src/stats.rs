@@ -129,11 +129,6 @@ impl CommitStats {
         self.latency.mean()
     }
 
-    /// Consensus-latency histogram (mutable access for percentile queries).
-    pub fn latency_histogram(&mut self) -> &mut Histogram {
-        &mut self.latency
-    }
-
     /// Latency timeline: (commit time in seconds, latency in ms).
     pub fn latency_timeline(&self) -> &TimeSeries {
         &self.latency_timeline

@@ -230,13 +230,6 @@ impl TrafficSpec {
         self
     }
 
-    /// Override the client retry bound for dropped batches (0 = dropped
-    /// batches are lost, the pre-retry behaviour).
-    pub fn with_retries(mut self, max_retries: u32) -> Self {
-        self.max_retries = max_retries;
-        self
-    }
-
     /// Label for sweep-axis names, e.g. `poisson@2000`.
     pub fn label(&self) -> String {
         self.arrivals.label()

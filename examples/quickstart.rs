@@ -1,4 +1,4 @@
-//! Quickstart: replicate a key-value store with the PBFT substrate over a
+//! Quickstart: run the PBFT substrate with its static policy over a
 //! simulated European deployment, then inspect throughput and latency.
 //!
 //! Run with: `cargo run --example quickstart`
@@ -6,8 +6,6 @@
 use lab::harness::{colocated_latency, run};
 use netsim::{CityDataset, Duration, FaultPlan};
 use pbft::{PbftConfig, StaticPolicy};
-use rsm::{Application, Command, KvApp};
-use rsm::app::KvOp;
 
 fn main() {
     // 1. Build a latency matrix for 7 replicas placed in European cities.
@@ -44,25 +42,4 @@ fn main() {
     for (i, done) in report.roles.client_completed.iter().enumerate() {
         println!("client {i}: {done} requests completed");
     }
-
-    // 3. The replicated application itself is pluggable; here is the same
-    //    key-value state machine executing a committed command sequence
-    //    directly (every replica runs this deterministically).
-    let mut app = KvApp::new();
-    for (i, (key, value)) in [("region", "europe"), ("replicas", "7"), ("protocol", "pbft")]
-        .iter()
-        .enumerate()
-    {
-        let cmd = Command::new(
-            0,
-            i as u64,
-            KvOp::Put {
-                key: (*key).into(),
-                value: (*value).into(),
-            }
-            .encode(),
-        );
-        app.execute(&cmd);
-    }
-    println!("replicated store holds {} keys, digest {}", app.len(), app.state_digest());
 }
