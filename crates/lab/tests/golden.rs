@@ -64,7 +64,8 @@ fn cell_with(
     spec.run_cell(&points[0], SEED)
 }
 
-/// The five golden cells, run once per test process.
+/// The golden cells, run once per test process. A new cell goes last:
+/// tests below pick cells by position.
 fn cells() -> &'static [(&'static str, CellMetrics)] {
     static CELLS: OnceLock<Vec<(&'static str, CellMetrics)>> = OnceLock::new();
     CELLS.get_or_init(|| {
@@ -80,6 +81,7 @@ fn cells() -> &'static [(&'static str, CellMetrics)] {
             ),
             ("Kauri", cell(Substrate::Kauri, Target::Root, 2_500)),
             ("OptiTree", cell(Substrate::OptiTree, Target::Root, 2_500)),
+            ("Aware", cell(Substrate::Aware, Target::OptimizedLeader, 400)),
         ]
     })
 }
