@@ -12,7 +12,7 @@
 //! criterion benches use.
 
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
-pub use lab::{ci95, mean, Deployment};
+pub use lab::Deployment;
 
 use lab::{
     sample_seeds, AdversaryScript, Attack, CandidateTimingScenario, LabArgs, LatencyWindow,
@@ -697,47 +697,4 @@ pub fn load_attack_spec(run_secs: u64, n: usize, seeds: Vec<u64>) -> ScenarioSpe
         LatencyWindow::new("recovered", until_s + 5.0, run_secs as f64),
     ];
     ScenarioSpec::new("load_attack", seeds, ScenarioKind::Protocol(scenario))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn deployments_produce_square_matrices() {
-        for d in [
-            Deployment::Europe21,
-            Deployment::NaEu43,
-            Deployment::Stellar56,
-            Deployment::Global73,
-        ] {
-            let n = d.default_n();
-            let m = d.rtt_matrix(n, 0);
-            assert_eq!(m.len(), n * n);
-            assert_eq!(m[0], 0.0);
-            assert!(m.iter().all(|&x| x.is_finite()));
-        }
-    }
-
-    #[test]
-    fn europe_is_faster_than_global() {
-        let e = Deployment::Europe21.rtt_matrix(21, 0);
-        let g = Deployment::Global73.rtt_matrix(73, 0);
-        assert!(mean(&e) < mean(&g));
-    }
-
-    #[test]
-    fn world_random_is_seed_dependent() {
-        let a = Deployment::WorldRandom.rtt_matrix(50, 1);
-        let b = Deployment::WorldRandom.rtt_matrix(50, 2);
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn stats_helpers() {
-        assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-        assert_eq!(mean(&[]), 0.0);
-        assert!(ci95(&[1.0, 2.0, 3.0, 4.0]) > 0.0);
-        assert_eq!(ci95(&[5.0]), 0.0);
-    }
 }

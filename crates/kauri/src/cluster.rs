@@ -164,7 +164,7 @@ impl<F: Fn(usize) -> Box<dyn TreePolicy>> Cluster for KauriCluster<F> {
             latency_timeline.extend_from_slice(node.stats.latency_timeline().points());
             for (slot, &c) in throughput_timeline
                 .iter_mut()
-                .zip(node.throughput.buckets())
+                .zip(node.stats.throughput_buckets())
             {
                 *slot += c;
             }

@@ -48,7 +48,7 @@ use crate::tree::Tree;
 use configlog::{ConfigCommand, ConfigLog, PhaseFilter, SuspicionPair};
 use crypto::{Digest, Hashable};
 use rsm::{misbehavior, Block, BlockSource, CommitStats, DelayStage, SystemConfig};
-use runtime::{Context, Duration, Node, NodeId, RateCounter, SimTime, TimerId};
+use runtime::{Context, Duration, Node, NodeId, SimTime, TimerId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -263,8 +263,6 @@ pub struct KauriNode {
 
     /// Commit statistics (recorded at the root that proposed the view).
     pub stats: CommitStats,
-    /// Committed commands per second (for throughput timelines, Fig 15).
-    pub throughput: RateCounter,
     /// Times at which this replica switched trees.
     pub reconfig_times: Vec<SimTime>,
 }
@@ -319,7 +317,6 @@ impl KauriNode {
             last_stale_upstream: None,
             telemetry: Telemetry::disabled(),
             stats: CommitStats::new(),
-            throughput: RateCounter::new(Duration::from_secs(1)),
             reconfig_times: Vec::new(),
         }
     }
@@ -405,10 +402,6 @@ impl KauriNode {
 
     fn is_root(&self) -> bool {
         self.tree.root == self.id
-    }
-
-    fn vote_threshold(&self) -> usize {
-        self.policy.vote_threshold(&self.system).min(self.system.n)
     }
 
     fn progress_window(&self) -> Duration {
@@ -1015,7 +1008,7 @@ impl KauriNode {
         view: u64,
         voters: impl IntoIterator<Item = usize>,
     ) {
-        let threshold = self.vote_threshold();
+        let threshold = self.system.quorum();
         let Some(state) = self.views.get_mut(&view) else {
             return;
         };
@@ -1025,7 +1018,6 @@ impl KauriNode {
             let (ts, commands, batch_id) = (state.proposal_ts, state.commands, state.batch_id);
             self.commit_config_payload(ctx, state.cmds);
             self.stats.record_commit(ts, ctx.now, commands);
-            self.throughput.record(ctx.now, commands as u64);
             self.telemetry.span(
                 Stage::Commit,
                 self.id,

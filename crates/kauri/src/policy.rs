@@ -4,7 +4,7 @@
 //! random order and falls back to a star after `t` failures. OptiTree (in the
 //! `optitree` crate) implements the same trait but selects trees with
 //! simulated annealing over the latency matrix, restricted to the OptiLog
-//! candidate set, and adjusts the vote threshold by the fault estimate `u`.
+//! candidate set, and provisions each tree for the fault estimate `u`.
 
 use crate::tree::{conformity_bins, Tree};
 use configlog::SuspicionPair;
@@ -12,17 +12,11 @@ use runtime::Duration;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rsm::SystemConfig;
 
-/// How the protocol obtains trees and failure thresholds.
+/// How the protocol obtains trees and failure timeouts.
 pub trait TreePolicy: Send {
     /// The next tree to try (called at start and after every failure).
     fn next_tree(&mut self, n: usize, b: usize) -> Tree;
-
-    /// Votes the root must collect before committing a view.
-    fn vote_threshold(&self, system: &SystemConfig) -> usize {
-        system.quorum()
-    }
 
     /// How long an intermediate node waits for its children before
     /// aggregating without them.
@@ -57,9 +51,6 @@ pub trait TreePolicy: Send {
     fn excluded(&self) -> Vec<usize> {
         Vec::new()
     }
-
-    /// Short label for reports.
-    fn name(&self) -> &'static str;
 }
 
 /// Kauri's native policy: iterate the conformity bins in a random order and
@@ -109,10 +100,6 @@ impl TreePolicy for KauriBinsPolicy {
     }
 
     fn on_view_failure(&mut self, _missing: &[usize]) {}
-
-    fn name(&self) -> &'static str {
-        "kauri"
-    }
 }
 
 #[cfg(test)]
@@ -140,13 +127,6 @@ mod tests {
             assert!(!p.next_tree(n, b).is_star());
         }
         assert!(p.next_tree(n, b).is_star(), "after t trials Kauri reverts to a star");
-    }
-
-    #[test]
-    fn default_threshold_is_quorum() {
-        let p = KauriBinsPolicy::new(21, 4, 0);
-        assert_eq!(p.vote_threshold(&SystemConfig::new(21)), 15);
-        assert_eq!(p.name(), "kauri");
     }
 
     #[test]

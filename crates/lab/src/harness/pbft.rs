@@ -4,7 +4,8 @@
 
 use super::{colocated_latency, run};
 use netsim::{Duration, FaultPlan, SimTime};
-use pbft::{AwarePolicy, PbftConfig, PbftRoles, ReconfigPolicy, StaticPolicy};
+use optiaware::OptiAwarePolicy;
+use pbft::{PbftConfig, PbftRoles, ReconfigPolicy, StaticPolicy};
 use rsm::RunReport;
 
 /// A 4-replica matrix with a fast cluster {1,2,3} and a slow replica 0.
@@ -44,7 +45,7 @@ fn static_run_commits_requests() {
 #[test]
 fn aware_reconfigures_away_from_slow_leader() {
     let config = PbftConfig::new(4, 1, 2, |_| {
-        Box::new(AwarePolicy::new(4, 1, SimTime::from_secs(15)))
+        Box::new(OptiAwarePolicy::aware(4, 1, SimTime::from_secs(15)))
     })
     .run_for(Duration::from_secs(60));
     let report = run_skewed(&config);

@@ -366,6 +366,9 @@ mod tests {
         assert_eq!(s.p50, 30.0);
         assert_eq!(s.max, 50.0);
         assert!(s.ci95 > 0.0);
+        let one = MetricSummary::of(&[5.0]);
+        assert_eq!(one.mean, 5.0);
+        assert_eq!(one.ci95, 0.0);
         let empty = MetricSummary::of(&[]);
         assert_eq!(empty.mean, 0.0);
         assert_eq!(empty.max, 0.0);

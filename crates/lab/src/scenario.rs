@@ -27,7 +27,7 @@ use optitree::{
     search_tree, simulate_suspicion_attack, tree_score, AttackVariant, KauriSaPolicy,
     OptiTreePolicy, TreeSearchSpace,
 };
-use pbft::{AwarePolicy, PbftConfig, ReconfigPolicy, StaticPolicy};
+use pbft::{PbftConfig, ReconfigPolicy, StaticPolicy};
 use rand::rngs::StdRng;
 use rand::seq::index;
 use rand::{Rng, SeedableRng};
@@ -145,8 +145,8 @@ impl Substrate {
     ) -> Box<dyn ReconfigPolicy> {
         match self {
             Substrate::BftSmart => Box::new(StaticPolicy),
-            Substrate::Aware => Box::new(AwarePolicy::new(n, f, optimize_after)),
-            Substrate::OptiAware => Box::new(OptiAwarePolicy::new(id, n, f, 1.0, optimize_after)),
+            Substrate::Aware => Box::new(OptiAwarePolicy::aware(n, f, optimize_after)),
+            Substrate::OptiAware => Box::new(OptiAwarePolicy::new(id, n, f, optimize_after)),
             other => panic!("{} is not a PBFT substrate", other.label()),
         }
     }

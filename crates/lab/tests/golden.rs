@@ -81,7 +81,10 @@ fn cells() -> &'static [(&'static str, CellMetrics)] {
             ),
             ("Kauri", cell(Substrate::Kauri, Target::Root, 2_500)),
             ("OptiTree", cell(Substrate::OptiTree, Target::Root, 2_500)),
-            ("Aware", cell(Substrate::Aware, Target::OptimizedLeader, 400)),
+            (
+                "Aware",
+                cell(Substrate::Aware, Target::OptimizedLeader, 400),
+            ),
         ]
     })
 }

@@ -78,10 +78,6 @@ impl ReconfigPolicy for Observed {
         self.out.lock().expect("no observer panicked")[self.id] = self.seen;
         decision
     }
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
 }
 
 #[test]
@@ -95,7 +91,7 @@ fn optiaware_searches_on_log_events_not_on_commits() {
     let mut config = PbftConfig::new(n, f, 2, |id| {
         Box::new(Observed {
             id,
-            inner: OptiAwarePolicy::new(id, n, f, 1.0, SimTime::from_secs(2)),
+            inner: OptiAwarePolicy::new(id, n, f, SimTime::from_secs(2)),
             matrix: LatencyMonitor::new(n),
             last_epoch: None,
             seen: Seen::default(),

@@ -18,6 +18,11 @@
 //!   loses the leader role and its `V_max` weight at the next
 //!   reconfiguration — which is exactly the recovery Fig 7 shows.
 //!
+//! Aware is this policy without the sensor ([`OptiAwarePolicy::aware`]). It
+//! replicates and folds the same latency vectors and runs the same search
+//! and improvement rule, but judges no round and ignores committed
+//! suspicions, so every replica stays a candidate.
+//!
 //! The substrate calls `decide` after every commit, but the monitors are
 //! functions of *committed* measurements, so the answer can only change when
 //! the log delivers a latency vector that changes the matrix, a suspicion
@@ -41,6 +46,12 @@ use std::collections::BTreeMap;
 /// window are skipped (they are also long past their observation hold, so
 /// this only bounds memory).
 const EPOCH_HISTORY: usize = 4;
+
+/// The sensor's δ: the factor its per-message deadlines and the round
+/// duration are scaled by. Every deployment runs at 1, so a message is late
+/// once it misses its predicted arrival by more than
+/// [`optilog::DEADLINE_SLACK`].
+const DELTA: f64 = 1.0;
 
 /// Measurement blobs OptiAware replicates through the ordered log.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -83,13 +94,15 @@ struct Search {
 }
 
 /// The OptiAware reconfiguration policy: Aware's optimisation plus OptiLog's
-/// suspicion monitoring.
+/// suspicion monitoring. Without its sensor it is Aware.
 pub struct OptiAwarePolicy {
-    id: usize,
     n: usize,
     f: usize,
     latency: LatencyMonitor,
-    sensor: SuspicionSensor,
+    /// Judges this replica's committed rounds and reciprocates suspicions
+    /// against it. `None` for Aware, which raises no suspicions and keeps
+    /// committed ones out of `monitor`.
+    sensor: Option<SuspicionSensor>,
     monitor: SuspicionMonitor,
     current_config: WeightConfig,
     /// The replicated configuration log: the epoch → configuration history
@@ -124,14 +137,28 @@ pub struct OptiAwarePolicy {
 }
 
 impl OptiAwarePolicy {
-    /// Create the policy for replica `id` of an `n`-replica system.
-    pub fn new(id: usize, n: usize, f: usize, delta: f64, optimize_after: SimTime) -> Self {
+    /// The OptiAware policy for replica `id` of an `n`-replica system.
+    pub fn new(id: usize, n: usize, f: usize, optimize_after: SimTime) -> Self {
+        Self::with_sensor(n, f, Some(SuspicionSensor::new(id, DELTA)), optimize_after)
+    }
+
+    /// The Aware policy for an `n`-replica system: OptiAware without the
+    /// suspicion sensor. Nothing it does depends on which replica runs it.
+    pub fn aware(n: usize, f: usize, optimize_after: SimTime) -> Self {
+        Self::with_sensor(n, f, None, optimize_after)
+    }
+
+    fn with_sensor(
+        n: usize,
+        f: usize,
+        sensor: Option<SuspicionSensor>,
+        optimize_after: SimTime,
+    ) -> Self {
         OptiAwarePolicy {
-            id,
             n,
             f,
             latency: LatencyMonitor::new(n),
-            sensor: SuspicionSensor::new(id, delta),
+            sensor,
             // The monitor's clock counts *actual leader terms* (configuration
             // epoch changes stamped on every `PbftRoundRecord` and mirrored
             // by `decide`'s `current_epoch`), so the paper's windows apply
@@ -206,15 +233,15 @@ impl OptiAwarePolicy {
         };
     }
 
-    /// Derive the per-message timeouts and round duration for `config` from
-    /// the shared latency matrix (TR1–TR3).
-    fn round_timeouts_for(&self, config: &WeightConfig) -> RoundTimeouts {
+    /// Derive replica `id`'s per-message timeouts and the round duration for
+    /// `config` from the shared latency matrix (TR1–TR3).
+    fn round_timeouts_for(&self, id: usize, config: &WeightConfig) -> RoundTimeouts {
         if !self.matrix_complete() {
             return RoundTimeouts::default();
         }
         let matrix = self.latency.matrix().as_slice();
         let d_rnd = predict_round_latency(matrix, self.n, self.f, config, &[]);
-        let messages = predict_message_delays(matrix, self.n, self.f, config, self.id)
+        let messages = predict_message_delays(matrix, self.n, self.f, config, id)
             .into_iter()
             .map(|(from, kind, ms)| MessageTimeout::new(from, kind, Duration::from_millis_f64(ms)))
             .collect();
@@ -223,27 +250,31 @@ impl OptiAwarePolicy {
 
     /// Rebuild the per-epoch timeout cache and the worst-case hold. Called
     /// whenever a committed vector changes the latency matrix or the config
-    /// set changes.
+    /// set changes. The timeouts exist to judge rounds, so without a sensor
+    /// the cache stays empty and the hold zero.
     fn rebuild_timeout_caches(&mut self) {
+        let Some(id) = self.sensor.as_ref().map(|sensor| sensor.id) else {
+            return;
+        };
         self.timeouts_cache = self
             .config_log
             .epochs()
-            .map(|a| (a.epoch, self.round_timeouts_for(&a.config)))
+            .map(|a| (a.epoch, self.round_timeouts_for(id, &a.config)))
             .collect();
         self.cached_hold = self
             .timeouts_cache
             .values()
-            .map(|t| self.hold_for(t))
+            .map(Self::hold_for)
             .max()
             .unwrap_or(Duration::ZERO);
     }
 
     /// The slowest δ-scaled per-message deadline plus slack.
-    fn hold_for(&self, timeouts: &RoundTimeouts) -> Duration {
+    fn hold_for(timeouts: &RoundTimeouts) -> Duration {
         let slowest = timeouts
             .messages
             .iter()
-            .map(|mt| mt.deadline(self.sensor.delta))
+            .map(|mt| mt.deadline(DELTA))
             .max()
             .unwrap_or(Duration::ZERO);
         slowest + optilog::DEADLINE_SLACK + optilog::DEADLINE_SLACK
@@ -274,6 +305,10 @@ impl ReconfigPolicy for OptiAwarePolicy {
     }
 
     fn on_round(&mut self, record: &PbftRoundRecord) -> Vec<Vec<u8>> {
+        // Aware judges no round.
+        let Some(sensor) = self.sensor.as_mut() else {
+            return Vec::new();
+        };
         // Judge the round against the configuration it was proposed under.
         // Rounds from epochs the log no longer retains cannot be judged
         // fairly.
@@ -309,8 +344,8 @@ impl ReconfigPolicy for OptiAwarePolicy {
             timeouts,
             arrivals: &record.arrivals,
         };
-        let is_leader = record.leader == self.id;
-        self.sensor
+        let is_leader = record.leader == sensor.id;
+        sensor
             .evaluate_round(&obs, is_leader)
             .into_iter()
             .map(|s| OptiAwareBlob::Suspicion(s).encode())
@@ -331,9 +366,13 @@ impl ReconfigPolicy for OptiAwarePolicy {
                 Vec::new()
             }
             OptiAwareBlob::Suspicion(s) => {
+                // Aware neither monitors nor reciprocates suspicions.
+                let Some(sensor) = self.sensor.as_mut() else {
+                    return Vec::new();
+                };
                 self.monitor.on_suspicion(&s);
                 // Condition (c): reciprocate suspicions raised against us.
-                self.sensor
+                sensor
                     .reciprocate(&s)
                     .map(|r| vec![OptiAwareBlob::Suspicion(r).encode()])
                     .unwrap_or_default()
@@ -385,10 +424,6 @@ impl ReconfigPolicy for OptiAwarePolicy {
         self.rebuild_timeout_caches();
         Some(config)
     }
-
-    fn name(&self) -> &'static str {
-        "optiaware"
-    }
 }
 
 #[cfg(test)]
@@ -414,14 +449,18 @@ mod tests {
             .collect()
     }
 
+    fn feed_row(p: &mut OptiAwarePolicy, reporter: usize, row: &[f64]) {
+        let blob = OptiAwareBlob::Latency {
+            reporter,
+            rtt_ms: row.to_vec(),
+        }
+        .encode();
+        p.on_committed_measurement(0, &blob);
+    }
+
     fn feed_matrix(p: &mut OptiAwarePolicy, rows: &[Vec<f64>]) {
         for (r, row) in rows.iter().enumerate() {
-            let blob = OptiAwareBlob::Latency {
-                reporter: r,
-                rtt_ms: row.clone(),
-            }
-            .encode();
-            p.on_committed_measurement(0, &blob);
+            feed_row(p, r, row);
         }
     }
 
@@ -443,10 +482,113 @@ mod tests {
         assert!(OptiAwareBlob::decode(b"garbage").is_none());
     }
 
+    /// A probe round that heard nothing from a replica reports ∞; the blob
+    /// carries it as the 1e9 sentinel, so the JSON stays valid.
+    #[test]
+    fn infinite_rtt_roundtrips_as_sentinel() {
+        let mut p = OptiAwarePolicy::aware(4, 1, SimTime::ZERO);
+        let blobs = p.on_latency_vector(2, &[10.0, 20.0, 0.0, f64::INFINITY]);
+        assert_eq!(blobs.len(), 1);
+        match OptiAwareBlob::decode(&blobs[0]) {
+            Some(OptiAwareBlob::Latency { reporter, rtt_ms }) => {
+                assert_eq!(reporter, 2);
+                assert_eq!(rtt_ms, [10.0, 20.0, 0.0, 1.0e9]);
+            }
+            other => panic!("unexpected decode: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn aware_waits_for_complete_matrix_and_time() {
+        let n = 4;
+        let mut p = OptiAwarePolicy::aware(n, 1, SimTime::from_secs(40));
+        let rows = uniformish(n, &[0, 1, 2], 10.0, 200.0);
+        // Only two rows: the (2, 3) pair is still unknown.
+        feed_matrix(&mut p, &rows[..2]);
+        assert!(!p.matrix_complete());
+        assert!(p.decide(0, SimTime::from_secs(41)).is_none());
+        // The remaining rows complete it, but before optimize_after no decision.
+        for (r, row) in rows.iter().enumerate().skip(2) {
+            feed_row(&mut p, r, row);
+        }
+        assert!(p.matrix_complete());
+        assert!(p.decide(0, SimTime::from_secs(10)).is_none());
+        // After the measurement period the policy optimises.
+        let cfg = p.decide(0, SimTime::from_secs(41)).expect("optimises");
+        assert_eq!(cfg.epoch, 1);
+        assert!([0, 1, 2].contains(&cfg.leader), "leader in the fast cluster");
+    }
+
+    #[test]
+    fn aware_does_not_thrash_once_optimal() {
+        let n = 4;
+        let mut p = OptiAwarePolicy::aware(n, 1, SimTime::ZERO);
+        feed_matrix(&mut p, &uniformish(n, &[0, 1], 5.0, 100.0));
+        let first = p.decide(0, SimTime::from_secs(1)).expect("optimises");
+        // Same matrix under the new epoch: the improvement is below the
+        // threshold, so no further reconfiguration.
+        assert!(p.decide(first.epoch, SimTime::from_secs(2)).is_none());
+    }
+
+    /// Aware has no sensor: a committed suspicion enters no monitor and earns
+    /// no reciprocation, so Aware decides exactly as without it — where
+    /// OptiAware, fed the same log, deposes the suspected leader.
+    #[test]
+    fn aware_decides_as_if_committed_suspicions_were_absent() {
+        let n = 4;
+        let rows = uniformish(n, &[0, 1], 5.0, 80.0);
+        let mut clean = OptiAwarePolicy::aware(n, 1, SimTime::ZERO);
+        let mut suspected = OptiAwarePolicy::aware(n, 1, SimTime::ZERO);
+        let mut opti = OptiAwarePolicy::new(0, n, 1, SimTime::ZERO);
+        let firsts: Vec<_> = [&mut clean, &mut suspected, &mut opti]
+            .into_iter()
+            .map(|p| {
+                feed_matrix(p, &rows);
+                p.decide(0, SimTime::from_secs(1))
+            })
+            .collect();
+        let first = firsts[0].clone().expect("optimises");
+        assert!(firsts.iter().all(|f| f.as_ref() == Some(&first)));
+        assert_eq!(first.leader, 0);
+
+        // Replicas 1 and 2 suspect the leader, which reciprocates: two
+        // mutual pairs, enough for OptiAware to exclude replica 0.
+        for accuser in [1usize, 2] {
+            let slow = Suspicion {
+                kind: SuspicionKind::Slow,
+                accuser,
+                accused: 0,
+                round: 10,
+                phase: 1,
+                accuser_is_leader: false,
+            };
+            let blob = OptiAwareBlob::Suspicion(slow).encode();
+            assert!(suspected.on_committed_measurement(0, &blob).is_empty());
+            assert_eq!(opti.on_committed_measurement(0, &blob).len(), 1);
+            let reciprocation = Suspicion {
+                kind: SuspicionKind::False,
+                accuser: 0,
+                accused: accuser,
+                ..slow
+            };
+            let blob = OptiAwareBlob::Suspicion(reciprocation).encode();
+            assert!(suspected.on_committed_measurement(0, &blob).is_empty());
+            opti.on_committed_measurement(0, &blob);
+        }
+        let deposed = opti.decide(first.epoch, SimTime::from_secs(2));
+        assert!(deposed.is_some_and(|cfg| cfg.leader != 0));
+
+        assert_eq!(suspected.candidates(), (0..n).collect::<Vec<_>>());
+        for (epoch, secs) in [(first.epoch, 2), (first.epoch, 3), (first.epoch + 1, 4)] {
+            let at = SimTime::from_secs(secs);
+            assert_eq!(suspected.decide(epoch, at), clean.decide(epoch, at));
+        }
+    }
+
     #[test]
     fn optimises_like_aware_without_suspicions() {
         let n = 4;
-        let mut p = OptiAwarePolicy::new(1, n, 1, 1.0, SimTime::ZERO);
+        let mut p = OptiAwarePolicy::new(1, n, 1, SimTime::ZERO);
         feed_matrix(&mut p, &uniformish(n, &[1, 2, 3], 10.0, 200.0));
         let cfg = p.decide(0, SimTime::from_secs(1)).expect("optimises");
         assert!([1, 2, 3].contains(&cfg.leader));
@@ -456,7 +598,7 @@ mod tests {
     #[test]
     fn suspected_leader_is_excluded_from_roles() {
         let n = 4;
-        let mut p = OptiAwarePolicy::new(1, n, 1, 1.0, SimTime::ZERO);
+        let mut p = OptiAwarePolicy::new(1, n, 1, SimTime::ZERO);
         // Replica 0 would normally be the best leader (fastest links).
         feed_matrix(&mut p, &uniformish(n, &[0, 1], 5.0, 80.0));
         let first = p.decide(0, SimTime::from_secs(1)).expect("initial optimisation");
@@ -494,7 +636,7 @@ mod tests {
     #[test]
     fn sensor_raises_suspicion_for_delayed_proposal() {
         let n = 4;
-        let mut p = OptiAwarePolicy::new(1, n, 1, 1.0, SimTime::ZERO);
+        let mut p = OptiAwarePolicy::new(1, n, 1, SimTime::ZERO);
         feed_matrix(&mut p, &uniformish(n, &[0, 1, 2, 3], 20.0, 20.0));
         // Complete the initial optimisation so timeouts are defined.
         let cfg = p.decide(0, SimTime::from_secs(1)).expect("optimises");
@@ -537,7 +679,7 @@ mod tests {
     #[test]
     fn old_epoch_rounds_are_judged_against_their_own_config() {
         let n = 4;
-        let mut p = OptiAwarePolicy::new(1, n, 1, 1.0, SimTime::ZERO);
+        let mut p = OptiAwarePolicy::new(1, n, 1, SimTime::ZERO);
         // Replica 0 leads initially (epoch 0); the optimiser then moves the
         // leader role into the fast cluster {1, 2, 3} (epoch 1).
         feed_matrix(&mut p, &uniformish(n, &[1, 2, 3], 20.0, 200.0));
@@ -595,7 +737,7 @@ mod tests {
     fn excluded_attacker_is_not_rehabilitated_mid_run() {
         let n = 7;
         let f = 2;
-        let mut p = OptiAwarePolicy::new(1, n, f, 1.0, SimTime::ZERO);
+        let mut p = OptiAwarePolicy::new(1, n, f, SimTime::ZERO);
         // Replica 0 has the fastest links: the optimiser's natural pick.
         feed_matrix(&mut p, &uniformish(n, &[0, 1], 5.0, 80.0));
         let first = p.decide(0, SimTime::from_secs(1)).expect("optimises");
@@ -659,7 +801,7 @@ mod tests {
     #[test]
     fn quiet_terms_expire_one_edge_per_term_not_per_commit() {
         let n = 7;
-        let mut p = OptiAwarePolicy::new(1, n, 2, 1.0, SimTime::ZERO);
+        let mut p = OptiAwarePolicy::new(1, n, 2, SimTime::ZERO);
         feed_matrix(&mut p, &uniformish(n, &[0, 1], 5.0, 80.0));
         // Three reciprocated pairs: they stay in the graph until they expire.
         for (round, accuser) in [1usize, 2, 3].into_iter().enumerate() {
@@ -700,7 +842,7 @@ mod tests {
         let n = 4;
         let rows = uniformish(n, &[2, 3], 15.0, 120.0);
         let run = |id: usize| {
-            let mut p = OptiAwarePolicy::new(id, n, 1, 1.0, SimTime::ZERO);
+            let mut p = OptiAwarePolicy::new(id, n, 1, SimTime::ZERO);
             feed_matrix(&mut p, &rows);
             p.decide(0, SimTime::from_secs(5))
         };

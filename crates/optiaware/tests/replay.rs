@@ -1,22 +1,22 @@
 //! Equivalence by replay: the incremental `decide` path against itself,
 //! cold.
 //!
-//! `OptiAwarePolicy` and `AwarePolicy` answer `decide` from the output of
-//! their last configuration search unless the committed log moved a monitor
-//! revision. No uncached `decide` is kept to compare against; the oracle is
-//! a *freshly constructed* policy. One long-lived policy sees a random
-//! interleaving of committed latency vectors (changing and re-reported),
-//! Slow/False suspicions, leader terms and `decide` calls, several per
-//! commit. At every `decide` a fresh policy replays the committed prefix —
-//! the measurements, the terms, and the reconfigurations the long-lived
-//! policy decided — but none of the `decide` calls that answered `None`, so
-//! it reaches the same log position having searched and memoised next to
-//! nothing. Both must then give the same answer, call after call.
+//! `OptiAwarePolicy` — OptiAware, and Aware as the same policy without its
+//! suspicion sensor — answers `decide` from the output of its last
+//! configuration search unless the committed log moved a monitor revision.
+//! No uncached `decide` is kept to compare against; the oracle is a *freshly
+//! constructed* policy. One long-lived policy sees a random interleaving of
+//! committed latency vectors (changing and re-reported), Slow/False
+//! suspicions, leader terms and `decide` calls, several per commit. At every
+//! `decide` a fresh policy replays the committed prefix — the measurements,
+//! the terms, and the reconfigurations the long-lived policy decided — but
+//! none of the `decide` calls that answered `None`, so it reaches the same
+//! log position having searched and memoised next to nothing. Both must then
+//! give the same answer, call after call.
 
 use optiaware::{OptiAwareBlob, OptiAwarePolicy};
 use optilog::{Suspicion, SuspicionKind};
-use pbft::policy::encode_latency_blob;
-use pbft::{AwarePolicy, ReconfigPolicy, WeightConfig};
+use pbft::{ReconfigPolicy, WeightConfig};
 use proptest::prelude::*;
 use runtime::SimTime;
 
@@ -51,6 +51,11 @@ fn row(a: usize, b: usize, bump: f64) -> Vec<f64> {
         .collect()
 }
 
+/// Reporter `reporter`'s committed latency vector.
+fn vector(reporter: usize, rtt_ms: Vec<f64>) -> Step {
+    Step::Measurement(OptiAwareBlob::Latency { reporter, rtt_ms }.encode())
+}
+
 fn suspicion(kind: SuspicionKind, accuser: usize, accused: usize, x: u64) -> Suspicion {
     Suspicion {
         kind,
@@ -76,7 +81,7 @@ const FRAGILE: usize = 5;
 /// one mutation a `decide` answering `None` could make, which a replay that
 /// skips such calls could not reproduce. (That rule is checked against the
 /// graph directly in `crates/core/tests/proptests.rs`.)
-fn suspicion_steps(a: usize, b: usize, x: u64, blob: fn(Suspicion) -> Vec<u8>) -> Vec<Step> {
+fn suspicion_steps(a: usize, b: usize, x: u64) -> Vec<Step> {
     // Any replica but `avoid`.
     let other_than = |avoid: usize| if a == avoid { N - 1 } else { a };
     let steps = if b < N / 2 {
@@ -103,30 +108,25 @@ fn suspicion_steps(a: usize, b: usize, x: u64, blob: fn(Suspicion) -> Vec<u8>) -
     };
     steps
         .into_iter()
-        .map(|s| Step::Measurement(blob(s)))
+        .map(|s| Step::Measurement(OptiAwareBlob::Suspicion(s).encode()))
         .collect()
 }
 
 /// Build a history from raw draws: a first commit before any measurement
 /// (which starts the first leader term), then `prefill` reporters' base rows
 /// (9 of 10 complete the matrix, fewer leave it incomplete), then the drawn
-/// steps. `suspicions` is `None` for a policy that logs only vectors.
-fn history(
-    prefill: usize,
-    draws: &[(u8, usize, usize, u64)],
-    vector: fn(usize, &[f64]) -> Vec<u8>,
-    suspicions: Option<fn(Suspicion) -> Vec<u8>>,
-) -> Vec<Step> {
+/// steps.
+fn history(prefill: usize, draws: &[(u8, usize, usize, u64)]) -> Vec<Step> {
     let mut steps = vec![Step::Decide { calls: 1 }];
-    steps.extend((0..prefill).map(|r| Step::Measurement(vector(r, &row(r, r, 0.0)))));
+    steps.extend((0..prefill).map(|r| vector(r, row(r, r, 0.0))));
     for &(kind, a, b, x) in draws {
-        match (kind, suspicions) {
-            (0..=2, _) => {
+        match kind {
+            0..=2 => {
                 let bump = (x % 3) as f64 * 5.0;
-                steps.push(Step::Measurement(vector(a, &row(a, b, bump))));
+                steps.push(vector(a, row(a, b, bump)));
             }
-            (3..=5, Some(blob)) => steps.extend(suspicion_steps(a, b, x, blob)),
-            (6, _) => {
+            3..=5 => steps.extend(suspicion_steps(a, b, x)),
+            6 => {
                 // A quiet stretch of leader terms, each seen by one commit:
                 // long ones run the reciprocation and stability windows out.
                 for _ in 0..1 + x % 7 {
@@ -144,11 +144,10 @@ fn history(
 }
 
 /// Drive one long-lived policy through `steps` and check every `decide`
-/// against a fresh policy that replayed the committed prefix. `query` is a
-/// read-only question put to the long-lived policy after every step and
-/// never to the replaying one, so the two fill their caches at different
-/// points of the log.
-fn check_replay<P: ReconfigPolicy>(fresh: impl Fn() -> P, query: impl Fn(&mut P), steps: &[Step]) {
+/// against a fresh policy that replayed the committed prefix. After every
+/// step the long-lived policy — never the replaying one — is asked for its
+/// candidates, so the two fill their caches at different points of the log.
+fn check_replay(fresh: impl Fn() -> OptiAwarePolicy, steps: &[Step]) {
     let at = |i: usize| SimTime::from_millis(100 * (i as u64 + 1));
     let mut live = fresh();
     let mut epoch = 0u64;
@@ -202,20 +201,8 @@ fn check_replay<P: ReconfigPolicy>(fresh: impl Fn() -> P, query: impl Fn(&mut P)
             }
         }
         decided.push(outcome);
-        query(&mut live);
+        live.candidates();
     }
-}
-
-fn optiaware_vector(reporter: usize, rtt_ms: &[f64]) -> Vec<u8> {
-    OptiAwareBlob::Latency {
-        reporter,
-        rtt_ms: rtt_ms.to_vec(),
-    }
-    .encode()
-}
-
-fn optiaware_suspicion(s: Suspicion) -> Vec<u8> {
-    OptiAwareBlob::Suspicion(s).encode()
 }
 
 proptest! {
@@ -227,28 +214,23 @@ proptest! {
         optimize_after_ms in 0u64..1_500,
         draws in prop::collection::vec((0u8..10, 0usize..N, 0usize..N, 0u64..1_000), 0..36),
     ) {
-        let steps = history(prefill, &draws, optiaware_vector, Some(optiaware_suspicion));
         check_replay(
-            || OptiAwarePolicy::new(id, N, F, 1.0, SimTime::from_millis(optimize_after_ms)),
-            |policy| {
-                policy.candidates();
-            },
-            &steps,
+            || OptiAwarePolicy::new(id, N, F, SimTime::from_millis(optimize_after_ms)),
+            &history(prefill, &draws),
         );
     }
 
-    /// Aware: the same property over its vector-only log.
+    /// Aware: the same property over the same kind of log, whose
+    /// suspicions it ignores.
     #[test]
     fn aware_decides_like_a_fresh_policy_replaying_the_log(
         prefill in 7usize..=N,
         optimize_after_ms in 0u64..1_500,
         draws in prop::collection::vec((0u8..10, 0usize..N, 0usize..N, 0u64..1_000), 0..36),
     ) {
-        let steps = history(prefill, &draws, encode_latency_blob, None);
         check_replay(
-            || AwarePolicy::new(N, F, SimTime::from_millis(optimize_after_ms)),
-            |_| {},
-            &steps,
+            || OptiAwarePolicy::aware(N, F, SimTime::from_millis(optimize_after_ms)),
+            &history(prefill, &draws),
         );
     }
 }

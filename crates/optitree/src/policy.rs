@@ -203,10 +203,6 @@ impl TreePolicy for OptiTreePolicy {
         tree
     }
 
-    fn vote_threshold(&self, system: &SystemConfig) -> usize {
-        system.quorum()
-    }
-
     fn child_timeout(&self) -> Duration {
         self.timeouts
             .map_or(Duration::from_millis(400), |(_, child)| child)
@@ -287,10 +283,6 @@ impl TreePolicy for OptiTreePolicy {
             .filter(|r| !self.candidates.contains(r) || self.monitor_excluded.contains(r))
             .collect()
     }
-
-    fn name(&self) -> &'static str {
-        "optitree"
-    }
 }
 
 /// Kauri-sa: SA-optimised trees without OptiLog's candidate set or estimate.
@@ -366,10 +358,6 @@ impl TreePolicy for KauriSaPolicy {
 
     fn excluded(&self) -> Vec<usize> {
         self.excluded.iter().copied().collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "kauri-sa"
     }
 }
 

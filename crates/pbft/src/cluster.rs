@@ -74,7 +74,7 @@ impl PbftRoles {
         let vals: Vec<f64> = self
             .client_latency
             .iter()
-            .map(|ts| ts.mean_in_window(from, to))
+            .map(|ts| rsm::timeline_mean(ts.points(), from, to))
             .filter(|&v| v > 0.0)
             .collect();
         if vals.is_empty() {

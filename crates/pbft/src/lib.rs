@@ -13,9 +13,10 @@
 //! * **Aware self-optimisation** — a deterministic `score(·)` that predicts
 //!   a configuration's round latency from the latency matrix and picks the
 //!   leader and weight assignment minimising it;
-//! * a pluggable [`ReconfigPolicy`] so OptiAware (in the `optiaware` crate)
-//!   can add suspicion monitoring and attack mitigation without forking the
-//!   protocol.
+//! * a pluggable [`ReconfigPolicy`]. This crate ships BFT-SMaRt's
+//!   [`StaticPolicy`]; Aware and OptiAware are one policy in the `optiaware`
+//!   crate, Aware being OptiAware without its suspicion sensor, so the
+//!   suspicion monitoring and attack mitigation never fork the protocol.
 //!
 //! The protocol is written against the runtime-agnostic `runtime` node API,
 //! so the same replicas run inside the discrete-event simulator or over real
@@ -32,7 +33,7 @@ pub mod weights;
 
 pub use cluster::{PbftConfig, PbftRoles};
 pub use messages::{PbftMessage, Phase};
-pub use policy::{AwarePolicy, PbftRoundRecord, ReconfigPolicy, StaticPolicy};
+pub use policy::{PbftRoundRecord, ReconfigPolicy, StaticPolicy};
 pub use replica::{ClientState, PbftNode, ReplicaState};
 pub use score::{predict_round_latency, predict_message_delays, weighted_quorum_time};
 pub use weights::{VoterSet, WeightConfig};

@@ -23,8 +23,11 @@ use traffic::SharedTrafficQueue;
 /// Timer tags used by replicas and clients.
 const TIMER_PROBE_START: u64 = 1;
 const TIMER_PROBE_COLLECT: u64 = 2;
-const TIMER_PROPOSE_RETRY: u64 = 3;
 const TIMER_DELAYED_PROPOSE: u64 = 4;
+
+/// Most client requests one proposal carries (closed-loop clients; open-loop
+/// traffic is batched by its queue).
+const BATCH_CAP: usize = 1000;
 
 /// One in-flight consensus instance at a replica.
 #[derive(Debug, Clone)]
@@ -84,7 +87,6 @@ pub struct ReplicaState {
     f: usize,
     /// Every other replica: the targets of each multicast.
     peers: Vec<NodeId>,
-    batch_cap: usize,
     probe_interval: Duration,
     probe_timeout: Duration,
     /// Scripted Pre-Prepare delay attack stages (empty when correct):
@@ -148,7 +150,6 @@ impl ReplicaState {
             n,
             f,
             peers: (0..n).filter(|&r| r != id).collect(),
-            batch_cap: 1000,
             probe_interval: Duration::from_secs(5),
             probe_timeout: Duration::from_millis(800),
             delays: Vec::new(),
@@ -240,7 +241,7 @@ impl ReplicaState {
                 None => Vec::new(),
             }
         } else {
-            let take = self.pending_requests.len().min(self.batch_cap);
+            let take = self.pending_requests.len().min(BATCH_CAP);
             self.pending_requests.drain(..take).collect()
         };
         let block = Block::new(
@@ -745,7 +746,6 @@ impl Node for PbftNode {
             PbftNode::Replica(r) => match tag {
                 TIMER_PROBE_START => r.start_probe_round(ctx),
                 TIMER_PROBE_COLLECT => r.finish_probe_round(ctx),
-                TIMER_PROPOSE_RETRY => r.try_propose(ctx),
                 TIMER_DELAYED_PROPOSE => {
                     if let Some((seq, block, measurements)) = r.delayed_block.take() {
                         r.send_propose(ctx, seq, block, measurements);

@@ -351,6 +351,18 @@ mod tests {
     }
 
     #[test]
+    fn time_series_window_mean() {
+        let mut ts = TimeSeries::new();
+        ts.push(SimTime::from_secs(1), 100.0);
+        ts.push(SimTime::from_secs(2), 200.0);
+        ts.push(SimTime::from_secs(10), 1000.0);
+        assert_eq!(ts.len(), 3);
+        assert_eq!(timeline_mean(ts.points(), 0.0, 5.0), 150.0);
+        assert_eq!(timeline_mean(ts.points(), 5.0, 20.0), 1000.0);
+        assert_eq!(timeline_mean(ts.points(), 20.0, 30.0), 0.0);
+    }
+
+    #[test]
     fn latency_timeline_records_points() {
         let mut s = CommitStats::new();
         s.record_commit(SimTime::from_secs(1), SimTime::from_secs(2), 5);

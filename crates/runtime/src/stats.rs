@@ -183,21 +183,6 @@ impl TimeSeries {
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
-
-    /// Average value over points whose time lies in `[from, to)` seconds.
-    pub fn mean_in_window(&self, from: f64, to: f64) -> f64 {
-        let vals: Vec<f64> = self
-            .points
-            .iter()
-            .filter(|(t, _)| *t >= from && *t < to)
-            .map(|(_, v)| *v)
-            .collect();
-        if vals.is_empty() {
-            0.0
-        } else {
-            vals.iter().sum::<f64>() / vals.len() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -277,17 +262,5 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn rate_counter_rejects_zero_bucket() {
         RateCounter::new(Duration::ZERO);
-    }
-
-    #[test]
-    fn time_series_window_mean() {
-        let mut ts = TimeSeries::new();
-        ts.push(SimTime::from_secs(1), 100.0);
-        ts.push(SimTime::from_secs(2), 200.0);
-        ts.push(SimTime::from_secs(10), 1000.0);
-        assert_eq!(ts.len(), 3);
-        assert_eq!(ts.mean_in_window(0.0, 5.0), 150.0);
-        assert_eq!(ts.mean_in_window(5.0, 20.0), 1000.0);
-        assert_eq!(ts.mean_in_window(20.0, 30.0), 0.0);
     }
 }

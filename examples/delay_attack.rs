@@ -7,7 +7,7 @@
 use lab::harness::{colocated_latency, run};
 use netsim::{Duration, FaultPlan, SimTime};
 use optiaware::OptiAwarePolicy;
-use pbft::{AwarePolicy, PbftConfig, ReconfigPolicy};
+use pbft::{PbftConfig, ReconfigPolicy};
 
 fn main() {
     let n = 7;
@@ -61,10 +61,10 @@ fn main() {
 
     println!("== Pre-Prepare delay attack at t=40s (delay 400 ms) ==");
     let aware = run_system("Aware", &|_| {
-        Box::new(AwarePolicy::new(n, f, optimize_after)) as Box<dyn ReconfigPolicy>
+        Box::new(OptiAwarePolicy::aware(n, f, optimize_after)) as Box<dyn ReconfigPolicy>
     });
     let opti = run_system("OptiAware", &|id| {
-        Box::new(OptiAwarePolicy::new(id, n, f, 1.0, optimize_after)) as Box<dyn ReconfigPolicy>
+        Box::new(OptiAwarePolicy::new(id, n, f, optimize_after)) as Box<dyn ReconfigPolicy>
     });
     println!("OptiAware reconfigures away from replica 0 and recovers the fast-cluster");
     println!("optimum; Aware has no suspicion mechanism and stays degraded.");

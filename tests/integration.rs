@@ -10,7 +10,7 @@ use netsim::{CityDataset, Duration, FaultPlan, LatencyModel, MatrixLatency, SimT
 use optiaware::OptiAwarePolicy;
 use optilog::{AnnealingParams, SuspicionMonitorParams};
 use optitree::{search_tree, tree_score, OptiTreePolicy, TreeSearchSpace};
-use pbft::{AwarePolicy, PbftConfig, PbftRoles, ReconfigPolicy, StaticPolicy};
+use pbft::{PbftConfig, PbftRoles, ReconfigPolicy, StaticPolicy};
 use rsm::{RunReport, SystemConfig};
 
 fn europe_rtt(n: usize) -> Vec<f64> {
@@ -115,8 +115,8 @@ fn optiaware_recovers_from_delay_attack_while_aware_does_not() {
         );
         sim_pbft(&cfg, &rtt).roles
     };
-    let aware = attacked(&|_| Box::new(AwarePolicy::new(n, f, optimize_after)));
-    let opti = attacked(&|id| Box::new(OptiAwarePolicy::new(id, n, f, 1.0, optimize_after)));
+    let aware = attacked(&|_| Box::new(OptiAwarePolicy::aware(n, f, optimize_after)));
+    let opti = attacked(&|id| Box::new(OptiAwarePolicy::new(id, n, f, optimize_after)));
 
     // By the end of the run OptiAware must be no worse than Aware: either it
     // detected the attack and reassigned the leader, or its suspicion-driven
