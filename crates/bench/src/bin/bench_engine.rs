@@ -2,8 +2,8 @@
 //! Arc-interned broadcast payloads) against the seed baseline (binary-heap
 //! scheduler + one deep payload clone per broadcast recipient).
 //!
-//! The workload is the protocol_throughput shape distilled to its engine
-//! cost: a leader broadcasts a ~1 KiB block each round, every replica votes
+//! The workload is one consensus round distilled to its engine cost: a
+//! leader broadcasts a ~1 KiB block each round, every replica votes
 //! back, and every replica arms a view timer per round that is cancelled
 //! when the next block arrives — the broadcast fan-out plus timer set/cancel
 //! churn that consensus substrates put on the simulator. Both engines run

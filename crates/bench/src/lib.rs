@@ -8,16 +8,15 @@
 //! arguments ([`SCENARIOS`] lists both). The binary hands each spec to the
 //! shared sweep runner ([`lab::run_and_report`]), which fans the seed grid
 //! across worker threads, prints the metric table, and writes
-//! `BENCH_<spec name>.json`. This crate also re-exports the pieces the
-//! criterion benches use.
+//! `BENCH_<spec name>.json`.
 
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
-pub use lab::Deployment;
 
 use lab::{
-    sample_seeds, AdversaryScript, Attack, CandidateTimingScenario, LabArgs, LatencyWindow,
-    OverprovisionScenario, ProposalSizeScenario, ProtocolScenario, ScenarioKind, ScenarioSpec,
-    Substrate, SuspicionAttackScenario, Target, Topology, TrafficSpec, TreeSearchScenario,
+    sample_seeds, AdversaryScript, Attack, CandidateTimingScenario, Deployment, LabArgs,
+    LatencyWindow, OverprovisionScenario, ProposalSizeScenario, ProtocolScenario, ScenarioKind,
+    ScenarioSpec, Substrate, SuspicionAttackScenario, Target, Topology, TrafficSpec,
+    TreeSearchScenario,
 };
 use netsim::{Duration, SimTime};
 

@@ -2,7 +2,6 @@
 
 use crate::command::{ConfigCommand, SuspicionPair};
 use runtime::SimTime;
-use rsm::AppendLog;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A configuration adopted from the log, with the bookkeeping the per-epoch
@@ -32,8 +31,9 @@ pub struct AdoptedConfig<C> {
 /// evidence accumulates for the suspicion monitors' query API.
 #[derive(Debug, Clone)]
 pub struct ConfigLog<C> {
-    /// Every committed command, in order (the replicated log itself).
-    log: AppendLog<ConfigCommand<C>>,
+    /// Every committed command, in order (the replicated log itself); a
+    /// command's log position is its index.
+    log: Vec<ConfigCommand<C>>,
     /// Epoch → adopted configuration, bounded by `capacity`.
     history: BTreeMap<u64, AdoptedConfig<C>>,
     current_epoch: u64,
@@ -57,7 +57,7 @@ impl<C: Clone> ConfigLog<C> {
             },
         );
         ConfigLog {
-            log: AppendLog::new(),
+            log: Vec::new(),
             history,
             current_epoch: 0,
             excluded: BTreeSet::new(),
@@ -70,7 +70,8 @@ impl<C: Clone> ConfigLog<C> {
     /// Returns the newly adopted configuration when the command was a
     /// `Config` with an epoch above the current one, `None` otherwise.
     pub fn apply(&mut self, cmd: ConfigCommand<C>, now: SimTime) -> Option<&AdoptedConfig<C>> {
-        let seq = self.log.append(cmd.clone());
+        let seq = self.log.len() as u64;
+        self.log.push(cmd.clone());
         match cmd {
             ConfigCommand::Config { epoch, config } => {
                 if epoch <= self.current_epoch {
@@ -145,7 +146,11 @@ impl<C: Clone> ConfigLog<C> {
     /// prefix a proposer ships so lagging replicas catch up through the
     /// log, not through gossip).
     pub fn commands_from(&self, from: u64) -> impl Iterator<Item = (u64, &ConfigCommand<C>)> {
-        self.log.iter_from(from).map(|e| (e.seq, &e.value))
+        self.log
+            .iter()
+            .enumerate()
+            .skip(from as usize)
+            .map(|(seq, cmd)| (seq as u64, cmd))
     }
 
     /// The cumulative exclusion set from committed `Exclude` commands.

@@ -76,6 +76,8 @@ mod tests {
     use ::kauri::{KauriBinsPolicy, KauriCluster, KauriConfig};
     use ::pbft::{PbftConfig, StaticPolicy};
     use netsim::{Duration, UniformLatency};
+    use optitree::OptiTreePolicy;
+    use rsm::SystemConfig;
 
     /// The trait's contract, checked the same way for every family: the
     /// common report sections are populated and the one audit feed accepts
@@ -135,6 +137,41 @@ mod tests {
             &PbftConfig::new(4, 1, 2, |_| Box::new(StaticPolicy)).run_for(secs),
             6,
             4,
+        );
+
+        // All four families at n = 100 over a quarter second: HotStuff with
+        // a fixed leader, Kauri bins, OptiTree searching over a uniform
+        // 20 ms RTT matrix, and PBFT with 2n closed-loop clients.
+        let (n, secs) = (100, Duration::from_millis(250));
+        conforms(
+            &HotStuffConfig {
+                run_for: secs,
+                ..HotStuffConfig::new(n, Pacemaker::Fixed { leader: 0 })
+            },
+            n,
+            n,
+        );
+        let tree = || KauriConfig {
+            run_for: secs,
+            ..KauriConfig::new(n)
+        };
+        conforms(
+            &KauriCluster::new(tree(), |_| Box::new(KauriBinsPolicy::new(n, 4, 1))),
+            n,
+            n,
+        );
+        let system = SystemConfig::new(n);
+        conforms(
+            &KauriCluster::new(tree(), |_| {
+                Box::new(OptiTreePolicy::new(system, vec![20.0; n * n], 7))
+            }),
+            n,
+            n,
+        );
+        conforms(
+            &PbftConfig::new(n, system.f, 2 * n, |_| Box::new(StaticPolicy)).run_for(secs),
+            3 * n,
+            n,
         );
     }
 }

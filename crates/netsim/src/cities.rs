@@ -202,18 +202,6 @@ impl CityDataset {
         }
     }
 
-    /// Full pairwise RTT matrix in milliseconds (row-major, len × len).
-    pub fn rtt_matrix_ms(&self) -> Vec<f64> {
-        let n = self.len();
-        let mut m = vec![0.0; n * n];
-        for a in 0..n {
-            for b in 0..n {
-                m[a * n + b] = self.rtt_ms(a, b);
-            }
-        }
-        m
-    }
-
     fn take_from_region(&self, region: Region, count: usize) -> Vec<usize> {
         let idx = self.region_indices(region);
         assert!(

@@ -36,8 +36,6 @@ pub enum NodeFault {
     OutgoingInflation(f64),
     /// All outgoing messages are dropped while the fault is active.
     Silent,
-    /// All outgoing messages are dropped after the given time.
-    SilentAfter(SimTime),
 }
 
 /// A fault applied to a single directed link while its window is open.
@@ -205,8 +203,6 @@ impl FaultPlan {
                 match f {
                     NodeFault::CrashAt(_) => {} // handled by is_crashed above
                     NodeFault::Silent => return None,
-                    NodeFault::SilentAfter(t) if now >= *t => return None,
-                    NodeFault::SilentAfter(_) => {}
                     NodeFault::OutgoingDelay(d) => delay += *d,
                     NodeFault::OutgoingInflation(factor) => delay = delay.mul_f64(*factor),
                 }
@@ -311,18 +307,6 @@ mod tests {
                 (5, SimTime::from_secs(30))
             ]
         );
-    }
-
-    #[test]
-    fn silent_after_drops_only_after_threshold() {
-        let mut plan = FaultPlan::none();
-        plan.add_node_fault(0, NodeFault::SilentAfter(SimTime::from_secs(5)));
-        assert!(plan
-            .effective_delay(SimTime::from_secs(4), 0, 1, Duration::from_millis(1))
-            .is_some());
-        assert!(plan
-            .effective_delay(SimTime::from_secs(5), 0, 1, Duration::from_millis(1))
-            .is_none());
     }
 
     // ---- phased-fault edges ----

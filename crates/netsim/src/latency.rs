@@ -2,14 +2,13 @@
 //!
 //! The simulator asks a [`LatencyModel`] for the one-way latency of every
 //! message it delivers. The paper's evaluation injects latency from a
-//! city-to-city round-trip dataset; [`GeoLatency`] reproduces that setup from
-//! the synthetic [`crate::cities`] dataset, while [`MatrixLatency`] and
-//! [`UniformLatency`] are useful for tests and microbenchmarks.
+//! city-to-city round-trip dataset; deployments reproduce that setup by
+//! building a [`MatrixLatency`] from the synthetic [`crate::cities`]
+//! dataset's RTTs, while [`UniformLatency`] is useful for tests.
 //!
 //! Conventions: models return *one-way* latency. The paper reports round-trip
 //! times (RTT); helpers that build models from RTT data halve the values.
 
-use crate::cities::CityDataset;
 use crate::sim::NodeId;
 use crate::time::Duration;
 
@@ -113,67 +112,9 @@ impl LatencyModel for MatrixLatency {
     }
 }
 
-/// Latency derived from a geographic city dataset: each node is assigned a
-/// city, and the one-way latency of a link is half of the RTT between the two
-/// cities plus a fixed base delay (the paper adds 1 ms of real network delay).
-#[derive(Debug, Clone)]
-pub struct GeoLatency {
-    /// City index assigned to each node.
-    assignment: Vec<usize>,
-    /// Pairwise city RTTs in milliseconds.
-    rtt_ms: Vec<f64>,
-    cities: usize,
-    base: Duration,
-}
-
-impl GeoLatency {
-    /// Build from a dataset and a node→city assignment.
-    ///
-    /// # Panics
-    /// Panics if an assignment index is out of range for the dataset.
-    pub fn new(dataset: &CityDataset, assignment: Vec<usize>, base: Duration) -> Self {
-        let cities = dataset.len();
-        for &c in &assignment {
-            assert!(c < cities, "city index {c} out of range ({cities} cities)");
-        }
-        GeoLatency {
-            assignment,
-            rtt_ms: dataset.rtt_matrix_ms(),
-            cities,
-            base,
-        }
-    }
-
-    /// City index for a node.
-    pub fn city_of(&self, node: NodeId) -> usize {
-        self.assignment[node]
-    }
-
-    /// RTT in milliseconds between the cities of two nodes (excluding base delay).
-    pub fn city_rtt_ms(&self, a: NodeId, b: NodeId) -> f64 {
-        let (ca, cb) = (self.assignment[a], self.assignment[b]);
-        self.rtt_ms[ca * self.cities + cb]
-    }
-}
-
-impl LatencyModel for GeoLatency {
-    fn latency(&self, from: NodeId, to: NodeId) -> Duration {
-        if from == to {
-            return Duration::ZERO;
-        }
-        let rtt = self.city_rtt_ms(from, to);
-        Duration::from_millis_f64(rtt / 2.0) + self.base
-    }
-
-    fn len(&self) -> usize {
-        self.assignment.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cities::{CityDataset, Region};
 
     #[test]
     fn uniform_latency() {
@@ -205,18 +146,5 @@ mod tests {
     #[should_panic(expected = "n*n")]
     fn matrix_wrong_size_panics() {
         MatrixLatency::new(3, vec![Duration::ZERO; 4]);
-    }
-
-    #[test]
-    fn geo_latency_uses_city_assignment() {
-        let ds = CityDataset::worldwide();
-        let europe = ds.region_indices(Region::Europe);
-        let asia = ds.region_indices(Region::Asia);
-        let assignment = vec![europe[0], europe[1], asia[0]];
-        let geo = GeoLatency::new(&ds, assignment, Duration::from_millis(1));
-        // Intra-Europe should be clearly faster than Europe-Asia.
-        assert!(geo.latency(0, 1) < geo.latency(0, 2));
-        assert_eq!(geo.latency(1, 1), Duration::ZERO);
-        assert_eq!(geo.len(), 3);
     }
 }

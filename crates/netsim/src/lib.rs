@@ -8,8 +8,8 @@
 //!
 //! * [`SimTime`] — microsecond-resolution virtual time.
 //! * [`Simulation`] — the event loop driving a set of [`Node`]s.
-//! * [`LatencyModel`] — pluggable per-link one-way latency (uniform, matrix,
-//!   geographic).
+//! * [`LatencyModel`] — pluggable per-link one-way latency (uniform or a
+//!   city RTT matrix).
 //! * [`cities`] — a synthetic 220-city dataset calibrated to the paper's
 //!   150–250 ms intercontinental RTT range, with the region subsets used in
 //!   the evaluation (Europe21, NA-EU43, Stellar56, Global73).
@@ -34,7 +34,7 @@ pub use cities::{City, CityDataset, Region};
 pub use event::{Event, EventKind, EventQueue, Payload};
 pub use sched::{EngineProfile, EventHandle, EventScheduler, HeapScheduler, TimerWheel};
 pub use faults::{FaultPlan, FaultWindow, LinkFault, NodeFault};
-pub use latency::{GeoLatency, LatencyModel, MatrixLatency, UniformLatency};
+pub use latency::{LatencyModel, MatrixLatency, UniformLatency};
 pub use sim::{Action, Context, Node, NodeId, Simulation, SimulationConfig, TimerId};
 pub use stats::{Histogram, RateCounter, TimeSeries};
 pub use time::{Duration, SimTime};

@@ -35,22 +35,6 @@ impl SystemConfig {
         }
     }
 
-    /// Create a configuration with an explicit fault threshold.
-    ///
-    /// # Panics
-    /// Panics unless `n ≥ 3f + 1`.
-    pub fn with_f(n: usize, f: usize) -> Self {
-        assert!(n > 3 * f, "n={n} must be at least 3f+1 for f={f}");
-        SystemConfig { n, f, delta: 1.0 }
-    }
-
-    /// Set the δ timer multiplier.
-    pub fn with_delta(mut self, delta: f64) -> Self {
-        assert!(delta >= 1.0, "delta must be >= 1.0, got {delta}");
-        self.delta = delta;
-        self
-    }
-
     /// Quorum size `q = n - f`.
     pub fn quorum(&self) -> usize {
         self.n - self.f
@@ -89,18 +73,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_f_allows_overprovisioning() {
-        let c = SystemConfig::with_f(10, 2);
-        assert_eq!(c.quorum(), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "3f+1")]
-    fn with_f_rejects_too_many_faults() {
-        SystemConfig::with_f(6, 2);
-    }
-
-    #[test]
     #[should_panic(expected = "at least 4")]
     fn too_small_system_rejected() {
         SystemConfig::new(3);
@@ -114,17 +86,5 @@ mod tests {
         assert_eq!(SystemConfig::new(13).tree_branch_factor(), 3);
         // n=73 -> b=8 (since 1+8+64 = 73)
         assert_eq!(SystemConfig::new(73).tree_branch_factor(), 8);
-    }
-
-    #[test]
-    fn delta_must_be_at_least_one() {
-        let c = SystemConfig::new(4).with_delta(1.4);
-        assert_eq!(c.delta, 1.4);
-    }
-
-    #[test]
-    #[should_panic(expected = "delta")]
-    fn delta_below_one_rejected() {
-        SystemConfig::new(4).with_delta(0.5);
     }
 }

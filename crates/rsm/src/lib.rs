@@ -9,7 +9,6 @@
 //! every consensus implementation in the workspace:
 //!
 //! * [`Command`], [`Block`] — client commands and the batches protocols agree on.
-//! * [`AppendLog`] — the ordered log of committed entries.
 //! * [`SystemConfig`] — `n`, `f`, quorum sizes, and the δ timer multiplier.
 //! * [`CommitStats`] — throughput and consensus-latency collection used by the
 //!   experiment harnesses.
@@ -31,7 +30,6 @@
 pub mod block;
 pub mod cluster;
 pub mod config;
-pub mod log;
 pub mod misbehavior;
 pub mod stats;
 pub mod workload;
@@ -39,7 +37,6 @@ pub mod workload;
 pub use block::{Block, Command};
 pub use cluster::{Cluster, RunReport};
 pub use config::SystemConfig;
-pub use log::AppendLog;
 pub use misbehavior::{DelayStage, MisbehaviorPlan};
 pub use stats::{timeline_mean, CommitStats, RunSummary};
 pub use workload::{ArrivalProcess, BatchingPolicy, BlockSource, TrafficSpec};

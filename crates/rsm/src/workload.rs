@@ -67,41 +67,11 @@ pub enum ArrivalProcess {
         /// Length of the off-phase.
         off: Duration,
     },
-    /// A linear ramp from `from` to `to` over `over`, constant afterwards —
-    /// the load pattern that walks a run across the saturation knee.
-    Ramp {
-        /// Initial rate.
-        from: f64,
-        /// Final rate.
-        to: f64,
-        /// Ramp duration.
-        over: Duration,
-    },
-    /// A sinusoidal day/night pattern: `mean · (1 + amplitude · sin(2πt/period))`.
-    Diurnal {
-        /// Mean rate over a whole period.
-        mean: f64,
-        /// Relative swing in `[0, 1)`.
-        amplitude: f64,
-        /// Period of one day.
-        period: Duration,
-    },
 }
 
 impl ArrivalProcess {
-    /// The peak instantaneous rate, used as the thinning envelope by the
-    /// sampler and as a sanity bound by capacity planning.
-    pub fn peak_rate(&self) -> f64 {
-        match *self {
-            ArrivalProcess::Poisson { rate } => rate,
-            ArrivalProcess::OnOff { rate, .. } => rate,
-            ArrivalProcess::Ramp { from, to, .. } => from.max(to),
-            ArrivalProcess::Diurnal { mean, amplitude, .. } => mean * (1.0 + amplitude),
-        }
-    }
-
-    /// The long-run mean rate over a horizon of `secs` seconds.
-    pub fn mean_rate(&self, secs: f64) -> f64 {
+    /// The long-run mean rate.
+    pub fn mean_rate(&self) -> f64 {
         match *self {
             ArrivalProcess::Poisson { rate } => rate,
             ArrivalProcess::OnOff { rate, on, off } => {
@@ -112,19 +82,6 @@ impl ArrivalProcess {
                     rate * on.as_secs_f64() / cycle
                 }
             }
-            ArrivalProcess::Ramp { from, to, over } => {
-                let over = over.as_secs_f64();
-                if over == 0.0 || secs <= 0.0 {
-                    to
-                } else if secs <= over {
-                    // Mean of the linear segment covered so far.
-                    (from + (from + (to - from) * secs / over)) / 2.0
-                } else {
-                    // Average of the ramp segment and the constant tail.
-                    ((from + to) / 2.0 * over + to * (secs - over)) / secs
-                }
-            }
-            ArrivalProcess::Diurnal { mean, .. } => mean,
         }
     }
 
@@ -133,8 +90,6 @@ impl ArrivalProcess {
         match *self {
             ArrivalProcess::Poisson { rate } => format!("poisson@{rate:.0}"),
             ArrivalProcess::OnOff { rate, .. } => format!("onoff@{rate:.0}"),
-            ArrivalProcess::Ramp { from, to, .. } => format!("ramp@{from:.0}-{to:.0}"),
-            ArrivalProcess::Diurnal { mean, .. } => format!("diurnal@{mean:.0}"),
         }
     }
 }
@@ -260,35 +215,14 @@ mod tests {
     #[test]
     fn arrival_process_rates() {
         let p = ArrivalProcess::Poisson { rate: 1000.0 };
-        assert_eq!(p.peak_rate(), 1000.0);
-        assert_eq!(p.mean_rate(60.0), 1000.0);
+        assert_eq!(p.mean_rate(), 1000.0);
 
         let oo = ArrivalProcess::OnOff {
             rate: 2000.0,
             on: Duration::from_secs(1),
             off: Duration::from_secs(3),
         };
-        assert_eq!(oo.peak_rate(), 2000.0);
-        assert_eq!(oo.mean_rate(60.0), 500.0);
-
-        let r = ArrivalProcess::Ramp {
-            from: 100.0,
-            to: 900.0,
-            over: Duration::from_secs(10),
-        };
-        assert_eq!(r.peak_rate(), 900.0);
-        // Over the ramp itself the mean is the midpoint…
-        assert_eq!(r.mean_rate(10.0), 500.0);
-        // …and the constant tail pulls it towards `to`.
-        assert!((r.mean_rate(20.0) - 700.0).abs() < 1e-9);
-
-        let d = ArrivalProcess::Diurnal {
-            mean: 400.0,
-            amplitude: 0.5,
-            period: Duration::from_secs(30),
-        };
-        assert_eq!(d.peak_rate(), 600.0);
-        assert_eq!(d.mean_rate(120.0), 400.0);
+        assert_eq!(oo.mean_rate(), 500.0);
     }
 
     #[test]
@@ -305,13 +239,13 @@ mod tests {
         assert_eq!(t.slo.as_millis(), 800);
         assert_eq!(t.label(), "poisson@2000");
         assert_eq!(
-            t.with_arrivals(ArrivalProcess::Ramp {
-                from: 10.0,
-                to: 90.0,
-                over: Duration::from_secs(5)
+            t.with_arrivals(ArrivalProcess::OnOff {
+                rate: 90.0,
+                on: Duration::from_secs(1),
+                off: Duration::from_secs(4)
             })
             .label(),
-            "ramp@10-90"
+            "onoff@90"
         );
     }
 }

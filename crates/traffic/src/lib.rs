@@ -7,8 +7,8 @@
 //! only saturation-point questions:
 //!
 //! * [`ArrivalSampler`] — deterministic per-seed sampling of the open-loop
-//!   arrival processes declared by [`rsm::ArrivalProcess`] (Poisson, on/off
-//!   bursty, ramp, diurnal), via exponential inter-arrivals and thinning.
+//!   arrival processes declared by [`rsm::ArrivalProcess`] (Poisson and
+//!   on/off bursty), via exponential inter-arrivals.
 //! * [`placement::place_clients`] — client populations placed on
 //!   [`netsim::CityDataset`] cities, so every request pays a realistic
 //!   one-way latency to its nearest replica before it can be batched (and

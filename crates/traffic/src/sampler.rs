@@ -1,17 +1,12 @@
 //! Seeded samplers for the open-loop arrival processes.
 //!
 //! [`ArrivalSampler`] turns a declarative [`rsm::ArrivalProcess`] into a
-//! deterministic stream of arrival instants. The homogeneous Poisson process
-//! samples exponential inter-arrivals directly; the time-varying processes
-//! (ramp, diurnal) use *thinning* (Lewis & Shedler): candidate arrivals are
-//! drawn at the peak rate and accepted with probability `rate(t) / peak`,
-//! which preserves both the target intensity and seed determinism. The
-//! on/off process samples in "active time" and maps it onto the on-windows
-//! of the duty cycle.
+//! deterministic stream of arrival instants. The Poisson process samples
+//! exponential inter-arrivals directly; the on/off process samples in
+//! "active time" and maps it onto the on-windows of the duty cycle.
 
 use rand::distributions::{Distribution, Exp};
 use rand::rngs::StdRng;
-use rand::Rng;
 use rsm::ArrivalProcess;
 
 /// A deterministic arrival-instant generator for one process.
@@ -28,46 +23,9 @@ impl ArrivalSampler {
         ArrivalSampler { process, t: 0.0 }
     }
 
-    /// The instantaneous rate at wall time `t` (commands per second).
-    pub fn rate_at(&self, t: f64) -> f64 {
-        match self.process {
-            ArrivalProcess::Poisson { rate } => rate,
-            ArrivalProcess::OnOff { rate, on, off } => {
-                let (on, off) = (on.as_secs_f64(), off.as_secs_f64());
-                let cycle = on + off;
-                if cycle == 0.0 || t.rem_euclid(cycle) < on {
-                    rate
-                } else {
-                    0.0
-                }
-            }
-            ArrivalProcess::Ramp { from, to, over } => {
-                let over = over.as_secs_f64();
-                if over == 0.0 {
-                    to
-                } else {
-                    from + (to - from) * (t / over).clamp(0.0, 1.0)
-                }
-            }
-            ArrivalProcess::Diurnal {
-                mean,
-                amplitude,
-                period,
-            } => {
-                let period = period.as_secs_f64();
-                if period == 0.0 {
-                    mean
-                } else {
-                    mean * (1.0 + amplitude * (2.0 * std::f64::consts::PI * t / period).sin())
-                }
-            }
-        }
-    }
-
     /// The next arrival instant in seconds of virtual time, advancing the
-    /// sampler. Returns `None` only for processes that can go permanently
-    /// silent (a ramp down to zero); every other process always produces a
-    /// next arrival eventually.
+    /// sampler. Returns `None` only for an on/off process with an empty
+    /// on-phase, which never produces an arrival.
     pub fn next_arrival(&mut self, rng: &mut StdRng) -> Option<f64> {
         match self.process {
             ArrivalProcess::Poisson { rate } => {
@@ -106,33 +64,6 @@ impl ArrivalSampler {
                     }
                     active -= remaining_on;
                     t_us += on_us - pos;
-                }
-            }
-            ArrivalProcess::Ramp { .. } | ArrivalProcess::Diurnal { .. } => {
-                // Thinning against the peak-rate envelope.
-                let peak = self.process.peak_rate();
-                if peak <= 0.0 {
-                    return None;
-                }
-                let env = Exp::new(peak);
-                // A ramp ending at rate 0 accepts nothing forever; bail out
-                // once the acceptance probability has been ~0 for many
-                // candidates past any transient.
-                let mut dry = 0u32;
-                loop {
-                    self.t += env.sample(rng);
-                    let accept = self.rate_at(self.t) / peak;
-                    if rng.gen_bool(accept.clamp(0.0, 1.0)) {
-                        return Some(self.t);
-                    }
-                    if accept <= f64::EPSILON {
-                        dry += 1;
-                        if dry > 10_000 {
-                            return None;
-                        }
-                    } else {
-                        dry = 0;
-                    }
                 }
             }
         }
@@ -180,16 +111,6 @@ mod tests {
                 on: Duration::from_secs(2),
                 off: Duration::from_secs(3),
             },
-            ArrivalProcess::Ramp {
-                from: 100.0,
-                to: 900.0,
-                over: Duration::from_secs(20),
-            },
-            ArrivalProcess::Diurnal {
-                mean: 400.0,
-                amplitude: 0.8,
-                period: Duration::from_secs(10),
-            },
         ];
         for p in processes {
             let a = trace(p, 30.0, 11);
@@ -216,22 +137,6 @@ mod tests {
                 },
                 200.0,
             ),
-            (
-                ArrivalProcess::Ramp {
-                    from: 100.0,
-                    to: 500.0,
-                    over: Duration::from_secs(120),
-                },
-                300.0,
-            ),
-            (
-                ArrivalProcess::Diurnal {
-                    mean: 300.0,
-                    amplitude: 0.9,
-                    period: Duration::from_secs(12),
-                },
-                300.0,
-            ),
         ];
         for (p, expect) in cases {
             let rate = count_until(p, horizon, 5) as f64 / horizon;
@@ -240,7 +145,7 @@ mod tests {
                 "{p:?}: observed {rate:.1}/s, expected {expect:.1}/s"
             );
             // Declared mean agrees with the sampler.
-            assert!((p.mean_rate(horizon) - expect).abs() < 1e-6);
+            assert!((p.mean_rate() - expect).abs() < 1e-6);
         }
     }
 
@@ -254,40 +159,5 @@ mod tests {
         for t in trace(p, 30.0, 3) {
             assert!(t.rem_euclid(3.0) < 1.0, "arrival at {t} falls in an off-phase");
         }
-    }
-
-    #[test]
-    fn ramp_to_zero_terminates() {
-        let p = ArrivalProcess::Ramp {
-            from: 200.0,
-            to: 0.0,
-            over: Duration::from_secs(5),
-        };
-        // Must not loop forever once the rate hits zero.
-        let n = count_until(p, 1_000.0, 9);
-        assert!(n > 0, "the ramp starts hot");
-    }
-
-    #[test]
-    fn diurnal_peaks_and_troughs_follow_the_sine() {
-        let p = ArrivalProcess::Diurnal {
-            mean: 600.0,
-            amplitude: 0.9,
-            period: Duration::from_secs(20),
-        };
-        let arrivals = trace(p, 200.0, 7);
-        // First quarter of each period (sin > 0.7) vs third quarter (sin < -0.7).
-        let peak = arrivals
-            .iter()
-            .filter(|t| (t.rem_euclid(20.0) - 5.0).abs() < 2.0)
-            .count();
-        let trough = arrivals
-            .iter()
-            .filter(|t| (t.rem_euclid(20.0) - 15.0).abs() < 2.0)
-            .count();
-        assert!(
-            peak > trough * 3,
-            "day/night asymmetry missing: peak {peak} vs trough {trough}"
-        );
     }
 }

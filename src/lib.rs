@@ -11,8 +11,7 @@
 //!   geographic latency dataset.
 //! * [`crypto`] — simulated signatures, quorum certificates, and proofs of
 //!   misbehavior.
-//! * [`rsm`] — commands, blocks, applications, the append-only log, and
-//!   run statistics.
+//! * [`rsm`] — commands, blocks, the cluster contract, and run statistics.
 //! * [`traffic`] — open-loop geo-distributed client load: arrival
 //!   processes, the leader-side admission queue, goodput accounting.
 //! * [`configlog`] — the replicated role-configuration log: epoch-monotone
