@@ -19,7 +19,9 @@
 //!   (backpressure rejects arrivals beyond capacity) with size-or-timeout
 //!   batching ([`rsm::BatchingPolicy`]), handed to substrates as a
 //!   [`SharedTrafficQueue`] they pull [`TrafficBatch`]es from instead of a
-//!   saturated source.
+//!   saturated source. It draws its arrival schedule on demand, so its
+//!   memory is bounded by capacity, in-flight batches and the arrivals
+//!   sent within one ingress spread, not by rate × duration.
 //! * [`WakeTimer`] — the parking contract: a proposer that finds the queue
 //!   dry arms a wake-up for [`TrafficQueue::next_ready_at`], and however
 //!   often it is asked to propose in the meantime it holds **at most one

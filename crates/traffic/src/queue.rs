@@ -2,13 +2,15 @@
 //! batching, and end-to-end goodput accounting.
 //!
 //! A [`TrafficQueue`] is compiled once per run from a [`rsm::TrafficSpec`],
-//! a client placement, and a seed: the full arrival schedule is materialised
-//! up front (deterministically), and the queue then advances on demand as
-//! the consuming substrate asks for batches. Requests *enter* the queue one
-//! one-way client→nearest-replica latency after they were issued (the
-//! ingress hop), wait under the [`rsm::BatchingPolicy`], and — once their
-//! batch commits — are accounted with the full client-observed latency:
-//! ingress leg + queueing + consensus + reply leg.
+//! a client placement, and a seed. The arrival schedule is drawn from the
+//! seeded process on demand, only as far ahead as the queue looks, so a
+//! run's memory does not grow with rate × duration; the order and ids of the
+//! arrivals are those of the whole schedule sorted by ingress instant.
+//! Requests *enter* the queue one one-way client→nearest-replica latency
+//! after they were issued (the ingress hop), wait under the
+//! [`rsm::BatchingPolicy`], and — once their batch commits — are accounted
+//! with the full client-observed latency: ingress leg + queueing +
+//! consensus + reply leg.
 //!
 //! The queue is bounded: arrivals beyond `queue_capacity` are *rejected*
 //! (admission-control backpressure) rather than buffered, so a saturated
@@ -24,7 +26,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rsm::{BatchingPolicy, Command, CommitStats, TrafficSpec};
 use runtime::{Duration, SimTime};
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::{Arc, Mutex};
 use telemetry::{Registry, Stage, Telemetry, CLIENTS_PID};
 
@@ -58,18 +61,186 @@ struct Arrival {
     reply_ms: f64,
 }
 
+/// An arrival taken off the schedule, with its rank in ingress order: the
+/// id its command carries.
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    idx: u64,
+    arrival: Arrival,
+}
+
 /// A batch handed out but not yet committed.
 #[derive(Debug, Clone)]
 struct InFlight {
     /// When the batch was dispatched (starts the client retry clock).
     at: SimTime,
-    /// Arrival indices in the batch.
-    idxs: Vec<u64>,
+    /// The commands in the batch.
+    commands: Vec<Queued>,
     /// Per-command ingress→proposer forwarding charge (ms), fixed at
-    /// dispatch, aligned with `idxs`. The commit accounting and the
+    /// dispatch, aligned with `commands`. The commit accounting and the
     /// `ingress_forward` trace span both read *this* value, so the charged
     /// hop and the observed hop can never drift apart.
     forward_ms: Vec<f64>,
+}
+
+/// The seeded arrival process of a generated schedule.
+#[derive(Debug, Clone)]
+struct Source {
+    sampler: ArrivalSampler,
+    rng: StdRng,
+    clients: usize,
+    horizon_s: f64,
+    /// The shortest ingress leg over all clients.
+    min_ingress: Duration,
+    /// No later draw enters the queue before this instant: the latest send
+    /// plus the shortest leg.
+    frontier: SimTime,
+}
+
+impl Source {
+    /// The next request below the horizon as `(send, client)`: the instant
+    /// is drawn first, then the client. `None` from the first instant at or
+    /// past the horizon on; the caller stops drawing there.
+    fn draw(&mut self) -> Option<(SimTime, u64)> {
+        let t = self.sampler.next_arrival(&mut self.rng)?;
+        if t >= self.horizon_s {
+            return None;
+        }
+        let client = self.rng.gen_range(0..self.clients);
+        let send = SimTime::from_micros((t * 1e6).round() as u64);
+        self.frontier = send + self.min_ingress;
+        Some((send, client as u64))
+    }
+}
+
+/// The arrival schedule in ingress order, drawn only as far as the queue
+/// looks ahead.
+///
+/// Draws come in send order, but a draw with a short ingress leg can enter
+/// the queue before an earlier draw with a long one. A drawn arrival
+/// therefore waits in `pending` until no later draw can precede it: every
+/// later draw is sent no earlier than the latest one, so it enters no
+/// earlier than the source's `frontier`. The order released is the stable
+/// sort of the whole schedule by `(ingress, send, client)`, which is what
+/// an explicit schedule is sorted by.
+#[derive(Debug)]
+struct Schedule {
+    /// The process still to draw from; `None` once it has passed the
+    /// horizon, and from the start for an explicit schedule.
+    source: Option<Source>,
+    /// Per-client one-way ingress latency (ms) of a generated schedule.
+    ingress_ms: Vec<f64>,
+    /// Drawn arrivals whose rank is not final yet, keyed `(ingress, send,
+    /// client)`. Equal keys are equal arrivals, so the heap may release
+    /// them in any order.
+    pending: BinaryHeap<Reverse<(SimTime, SimTime, u64)>>,
+    /// Arrivals whose rank is final, in ingress order.
+    ready: VecDeque<Arrival>,
+    /// Arrivals drawn so far (an explicit schedule is drawn in full).
+    drawn: u64,
+    /// Arrivals taken so far: the next one taken gets this as its id.
+    taken: u64,
+}
+
+impl Schedule {
+    fn generated(spec: &TrafficSpec, ingress_ms: &[f64], seed: u64, horizon: SimTime) -> Self {
+        assert!(
+            !ingress_ms.is_empty(),
+            "traffic needs at least one placed client"
+        );
+        let min_ingress = ingress_ms
+            .iter()
+            .map(|&ms| Duration::from_millis_f64(ms))
+            .min()
+            .expect("at least one client");
+        Schedule {
+            source: Some(Source {
+                sampler: ArrivalSampler::new(spec.arrivals),
+                rng: StdRng::seed_from_u64(seed),
+                clients: ingress_ms.len(),
+                horizon_s: horizon.as_secs_f64(),
+                min_ingress,
+                frontier: SimTime::ZERO,
+            }),
+            ingress_ms: ingress_ms.to_vec(),
+            pending: BinaryHeap::new(),
+            ready: VecDeque::new(),
+            drawn: 0,
+            taken: 0,
+        }
+    }
+
+    /// A schedule given in full, already in ingress order.
+    fn explicit(sorted: Vec<Arrival>) -> Self {
+        Schedule {
+            source: None,
+            ingress_ms: Vec::new(),
+            pending: BinaryHeap::new(),
+            drawn: sorted.len() as u64,
+            ready: sorted.into(),
+            taken: 0,
+        }
+    }
+
+    /// Draw one arrival into `pending`, or retire the source at the horizon.
+    fn draw(&mut self) {
+        match self.source.as_mut().and_then(Source::draw) {
+            Some((send, client)) => {
+                let leg = Duration::from_millis_f64(self.ingress_ms[client as usize]);
+                self.pending.push(Reverse((send + leg, send, client)));
+                self.drawn += 1;
+            }
+            None => self.source = None,
+        }
+    }
+
+    /// Move the next arrival in ingress order into `ready`, drawing until
+    /// its rank is final; false once the schedule is exhausted.
+    fn release_next(&mut self) -> bool {
+        loop {
+            match self.pending.peek() {
+                Some(&Reverse((ingress, send, client)))
+                    if self.source.as_ref().is_none_or(|s| ingress < s.frontier) =>
+                {
+                    self.pending.pop();
+                    self.ready.push_back(Arrival {
+                        send,
+                        ingress,
+                        client,
+                        reply_ms: self.ingress_ms[client as usize],
+                    });
+                    return true;
+                }
+                None if self.source.is_none() => return false,
+                _ => self.draw(),
+            }
+        }
+    }
+
+    /// The `k`-th arrival not yet taken (0 is the next one).
+    fn get(&mut self, k: usize) -> Option<&Arrival> {
+        while self.ready.len() <= k && self.release_next() {}
+        self.ready.get(k)
+    }
+
+    /// Take the next arrival if it has entered the queue by `now`.
+    fn take_due(&mut self, now: SimTime) -> Option<Queued> {
+        self.get(0).filter(|a| a.ingress <= now)?;
+        let arrival = self.ready.pop_front()?;
+        let idx = self.taken;
+        self.taken += 1;
+        Some(Queued { idx, arrival })
+    }
+
+    /// Total arrivals the schedule offers: the drawn prefix plus whatever a
+    /// copy of the process draws up to the horizon, storing none of it.
+    fn offered(&self) -> u64 {
+        let mut rest = self.source.clone();
+        let undrawn = rest
+            .as_mut()
+            .map_or(0, |s| std::iter::from_fn(|| s.draw()).count());
+        self.drawn + undrawn as u64
+    }
 }
 
 /// The ingress→leader forwarding leg of the request path.
@@ -125,12 +296,10 @@ pub struct TrafficQueue {
     capacity: usize,
     /// The goodput SLO; also anchors the client retry clock.
     slo: Duration,
-    /// The full schedule, sorted by ingress time.
-    arrivals: Vec<Arrival>,
-    /// Next schedule entry not yet admitted or rejected.
-    cursor: usize,
-    /// Admitted commands (indices into `arrivals`) waiting to be batched.
-    waiting: VecDeque<u64>,
+    /// Arrivals not yet admitted or rejected, in ingress order.
+    schedule: Schedule,
+    /// Admitted commands waiting to be batched.
+    waiting: VecDeque<Queued>,
     /// Batches handed out but not yet committed.
     in_flight: BTreeMap<u64, InFlight>,
     /// Commands inside `in_flight`, kept as a running count.
@@ -140,7 +309,7 @@ pub struct TrafficQueue {
     rejected: u64,
     /// Client retry bound for dropped batches.
     max_retries: u32,
-    /// Per-command (arrival index) retry counts.
+    /// Per-command (command id) retry counts.
     retries: BTreeMap<u64, u32>,
     /// Commands re-enqueued after their batch was dropped.
     retried: u64,
@@ -165,11 +334,6 @@ impl TrafficQueue {
         slo: Duration,
         schedule: Vec<ScheduledArrival>,
     ) -> Self {
-        assert!(
-            capacity >= batching.max_batch,
-            "queue capacity {capacity} below batch size {} would starve the size flush",
-            batching.max_batch
-        );
         let mut arrivals: Vec<Arrival> = schedule
             .into_iter()
             .map(|s| Arrival {
@@ -180,12 +344,20 @@ impl TrafficQueue {
             })
             .collect();
         arrivals.sort_by_key(|a| (a.ingress, a.send, a.client));
+        Self::new(batching, capacity, slo, Schedule::explicit(arrivals))
+    }
+
+    fn new(batching: BatchingPolicy, capacity: usize, slo: Duration, schedule: Schedule) -> Self {
+        assert!(
+            capacity >= batching.max_batch,
+            "queue capacity {capacity} below batch size {} would starve the size flush",
+            batching.max_batch
+        );
         TrafficQueue {
             batching,
             capacity,
             slo,
-            arrivals,
-            cursor: 0,
+            schedule,
             waiting: VecDeque::new(),
             in_flight: BTreeMap::new(),
             in_flight_commands: 0,
@@ -226,37 +398,24 @@ impl TrafficQueue {
         self
     }
 
-    /// Compile a [`TrafficSpec`] into a queue: sample the arrival process up
-    /// to `horizon`, spreading arrivals over the placed clients
+    /// Compile a [`TrafficSpec`] into a queue that samples the arrival
+    /// process up to `horizon`, spreading arrivals over the placed clients
     /// (`ingress_ms[c]` = client `c`'s one-way latency to its nearest
-    /// replica, see [`crate::placement::client_ingress_ms`]).
+    /// replica, see [`crate::placement::client_ingress_ms`]). Nothing is
+    /// drawn here: the queue draws as it is driven, and its arrivals, ids
+    /// and batches are those of the whole schedule drawn up front and
+    /// passed to [`TrafficQueue::from_schedule`].
     pub fn generate(spec: &TrafficSpec, ingress_ms: &[f64], seed: u64, horizon: SimTime) -> Self {
-        assert!(
-            !ingress_ms.is_empty(),
-            "traffic needs at least one placed client"
-        );
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut sampler = ArrivalSampler::new(spec.arrivals);
-        let horizon_s = horizon.as_secs_f64();
-        let mut schedule = Vec::new();
-        while let Some(t) = sampler.next_arrival(&mut rng) {
-            if t >= horizon_s {
-                break;
-            }
-            let client = rng.gen_range(0..ingress_ms.len());
-            schedule.push(ScheduledArrival {
-                send: SimTime::from_micros((t * 1e6).round() as u64),
-                client: client as u64,
-                ingress_ms: ingress_ms[client],
-            });
-        }
-        Self::from_schedule(spec.batching, spec.queue_capacity, spec.slo, schedule)
+        let schedule = Schedule::generated(spec, ingress_ms, seed, horizon);
+        Self::new(spec.batching, spec.queue_capacity, spec.slo, schedule)
             .with_max_retries(spec.max_retries)
     }
 
-    /// Total requests the schedule offers.
+    /// Total requests the schedule offers. Counts the undrawn rest of a
+    /// generated schedule by sampling it, so its cost grows with the time
+    /// left to the horizon.
     pub fn offered(&self) -> u64 {
-        self.arrivals.len() as u64
+        self.schedule.offered()
     }
 
     /// The client retry clock: a batch that has been in flight this long is
@@ -284,18 +443,13 @@ impl TrafficQueue {
             self.retry_batch(id, now);
         }
         let (mut admitted, mut rejected) = (0u64, 0u64);
-        while self
-            .arrivals
-            .get(self.cursor)
-            .is_some_and(|a| a.ingress <= now)
-        {
+        while let Some(queued) = self.schedule.take_due(now) {
             if self.waiting.len() >= self.capacity {
                 rejected += 1;
             } else {
-                self.waiting.push_back(self.cursor as u64);
+                self.waiting.push_back(queued);
                 admitted += 1;
             }
-            self.cursor += 1;
         }
         self.admitted += admitted;
         self.rejected += rejected;
@@ -345,33 +499,29 @@ impl TrafficQueue {
 
     fn dispatch(&mut self, now: SimTime, proposer: Option<usize>) -> Option<TrafficBatch> {
         self.admit(now);
-        let oldest = self
-            .waiting
-            .front()
-            .map(|&i| self.arrivals[i as usize].ingress)?;
+        let oldest = self.waiting.front()?.arrival.ingress;
         let full = self.waiting.len() >= self.batching.max_batch;
         let timed_out = now >= oldest + self.batching.max_delay;
         if !full && !timed_out {
             return None;
         }
         let take = self.waiting.len().min(self.batching.max_batch);
-        let idxs: Vec<u64> = self.waiting.drain(..take).collect();
-        let commands = idxs
+        let queued: Vec<Queued> = self.waiting.drain(..take).collect();
+        let commands = queued
             .iter()
-            .map(|&i| Command::empty(self.arrivals[i as usize].client, i))
+            .map(|q| Command::empty(q.arrival.client, q.idx))
             .collect();
         // The forwarding charge is fixed here, at dispatch: the commit
         // accounting and the trace span below both consume these values.
-        let forward_ms: Vec<f64> = idxs
+        let forward_ms: Vec<f64> = queued
             .iter()
-            .map(|&i| match (&self.forwarding, proposer) {
-                (Some(f), Some(p)) => f.forward_ms(self.arrivals[i as usize].client, p),
+            .map(|q| match (&self.forwarding, proposer) {
+                (Some(f), Some(p)) => f.forward_ms(q.arrival.client, p),
                 _ => 0.0,
             })
             .collect();
         if self.telemetry.is_tracing() {
-            for (&i, &fwd) in idxs.iter().zip(&forward_ms) {
-                let a = self.arrivals[i as usize];
+            for (&Queued { idx: i, arrival: a }, &fwd) in queued.iter().zip(&forward_ms) {
                 self.telemetry.span(
                     Stage::ClientEmit,
                     CLIENTS_PID,
@@ -404,13 +554,13 @@ impl TrafficQueue {
                 }
             }
         }
-        self.in_flight_commands += idxs.len() as u64;
+        self.in_flight_commands += queued.len() as u64;
         self.telemetry.with_registry(|reg| {
-            for &i in &idxs {
-                let waited = now.since(self.arrivals[i as usize].ingress);
+            for q in &queued {
+                let waited = now.since(q.arrival.ingress);
                 reg.observe("traffic.queue.wait_us", None, waited.as_micros());
             }
-            reg.counter_add("traffic.queue.dispatched", None, idxs.len() as u64);
+            reg.counter_add("traffic.queue.dispatched", None, queued.len() as u64);
             reg.gauge_max("traffic.queue.depth_peak", None, self.max_depth as f64);
             self.publish_conservation_gauges(reg);
         });
@@ -420,7 +570,7 @@ impl TrafficQueue {
             id,
             InFlight {
                 at: now,
-                idxs,
+                commands: queued,
                 forward_ms,
             },
         );
@@ -442,14 +592,13 @@ impl TrafficQueue {
         // full batch (future arrivals beyond the capacity bound cannot be
         // rejected before then because capacity ≥ max_batch).
         let need = self.batching.max_batch - self.waiting.len();
-        let size_at = self.arrivals.get(self.cursor + need - 1).map(|a| a.ingress);
+        let size_at = self.schedule.get(need - 1).map(|a| a.ingress);
         // Timeout path: the oldest waiting — or else the next future —
         // command's ingress plus the batching delay.
-        let oldest = self
-            .waiting
-            .front()
-            .map(|&i| self.arrivals[i as usize].ingress)
-            .or_else(|| self.arrivals.get(self.cursor).map(|a| a.ingress));
+        let oldest = match self.waiting.front() {
+            Some(q) => Some(q.arrival.ingress),
+            None => self.schedule.get(0).map(|a| a.ingress),
+        };
         let timeout_at = oldest.map(|o| o + self.batching.max_delay);
         let at = match (size_at, timeout_at) {
             (Some(a), Some(b)) => a.min(b),
@@ -467,11 +616,7 @@ impl TrafficQueue {
     /// window must not look like a crashed root.
     pub fn has_flushable(&mut self, now: SimTime) -> bool {
         self.admit(now);
-        let Some(oldest) = self
-            .waiting
-            .front()
-            .map(|&i| self.arrivals[i as usize].ingress)
-        else {
+        let Some(oldest) = self.waiting.front().map(|q| q.arrival.ingress) else {
             return false;
         };
         self.waiting.len() >= self.batching.max_batch || now >= oldest + self.batching.max_delay
@@ -488,14 +633,14 @@ impl TrafficQueue {
         let Some(flight) = self.in_flight.remove(&id) else {
             return;
         };
-        self.in_flight_commands -= flight.idxs.len() as u64;
+        self.in_flight_commands -= flight.commands.len() as u64;
         let mut requeue = Vec::new();
         let mut dropped = 0;
-        for i in flight.idxs {
-            let tries = self.retries.entry(i).or_insert(0);
+        for q in flight.commands {
+            let tries = self.retries.entry(q.idx).or_insert(0);
             if *tries < self.max_retries {
                 *tries += 1;
-                requeue.push(i);
+                requeue.push(q);
             } else {
                 self.abandoned += 1;
                 dropped += 1;
@@ -505,8 +650,8 @@ impl TrafficQueue {
         // Front of the queue, original order preserved: retried commands are
         // older than anything still waiting. Capacity is not re-checked —
         // these commands were already admitted once.
-        for &i in requeue.iter().rev() {
-            self.waiting.push_front(i);
+        for &q in requeue.iter().rev() {
+            self.waiting.push_front(q);
         }
         self.max_depth = self.max_depth.max(self.waiting.len());
         self.telemetry.with_registry(|reg| {
@@ -539,13 +684,14 @@ impl TrafficQueue {
         let Some(flight) = self.in_flight.remove(&id) else {
             return;
         };
-        self.in_flight_commands -= flight.idxs.len() as u64;
+        self.in_flight_commands -= flight.commands.len() as u64;
         let e2e_of = |a: &Arrival, forward_ms: f64| {
             committed.since(a.send) + Duration::from_millis_f64(a.reply_ms + forward_ms)
         };
         let tracing = self.telemetry.is_tracing();
-        for (&i, &forward_ms) in flight.idxs.iter().zip(&flight.forward_ms) {
-            let a = self.arrivals[i as usize];
+        for (&Queued { idx: i, arrival: a }, &forward_ms) in
+            flight.commands.iter().zip(&flight.forward_ms)
+        {
             self.stats
                 .record_client_commit(e2e_of(&a, forward_ms), committed);
             if tracing {
@@ -561,11 +707,15 @@ impl TrafficQueue {
             }
         }
         self.telemetry.with_registry(|reg| {
-            for (&i, &forward_ms) in flight.idxs.iter().zip(&flight.forward_ms) {
-                let e2e = e2e_of(&self.arrivals[i as usize], forward_ms);
+            for (q, &forward_ms) in flight.commands.iter().zip(&flight.forward_ms) {
+                let e2e = e2e_of(&q.arrival, forward_ms);
                 reg.observe("traffic.client.e2e_us", None, e2e.as_micros());
             }
-            reg.counter_add("traffic.client.committed", None, flight.idxs.len() as u64);
+            reg.counter_add(
+                "traffic.client.committed",
+                None,
+                flight.commands.len() as u64,
+            );
             self.publish_conservation_gauges(reg);
         });
     }
@@ -1195,5 +1345,36 @@ mod tests {
         // Drained and schedule exhausted: never flushable again — the idle
         // signal the tree staleness clock keys off.
         assert!(!q.has_flushable(SimTime::from_secs(9)));
+    }
+
+    #[test]
+    fn generated_schedule_holds_only_the_lookahead() {
+        // An hour at 150 000 cmd/s from 4 clients 1 ms away, as the
+        // real-socket runtime builds it: 540 M arrivals up front if drawn
+        // eagerly, none until the queue is driven.
+        let (rate, max_batch) = (150_000.0, 100);
+        let spec = TrafficSpec::poisson(rate)
+            .with_clients(4)
+            .with_batching(max_batch, Duration::from_millis(40));
+        let mut q = TrafficQueue::generate(&spec, &[1.0; 4], 7, SimTime::from_secs(3600));
+        assert_eq!(q.schedule.drawn, 0);
+        assert!(q.schedule.ready.is_empty() && q.schedule.pending.is_empty());
+
+        // Drive 5 simulated seconds with prompt commits. `ready` never
+        // holds more than the `max_batch` lookahead of `next_ready_at`, and
+        // `pending` only draws sent within the ingress spread (zero here) of
+        // the latest one, i.e. ties on its microsecond: about 0.15 each.
+        let bound = max_batch + 16;
+        let mut held = 0;
+        let mut now = SimTime::ZERO;
+        while now < SimTime::from_secs(5) {
+            now = q.next_ready_at(now).expect("an hour-long schedule");
+            if let Some(b) = q.try_batch_at(now, 0) {
+                q.commit_batch(b.id, now);
+            }
+            held = held.max(q.schedule.ready.len() + q.schedule.pending.len());
+        }
+        assert!(q.admitted() > 700_000, "admitted {}", q.admitted());
+        assert!(held <= bound, "held {held} drawn arrivals, bound {bound}");
     }
 }

@@ -1,14 +1,16 @@
 //! Property-based tests for the open-loop traffic subsystem: every arrival
 //! process is seed-deterministic and hits its configured mean rate within
 //! tolerance, for arbitrary (bounded) parameters — not just the hand-picked
-//! unit-test cases.
+//! unit-test cases — and a generated queue, which draws its schedule on
+//! demand, behaves exactly like the same schedule drawn up front.
 
 use netsim::{Duration, SimTime};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
+use rand::Rng;
 use rand::SeedableRng;
 use rsm::{ArrivalProcess, TrafficSpec};
-use traffic::{ArrivalSampler, TrafficQueue};
+use traffic::{ArrivalSampler, ScheduledArrival, TrafficQueue};
 
 /// Collect the process's arrivals below `horizon` seconds.
 fn arrivals(process: ArrivalProcess, horizon: f64, seed: u64) -> Vec<f64> {
@@ -115,5 +117,115 @@ proptest! {
         }
         prop_assert_eq!(q.retried(), 0);
         prop_assert_eq!(batched + q.depth() as u64, q.admitted());
+    }
+}
+
+/// The queue `TrafficQueue::generate` builds, with the whole schedule drawn
+/// up front and handed to `from_schedule`: the same draws in the same order
+/// (the instant, then the client), stopping at the first instant at or past
+/// the horizon.
+fn eager(spec: &TrafficSpec, ingress_ms: &[f64], seed: u64, horizon: SimTime) -> TrafficQueue {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut sampler = ArrivalSampler::new(spec.arrivals);
+    let mut schedule = Vec::new();
+    while let Some(t) = sampler.next_arrival(&mut rng) {
+        if t >= horizon.as_secs_f64() {
+            break;
+        }
+        let client = rng.gen_range(0..ingress_ms.len());
+        schedule.push(ScheduledArrival {
+            send: SimTime::from_micros((t * 1e6).round() as u64),
+            client: client as u64,
+            ingress_ms: ingress_ms[client],
+        });
+    }
+    TrafficQueue::from_schedule(spec.batching, spec.queue_capacity, spec.slo, schedule)
+        .with_max_retries(spec.max_retries)
+}
+
+/// What a driven queue showed: every `next_ready_at` instant, and every batch
+/// as its id and `(command id, client)` pairs.
+type Trace = (Vec<SimTime>, Vec<(u64, Vec<(u64, u64)>)>);
+
+/// Drive `q` as a proposer would, on a clock that may lag the queue by
+/// `step` (so arrivals pile up and meet the capacity bound). Every fifth
+/// batch is dropped and retried; the rest commit after `commit`. Checks
+/// `offered()` against `offered` before, during and after the drive.
+fn drive(q: &mut TrafficQueue, step: Duration, commit: Duration, offered: u64) -> Trace {
+    prop_assert_eq!(q.offered(), offered);
+    let (mut instants, mut batches) = (Vec::new(), Vec::new());
+    let mut now = SimTime::ZERO;
+    while let Some(at) = q.next_ready_at(now) {
+        instants.push(at);
+        now = at.max(now + step);
+        if let Some(b) = q.try_batch(now) {
+            let ids = b.commands.iter().map(|c| (c.seq, c.client)).collect();
+            if b.id % 5 == 4 {
+                q.retry_batch(b.id, now);
+            } else {
+                q.commit_batch(b.id, now + commit);
+            }
+            batches.push((b.id, ids));
+        }
+        if batches.len() == 10 {
+            prop_assert_eq!(q.offered(), offered);
+        }
+    }
+    prop_assert_eq!(q.offered(), offered);
+    (instants, batches)
+}
+
+/// A client's ingress leg: zero, a value every such client shares exactly,
+/// or any value up to 50 ms.
+fn leg(kind: u64, ms: f64) -> f64 {
+    match kind {
+        0 => 0.0,
+        1 => 1.0,
+        _ => ms,
+    }
+}
+
+proptest! {
+    /// The on-demand schedule is the eager one: same batches, same command
+    /// ids and clients, same wake-up instants, same report. Default case
+    /// count, so `PROPTEST_CASES` can raise it.
+    #[test]
+    fn streamed_schedule_matches_the_eager_one(
+        (poisson, rate, on_ms, off_ms) in (any::<bool>(), 50.0f64..3000.0, 20u64..500, 20u64..500),
+        (clients, single, legs) in (
+            1usize..65,
+            0u64..4,
+            prop::collection::vec((0u64..3, 0.0f64..50.0), 64),
+        ),
+        (max_batch, capacity_factor, horizon_ms) in (1usize..120, 1usize..6, 1u64..4000),
+        (step_ms, commit_ms, seed) in (0u64..30, 0u64..300, 0u64..1000),
+    ) {
+        let arrivals = if poisson {
+            ArrivalProcess::Poisson { rate }
+        } else {
+            ArrivalProcess::OnOff {
+                rate,
+                on: Duration::from_millis(on_ms),
+                off: Duration::from_millis(off_ms),
+            }
+        };
+        let clients = if single == 0 { 1 } else { clients };
+        let ingress: Vec<f64> = legs[..clients].iter().map(|&(k, ms)| leg(k, ms)).collect();
+        let spec = TrafficSpec::poisson(rate)
+            .with_arrivals(arrivals)
+            .with_clients(clients)
+            .with_batching(max_batch, Duration::from_millis(40))
+            .with_capacity(max_batch * capacity_factor);
+        let horizon = SimTime::from_millis(horizon_ms);
+        let mut reference = eager(&spec, &ingress, seed, horizon);
+        let offered = reference.offered();
+        let mut streamed = TrafficQueue::generate(&spec, &ingress, seed, horizon);
+        let (step, commit) = (Duration::from_millis(step_ms), Duration::from_millis(commit_ms));
+        prop_assert_eq!(
+            drive(&mut streamed, step, commit, offered),
+            drive(&mut reference, step, commit, offered)
+        );
+        let secs = horizon_ms.div_ceil(1000);
+        prop_assert_eq!(streamed.report(secs), reference.report(secs));
     }
 }
