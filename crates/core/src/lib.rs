@@ -51,4 +51,4 @@ pub use suspicion::{
     MessageExpectation, RoundObservation, Suspicion, SuspicionKind, SuspicionMonitor,
     SuspicionMonitorParams, SuspicionSensor, DEADLINE_SLACK,
 };
-pub use timing::{MessageTimeout, RoundTimeouts};
+pub use timing::{MessageTimeout, RoundTimeouts, DELTA};

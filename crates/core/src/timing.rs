@@ -11,6 +11,14 @@
 use runtime::Duration;
 use serde::{Deserialize, Serialize};
 
+/// The paper's δ multiplier: after GST, observed latencies lie within
+/// `[L, δ·L]` of the actual latency, so every per-message deadline and round
+/// duration a sensor or protocol timer checks is scaled by it. Every
+/// deployment here runs at 1, the value of the baseline experiments (§7.4):
+/// a message is late once it misses its predicted arrival by more than
+/// [`crate::DEADLINE_SLACK`].
+pub const DELTA: f64 = 1.0;
+
 /// Expected delay of one message within a round, relative to the leader's
 /// proposal timestamp.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

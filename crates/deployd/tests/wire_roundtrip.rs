@@ -9,7 +9,7 @@ use hotstuff::HotStuffMessage;
 use kauri::{KauriMessage, Tree, TreeCommand};
 use pbft::PbftMessage;
 use runtime::{encode_frame, read_frame, NodeId, WireMsg};
-use rsm::{Block, Command};
+use rsm::{Block, Command, SealedBlock};
 use std::io::Cursor;
 use std::sync::Arc;
 
@@ -126,7 +126,7 @@ fn kauri_shared_tree_survives_arc_transparency() {
 
 #[test]
 fn pbft_messages_round_trip() {
-    let block = Block::new(
+    let block = SealedBlock::seal(Block::new(
         digest(9),
         4,
         2,
@@ -135,7 +135,7 @@ fn pbft_messages_round_trip() {
             Command::new(0, 0, b"put city lisbon".to_vec()),
             Command::new(1, 7, vec![0, 255, 128]),
         ],
-    );
+    ));
     let cases = vec![
         PbftMessage::Request {
             cmd: Command::new(2, 3, b"payload".to_vec()),
@@ -174,11 +174,11 @@ fn pbft_messages_round_trip() {
             blobs: vec![vec![7; 3]],
         },
     ];
-    let block_json = serde_json::to_string(&block).unwrap();
+    let block_json = serde_json::to_string(&*block).unwrap();
     let propose_json = serde_json::to_string(&cases[1]).unwrap();
     assert!(
         propose_json.contains(&format!("\"block\":{block_json}")),
-        "the Arc adds nothing on the wire: {propose_json}"
+        "neither the Arc nor the seal adds anything on the wire: {propose_json}"
     );
     for msg in cases {
         let (from, back) = round_trip(6, &msg);
@@ -188,6 +188,11 @@ fn pbft_messages_round_trip() {
             assert_eq!(
                 *b, block,
                 "the shared block crosses the wire as its pointee"
+            );
+            assert_eq!(
+                b.digest(),
+                block.digest(),
+                "the receiver re-seals the decoded block to the sender's digest"
             );
         }
     }

@@ -34,7 +34,7 @@
 use runtime::{Duration, SimTime};
 use optilog::{
     ConfigCommand, ConfigLog, LatencyMonitor, LatencyVector, MessageTimeout, RoundObservation,
-    RoundTimeouts, Suspicion, SuspicionMonitor, SuspicionMonitorParams, SuspicionSensor,
+    RoundTimeouts, Suspicion, SuspicionMonitor, SuspicionMonitorParams, SuspicionSensor, DELTA,
 };
 use pbft::score::optimize_configuration;
 use pbft::{predict_message_delays, predict_round_latency, PbftRoundRecord, ReconfigPolicy, WeightConfig};
@@ -46,12 +46,6 @@ use std::collections::BTreeMap;
 /// window are skipped (they are also long past their observation hold, so
 /// this only bounds memory).
 const EPOCH_HISTORY: usize = 4;
-
-/// The sensor's δ: the factor its per-message deadlines and the round
-/// duration are scaled by. Every deployment runs at 1, so a message is late
-/// once it misses its predicted arrival by more than
-/// [`optilog::DEADLINE_SLACK`].
-const DELTA: f64 = 1.0;
 
 /// Measurement blobs OptiAware replicates through the ordered log.
 #[derive(Debug, Clone, Serialize, Deserialize)]

@@ -26,7 +26,7 @@ use kauri::{Tree, TreePolicy};
 use runtime::Duration;
 use optilog::{
     AnnealingParams, PhaseFilter, Suspicion, SuspicionMonitor, SuspicionMonitorParams,
-    SuspicionPair,
+    SuspicionPair, DELTA,
 };
 use rsm::SystemConfig;
 use std::collections::BTreeSet;
@@ -39,7 +39,6 @@ pub struct OptiTreePolicy {
     estimate_u: usize,
     annealing: AnnealingParams,
     seed: u64,
-    delta: f64,
     last_tree: Option<Tree>,
     reconfigurations: usize,
     /// Judges the committed pair evidence (§6.4): causal filtering by
@@ -77,7 +76,6 @@ impl OptiTreePolicy {
                 ..Default::default()
             },
             seed,
-            delta: system.delta,
             monitor: SuspicionMonitor::new(
                 SuspicionMonitorParams::new(system.n, system.f).with_tree_strategy(),
             ),
@@ -108,9 +106,9 @@ impl OptiTreePolicy {
     /// is followed by this call, so the per-message timeout queries read a
     /// cached pair instead of re-scoring the tree.
     fn refresh_timeouts(&mut self) {
-        let (n, k, delta) = (self.system.n, self.k(), self.delta);
+        let (n, k) = (self.system.n, self.k());
         self.timeouts = self.last_tree.as_ref().map(|tree| {
-            let (view, child) = tree_timeouts(tree, &self.matrix_rtt_ms, n, k, delta);
+            let (view, child) = tree_timeouts(tree, &self.matrix_rtt_ms, n, k, DELTA);
             // Leave headroom for pipelined views queued behind each other.
             (
                 view * 3 + Duration::from_millis(50),

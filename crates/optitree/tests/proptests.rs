@@ -91,7 +91,7 @@ proptest! {
             }
             let fresh = match &last {
                 Some(tree) => {
-                    let (view, child) = tree_timeouts(tree, &m, n, policy.k(), system.delta);
+                    let (view, child) = tree_timeouts(tree, &m, n, policy.k(), optilog::DELTA);
                     (view * 3 + Duration::from_millis(50), child + Duration::from_millis(5))
                 }
                 None => (Duration::from_millis(2_000), Duration::from_millis(400)),

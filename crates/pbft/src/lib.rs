@@ -18,6 +18,14 @@
 //!   crate, Aware being OptiAware without its suspicion sensor, so the
 //!   suspicion monitoring and attack mitigation never fork the protocol.
 //!
+//! A round pays for no work it does not need. The leader seals each proposal
+//! with its digest ([`rsm::SealedBlock`]) and every recipient shares that
+//! seal, so in the simulator a proposal is hashed once per cluster, not once
+//! per replica; over a real wire each receiver re-seals as it decodes and so
+//! never trusts another replica's digest. A replica derives the weighted
+//! quorum threshold once per adopted configuration, so a vote sums only the
+//! voters' weights.
+//!
 //! The protocol is written against the runtime-agnostic `runtime` node API,
 //! so the same replicas run inside the discrete-event simulator or over real
 //! sockets; clients are nodes issuing requests in a closed loop and measuring

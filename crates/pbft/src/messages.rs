@@ -1,7 +1,7 @@
 //! Wire messages of the PBFT/BFT-SMaRt-style protocol.
 
 use crypto::Digest;
-use rsm::{Block, Command};
+use rsm::{Command, SealedBlock};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -40,9 +40,11 @@ pub enum PbftMessage {
         seq: u64,
         /// Configuration epoch the leader believes is active.
         epoch: u64,
-        /// The proposed block, shared: a recipient's copy of the message is a
-        /// reference-count bump, and on the wire it is the block itself.
-        block: Arc<Block>,
+        /// The proposed block, sealed with its digest and shared: a
+        /// recipient's copy of the message is a reference-count bump that
+        /// reads the leader's digest, and on the wire it is the plain block,
+        /// which the receiver re-seals (re-hashes) as it decodes.
+        block: Arc<SealedBlock>,
         /// The leader's proposal timestamp (µs of virtual time) — the
         /// reference point for all per-message timeouts (§4.2.3).
         timestamp_us: u64,
@@ -100,6 +102,7 @@ pub enum PbftMessage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsm::Block;
 
     #[test]
     fn phase_tags_are_ordered() {
@@ -112,7 +115,7 @@ mod tests {
         let msg = PbftMessage::Propose {
             seq: 1,
             epoch: 0,
-            block: Arc::new(Block::genesis()),
+            block: Arc::new(SealedBlock::seal(Block::genesis())),
             timestamp_us: 42,
             measurements: vec![vec![1, 2, 3]],
         };

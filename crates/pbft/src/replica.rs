@@ -12,8 +12,8 @@
 use crate::messages::{PbftMessage, Phase};
 use crate::policy::{PbftRoundRecord, ReconfigPolicy};
 use crate::weights::{VoterSet, WeightConfig};
-use crypto::{Digest, Hashable};
-use rsm::{misbehavior, Block, Command, CommitStats, DelayStage};
+use crypto::Digest;
+use rsm::{misbehavior, Block, Command, CommitStats, DelayStage, SealedBlock};
 use runtime::{Context, Duration, Node, NodeId, SimTime, TimeSeries, TimerId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -33,7 +33,7 @@ const BATCH_CAP: usize = 1000;
 #[derive(Debug, Clone)]
 struct Instance {
     /// The proposed block; `None` while only votes have arrived.
-    block: Option<Arc<Block>>,
+    block: Option<Arc<SealedBlock>>,
     digest: Digest,
     /// Configuration epoch carried by the proposal message.
     epoch: u64,
@@ -98,6 +98,9 @@ pub struct ReplicaState {
     delays: Vec<DelayStage>,
     policy: Box<dyn ReconfigPolicy>,
     config: WeightConfig,
+    /// `config`'s weighted quorum threshold, derived whenever a
+    /// configuration is adopted, so a vote sums only its voters' weights.
+    quorum: u32,
     pending_requests: Vec<Command>,
     committed_requests: BTreeSet<(u64, u64)>,
     pending_measurements: Vec<Vec<u8>>,
@@ -145,6 +148,7 @@ impl ReplicaState {
             "a replica counts votes of at most {} replicas",
             VoterSet::CAPACITY
         );
+        let config = WeightConfig::initial(n, f);
         ReplicaState {
             id,
             n,
@@ -154,7 +158,8 @@ impl ReplicaState {
             probe_timeout: Duration::from_millis(800),
             delays: Vec::new(),
             policy,
-            config: WeightConfig::initial(n, f),
+            quorum: config.quorum_threshold(f),
+            config,
             pending_requests: Vec::new(),
             committed_requests: BTreeSet::new(),
             pending_measurements: Vec::new(),
@@ -281,7 +286,7 @@ impl ReplicaState {
     ) {
         self.next_seq = seq + 1;
         let epoch = self.config.epoch;
-        let block = Arc::new(block);
+        let block = Arc::new(SealedBlock::seal(block));
         let msg = PbftMessage::Propose {
             seq,
             epoch,
@@ -316,13 +321,15 @@ impl ReplicaState {
         from: usize,
         seq: u64,
         epoch: u64,
-        block: Arc<Block>,
+        block: Arc<SealedBlock>,
         timestamp_us: u64,
         measurements: Vec<Vec<u8>>,
     ) {
         if seq <= self.last_committed_seq {
             return;
         }
+        // Read from the seal: the leader hashed the block once, and a
+        // receiver on a real wire re-sealed it as it decoded.
         let digest = block.digest();
         let proposal_ts = SimTime::from_micros(timestamp_us);
         let n = self.n;
@@ -399,7 +406,7 @@ impl ReplicaState {
             entry.arrivals.push((voter, Phase::Write.tag(), ctx.now));
         }
         entry.write_voters.insert(voter);
-        if !entry.sent_accept && self.config.is_quorum(&entry.write_voters, self.f) {
+        if !entry.sent_accept && self.config.is_quorum(&entry.write_voters, self.quorum) {
             entry.sent_accept = true;
             let accept = PbftMessage::Accept {
                 seq,
@@ -430,7 +437,7 @@ impl ReplicaState {
             entry.arrivals.push((voter, Phase::Accept.tag(), ctx.now));
         }
         entry.accept_voters.insert(voter);
-        if entry.committed || !self.config.is_quorum(&entry.accept_voters, self.f) {
+        if entry.committed || !self.config.is_quorum(&entry.accept_voters, self.quorum) {
             return;
         }
         entry.committed = true;
@@ -547,6 +554,7 @@ impl ReplicaState {
                     ctx.now.as_micros(),
                     &[("leader", new_config.leader as f64)],
                 );
+                self.quorum = new_config.quorum_threshold(self.f);
                 self.config = new_config.clone();
                 self.reconfigs.push(ReconfigEvent {
                     at: ctx.now,
@@ -585,8 +593,7 @@ impl ReplicaState {
     }
 
     fn finish_probe_round(&mut self, ctx: &mut Context<PbftMessage>) {
-        let rtts = self.probe_rtts.clone();
-        let blobs = self.policy.on_latency_vector(self.id, &rtts);
+        let blobs = self.policy.on_latency_vector(self.id, &self.probe_rtts);
         self.forward_sensor_data(ctx, blobs);
     }
 }

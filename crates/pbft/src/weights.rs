@@ -94,12 +94,14 @@ impl WeightConfig {
         self.weights.get(replica).copied().unwrap_or(0)
     }
 
-    /// True if the votes of `voters` reach the weighted quorum threshold.
-    /// A set, so no replica counts twice; this runs on every vote a replica
-    /// receives and allocates nothing.
-    pub fn is_quorum(&self, voters: &VoterSet, f: usize) -> bool {
+    /// True if the votes of `voters` reach `threshold`, this
+    /// configuration's [`Self::quorum_threshold`]. The caller derives the
+    /// threshold once per configuration, so this sums only the voters'
+    /// weights. A set, so no replica counts twice; this runs on every vote a
+    /// replica receives and allocates nothing.
+    pub fn is_quorum(&self, voters: &VoterSet, threshold: u32) -> bool {
         let sum: u32 = voters.iter().map(|v| self.weight(v)).sum();
-        sum >= self.quorum_threshold(f)
+        sum >= threshold
     }
 
     /// True if `replica` holds a special role of this configuration — it
@@ -188,7 +190,8 @@ mod tests {
         let c = WeightConfig::initial(7, 2);
         // W = 11, threshold = (11 + 4)/2 + 1 = 8. Four V_max replicas
         // (weight 8) suffice…
-        let votes = |voters: &[usize]| c.is_quorum(&set(voters.iter().copied()), 2);
+        let threshold = c.quorum_threshold(2);
+        let votes = |voters: &[usize]| c.is_quorum(&set(voters.iter().copied()), threshold);
         assert!(votes(&[0, 1, 2, 3]));
         // …whereas one V_max + three V_min replicas (weight 5) do not.
         assert!(!votes(&[3, 4, 5, 6]));
@@ -216,8 +219,8 @@ mod tests {
         assert_eq!(c.quorum_threshold(24), 85);
         let below = set(25..64);
         let above = set(25..68);
-        assert!(!c.is_quorum(&below, 24), "39 x V_max = 78");
-        assert!(c.is_quorum(&above, 24), "43 x V_max = 86");
+        assert!(!c.is_quorum(&below, 85), "39 x V_max = 78");
+        assert!(c.is_quorum(&above, 85), "43 x V_max = 86");
     }
 
     #[test]

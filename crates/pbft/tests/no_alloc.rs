@@ -5,9 +5,9 @@
 //! binary, because the counting allocator below is process-wide; the one
 //! test keeps its readings on a single thread.
 
-use crypto::{Digest, Hashable};
+use crypto::Digest;
 use pbft::{PbftMessage, PbftNode, ReplicaState, StaticPolicy};
-use rsm::{Block, Command};
+use rsm::{Block, Command, SealedBlock};
 use runtime::{Action, Context, Node, NodeId, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,14 +87,20 @@ fn votes_that_complete_no_quorum_allocate_nothing() {
         let commands = (0..100)
             .map(|i| Command::empty(i % 4, 100 * seq + i))
             .collect();
-        let block = Block::new(Digest::ZERO, seq, seq, 0, commands);
+        let block = Arc::new(SealedBlock::seal(Block::new(
+            Digest::ZERO,
+            seq,
+            seq,
+            0,
+            commands,
+        )));
         let digest = block.digest();
         let (_, sent) = rt.deliver(
             0,
             PbftMessage::Propose {
                 seq,
                 epoch: 0,
-                block: Arc::new(block),
+                block,
                 timestamp_us: rt.now.as_micros(),
                 measurements: Vec::new(),
             },

@@ -2,6 +2,7 @@
 
 use crypto::{Digest, Hashable, Sha256};
 use serde::{Deserialize, Serialize};
+use std::ops::Deref;
 
 /// A client command: an opaque payload tagged with its origin.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -141,9 +142,69 @@ impl Hashable for Block {
     }
 }
 
+/// A block sealed with its digest: hashed once, when it is sealed, and read
+/// from the seal by everyone who shares it afterwards.
+///
+/// The fields are private and [`SealedBlock::seal`] is the only constructor,
+/// so the digest is always the hash of the commands stored next to it. On the
+/// wire a sealed block is the plain [`Block`]; decoding re-seals, so no
+/// replica trusts a digest another replica computed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SealedBlock {
+    block: Block,
+    digest: Digest,
+}
+
+impl SealedBlock {
+    /// Hash `block` and keep the digest beside it.
+    pub fn seal(block: Block) -> Self {
+        let digest = block.digest();
+        SealedBlock { block, digest }
+    }
+
+    /// The digest computed when the block was sealed.
+    pub fn digest(&self) -> Digest {
+        self.digest
+    }
+}
+
+impl Deref for SealedBlock {
+    type Target = Block;
+
+    fn deref(&self) -> &Block {
+        &self.block
+    }
+}
+
+impl Serialize for SealedBlock {
+    fn to_value(&self) -> serde::Value {
+        self.block.to_value()
+    }
+}
+
+impl Deserialize for SealedBlock {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        Block::from_value(v).map(SealedBlock::seal)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
+
+    fn known_answer_block() -> Block {
+        Block::new(
+            Digest::of(b"parent"),
+            7,
+            5,
+            3,
+            vec![
+                Command::new(1, 2, b"put k v".to_vec()),
+                Command::empty(4, 9),
+            ],
+        )
+    }
 
     fn one_command(cmd: Command) -> Digest {
         Block::new(Digest::ZERO, 1, 1, 0, vec![cmd]).digest()
@@ -169,16 +230,7 @@ mod tests {
     /// spelled out in `Block::digest`'s documentation.
     #[test]
     fn block_digest_known_answer() {
-        let block = Block::new(
-            Digest::of(b"parent"),
-            7,
-            5,
-            3,
-            vec![
-                Command::new(1, 2, b"put k v".to_vec()),
-                Command::empty(4, 9),
-            ],
-        );
+        let block = known_answer_block();
         let hex: String = block
             .digest()
             .0
@@ -189,6 +241,47 @@ mod tests {
             hex,
             "1c481b0f2f3cab3eccd0b0d056a6571bf9855f488336e9a21ed429e6c916f071"
         );
+    }
+
+    #[test]
+    fn seal_keeps_the_block_digest() {
+        let block = known_answer_block();
+        let sealed = SealedBlock::seal(block.clone());
+        assert_eq!(sealed.digest(), Hashable::digest(&block));
+        assert_eq!(*sealed, block, "the seal reads as the block it holds");
+    }
+
+    /// The named field of an encoded struct.
+    fn field<'a>(value: &'a mut Value, name: &str) -> &'a mut Value {
+        let Value::Map(fields) = value else {
+            panic!("expected an encoded struct, got {}", value.kind());
+        };
+        fields
+            .iter_mut()
+            .find_map(|(k, v)| (k == name).then_some(v))
+            .expect("field present")
+    }
+
+    /// A decode re-hashes: a tampered encoding yields the digest of what
+    /// was decoded, never the sender's.
+    #[test]
+    fn decoding_a_sealed_block_reseals_it() {
+        let sent = SealedBlock::seal(known_answer_block());
+        let mut value = sent.to_value();
+        assert_eq!(
+            value,
+            sent.block.to_value(),
+            "the wire form is the plain block"
+        );
+        let Value::Arr(commands) = field(&mut value, "commands") else {
+            panic!("commands encode as an array");
+        };
+        *field(&mut commands[1], "seq") = 10u64.to_value();
+
+        let got = SealedBlock::from_value(&value).expect("decodes");
+        assert_eq!(got.commands[1].seq, 10);
+        assert_eq!(got.digest(), Hashable::digest(&*got));
+        assert_ne!(got.digest(), sent.digest());
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! System-wide parameters: replica counts, fault threshold, quorum sizes and
-//! the δ timer multiplier. The paper's "configuration" — an assignment of
-//! roles to replicas (§2) — is protocol-specific and lives with each family
-//! (Aware weights, Kauri trees), adopted through the `configlog` crate.
+//! System-wide parameters: replica counts, fault threshold and quorum sizes.
+//! The paper's "configuration" — an assignment of roles to replicas (§2) —
+//! is protocol-specific and lives with each family (Aware weights, Kauri
+//! trees), adopted through the `configlog` crate.
 
 use serde::{Deserialize, Serialize};
 
@@ -13,11 +13,6 @@ pub struct SystemConfig {
     pub n: usize,
     /// Maximum number of Byzantine replicas tolerated.
     pub f: usize,
-    /// The paper's δ multiplier: after GST, observed latencies lie within
-    /// `[L, δ·L]` of the actual latency. Stored here because protocol timers
-    /// and the SuspicionSensor both need it. Defaults to 1.0 (the value used
-    /// in the baseline experiments, §7.4).
-    pub delta: f64,
 }
 
 impl SystemConfig {
@@ -28,11 +23,7 @@ impl SystemConfig {
     /// Panics if `n < 4` (BFT requires `n ≥ 3f + 1 ≥ 4`).
     pub fn new(n: usize) -> Self {
         assert!(n >= 4, "BFT requires at least 4 replicas, got {n}");
-        SystemConfig {
-            n,
-            f: (n - 1) / 3,
-            delta: 1.0,
-        }
+        SystemConfig { n, f: (n - 1) / 3 }
     }
 
     /// Quorum size `q = n - f`.

@@ -9,7 +9,9 @@
 //! every consensus implementation in the workspace:
 //!
 //! * [`Command`], [`Block`] — client commands and the batches protocols agree on.
-//! * [`SystemConfig`] — `n`, `f`, quorum sizes, and the δ timer multiplier.
+//! * [`SealedBlock`] — a block with its digest, hashed once when sealed (or
+//!   decoded) and shared with it, so recipients never re-hash a proposal.
+//! * [`SystemConfig`] — `n`, `f` and quorum sizes.
 //! * [`CommitStats`] — throughput and consensus-latency collection used by the
 //!   experiment harnesses.
 //! * [`BlockSource`] — saturated batch generation matching the paper's
@@ -34,7 +36,7 @@ pub mod misbehavior;
 pub mod stats;
 pub mod workload;
 
-pub use block::{Block, Command};
+pub use block::{Block, Command, SealedBlock};
 pub use cluster::{Cluster, RunReport};
 pub use config::SystemConfig;
 pub use misbehavior::{DelayStage, MisbehaviorPlan};
