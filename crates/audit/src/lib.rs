@@ -234,7 +234,7 @@ impl Auditor {
         let waiting = reg.gauge("traffic.queue.waiting", None);
         let in_flight = reg.gauge("traffic.queue.in_flight", None);
         if admitted == 0 && waiting.is_none() && in_flight.is_none() {
-            return; // closed-loop run: no admission queue to balance
+            return; // saturated run: no admission queue to balance
         }
         self.conservation_checks += 1;
         let accounted =

@@ -177,12 +177,20 @@ pub fn scenario(name: &str, args: &LabArgs) -> Option<Vec<Sweep>> {
     Some(sweeps)
 }
 
+/// Offered load of the two PBFT delay-attack sweeps (Fig 7 and
+/// `sweep_delay_attack`), in commands/s. It stays below what an attacked
+/// leader still commits (about one batch per hold plus round), so attacked
+/// latency shows the hold rather than queue growth. The 1000/s of
+/// [`LOAD_ATTACK_RATE`] would not: under it Aware's attacked queue grows
+/// without bound.
+pub const FIG7_RATE: f64 = 100.0;
+
 /// Fig 7 — OptiAware runtime behaviour under the Pre-Prepare delay attack:
-/// `n` European replicas with one co-located client each; a Byzantine
-/// leader starts delaying proposals at t ≈ 80 s. BFT-SMaRt stays static,
-/// Aware optimises its configuration but cannot react to the attack,
-/// OptiAware detects the delay through suspicions and reassigns the leader
-/// role.
+/// `n` European replicas under open-loop load at [`FIG7_RATE`] from
+/// geo-placed clients; a Byzantine leader starts delaying proposals at
+/// t ≈ 80 s. BFT-SMaRt stays static, Aware optimises its configuration but
+/// cannot react to the attack, OptiAware detects the delay through
+/// suspicions and reassigns the leader role.
 fn runtime_attack(run_secs: u64, n: usize, seeds: Vec<u64>) -> Sweep {
     let attack_start = run_secs.min(82).max(run_secs / 2);
     let attack_delay = Duration::from_millis(600);
@@ -198,6 +206,7 @@ fn runtime_attack(run_secs: u64, n: usize, seeds: Vec<u64>) -> Sweep {
             delay: attack_delay,
         },
     )])
+    .with_traffic_axis(vec![load_traffic(FIG7_RATE, Duration::from_secs(1))])
     .run_for(Duration::from_secs(run_secs));
     scenario.optimize_after = SimTime::from_secs(optimize_after);
     let (t_opt, t_atk) = (optimize_after as f64, attack_start as f64);
@@ -441,10 +450,10 @@ fn root_crashes(run_secs: u64, seeds: Vec<u64>) -> Sweep {
     ])
 }
 
-/// The Fig 7 attack at a smaller scale on OptiAware alone, swept over many
-/// seeds: World(distinct) draws a fresh city sample per seed, so the sweep
-/// measures the attack across random geographies rather than identical
-/// runs.
+/// The Fig 7 attack at a smaller scale on OptiAware alone, under the same
+/// [`FIG7_RATE`] load, swept over many seeds: World(distinct) draws a fresh
+/// city sample per seed, so the sweep measures the attack across random
+/// geographies rather than identical runs.
 fn delay_attack(run_secs: u64, n: usize, seeds: Vec<u64>) -> Sweep {
     let attack_start = run_secs / 2;
     let mut scenario = ProtocolScenario::new(
@@ -458,6 +467,7 @@ fn delay_attack(run_secs: u64, n: usize, seeds: Vec<u64>) -> Sweep {
             delay: Duration::from_millis(400),
         },
     )])
+    .with_traffic_axis(vec![load_traffic(FIG7_RATE, Duration::from_secs(1))])
     .run_for(Duration::from_secs(run_secs));
     scenario.optimize_after = SimTime::from_secs((run_secs / 4).max(5));
     scenario.windows = vec![

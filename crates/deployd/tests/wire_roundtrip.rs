@@ -137,9 +137,6 @@ fn pbft_messages_round_trip() {
         ],
     ));
     let cases = vec![
-        PbftMessage::Request {
-            cmd: Command::new(2, 3, b"payload".to_vec()),
-        },
         PbftMessage::Propose {
             seq: 10,
             epoch: 3,
@@ -157,10 +154,6 @@ fn pbft_messages_round_trip() {
             digest: digest(3),
             voter: 2,
         },
-        PbftMessage::Reply {
-            client_seq: 3,
-            replica: 0,
-        },
         PbftMessage::Probe {
             nonce: 99,
             sent_at_us: 1_000,
@@ -175,7 +168,7 @@ fn pbft_messages_round_trip() {
         },
     ];
     let block_json = serde_json::to_string(&*block).unwrap();
-    let propose_json = serde_json::to_string(&cases[1]).unwrap();
+    let propose_json = serde_json::to_string(&cases[0]).unwrap();
     assert!(
         propose_json.contains(&format!("\"block\":{block_json}")),
         "neither the Arc nor the seal adds anything on the wire: {propose_json}"

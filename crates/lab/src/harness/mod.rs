@@ -11,7 +11,7 @@
 //! cluster to report. It never names a protocol. (The other runtime —
 //! `runtime::RealCluster` — is driven the same way by `deployd::run_on`.)
 
-use netsim::{FaultPlan, LatencyModel, MatrixLatency, SimTime, Simulation, SimulationConfig};
+use netsim::{FaultPlan, LatencyModel, SimTime, Simulation, SimulationConfig};
 use rsm::{Cluster, RunReport};
 use telemetry::Instrumented;
 
@@ -48,27 +48,6 @@ pub fn run<C: Cluster + Instrumented>(
     (report, sim.events_processed())
 }
 
-/// The one-way latency matrix of a PBFT run with closed-loop clients: `n`
-/// replicas over the symmetric `rtt_ms` matrix (n × n) followed by `clients`
-/// client nodes, client `i` sharing the city of replica `i % n`.
-pub fn colocated_latency(rtt_ms: &[f64], n: usize, clients: usize) -> MatrixLatency {
-    assert_eq!(rtt_ms.len(), n * n, "RTT matrix must be n*n");
-    let total = n + clients;
-    let city_of = |node: usize| if node < n { node } else { (node - n) % n };
-    let mut rtt = vec![0.0; total * total];
-    for a in 0..total {
-        for b in 0..total {
-            if a == b {
-                continue;
-            }
-            let (ca, cb) = (city_of(a), city_of(b));
-            // Same city: 2 ms local RTT; otherwise city RTT.
-            rtt[a * total + b] = if ca == cb { 2.0 } else { rtt_ms[ca * n + cb] };
-        }
-    }
-    MatrixLatency::from_rtt_millis(total, &rtt)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,16 +56,26 @@ mod tests {
     use ::pbft::{PbftConfig, StaticPolicy};
     use netsim::{Duration, UniformLatency};
     use optitree::OptiTreePolicy;
-    use rsm::SystemConfig;
+    use rsm::{SystemConfig, TrafficSpec};
+    use traffic::SharedTrafficQueue;
+
+    /// Open-loop load for a PBFT row: Poisson 2000 cmd/s from 8 clients
+    /// 1 ms from their replica, batches of 100 or 10 ms, until `secs`.
+    fn load(secs: Duration) -> SharedTrafficQueue {
+        let spec = TrafficSpec::poisson(2_000.0)
+            .with_clients(8)
+            .with_batching(100, Duration::from_millis(10));
+        SharedTrafficQueue::generate(&spec, &[1.0; 8], 5, SimTime::ZERO + secs)
+    }
 
     /// The trait's contract, checked the same way for every family: the
     /// common report sections are populated and the one audit feed accepts
     /// them.
-    fn conforms<C: Cluster + Instrumented>(cluster: &C, nodes: usize, replicas: usize)
+    fn conforms<C: Cluster + Instrumented>(cluster: &C, replicas: usize)
     where
         C::Provenance: audit::Provenance,
     {
-        let latency = Box::new(UniformLatency::new(nodes, Duration::from_millis(10)));
+        let latency = Box::new(UniformLatency::new(replicas, Duration::from_millis(10)));
         let (report, events) = run(cluster, latency, FaultPlan::none());
         assert!(events > 0);
         assert!(report.summary.committed_blocks > 0, "nothing committed");
@@ -124,31 +113,27 @@ mod tests {
                 ..HotStuffConfig::new(4, Pacemaker::RoundRobin)
             },
             4,
-            4,
         );
         let mut tree = KauriConfig::new(7);
         tree.run_for = secs;
         conforms(
             &KauriCluster::new(tree, |_| Box::new(KauriBinsPolicy::new(7, 2, 3))),
             7,
-            7,
         );
         conforms(
-            &PbftConfig::new(4, 1, 2, |_| Box::new(StaticPolicy)).run_for(secs),
-            6,
+            &PbftConfig::new(4, 1, load(secs), |_| Box::new(StaticPolicy)).run_for(secs),
             4,
         );
 
         // All four families at n = 100 over a quarter second: HotStuff with
         // a fixed leader, Kauri bins, OptiTree searching over a uniform
-        // 20 ms RTT matrix, and PBFT with 2n closed-loop clients.
+        // 20 ms RTT matrix, and PBFT under open-loop load.
         let (n, secs) = (100, Duration::from_millis(250));
         conforms(
             &HotStuffConfig {
                 run_for: secs,
                 ..HotStuffConfig::new(n, Pacemaker::Fixed { leader: 0 })
             },
-            n,
             n,
         );
         let tree = || KauriConfig {
@@ -158,7 +143,6 @@ mod tests {
         conforms(
             &KauriCluster::new(tree(), |_| Box::new(KauriBinsPolicy::new(n, 4, 1))),
             n,
-            n,
         );
         let system = SystemConfig::new(n);
         conforms(
@@ -166,11 +150,9 @@ mod tests {
                 Box::new(OptiTreePolicy::new(system, vec![20.0; n * n], 7))
             }),
             n,
-            n,
         );
         conforms(
-            &PbftConfig::new(n, system.f, 2 * n, |_| Box::new(StaticPolicy)).run_for(secs),
-            3 * n,
+            &PbftConfig::new(n, system.f, load(secs), |_| Box::new(StaticPolicy)).run_for(secs),
             n,
         );
     }

@@ -15,7 +15,7 @@
 //! stream from `mix_seed(seed, point)`.
 
 use crate::adversary::{AdversaryScript, CompileContext};
-use crate::harness::{colocated_latency, run};
+use crate::harness::run;
 use crate::results::{ci95, mean, timeline_mean, CellMetrics};
 use crate::topology::Topology;
 use hotstuff::{HotStuffConfig, Pacemaker};
@@ -95,7 +95,8 @@ impl Substrate {
         }
     }
 
-    /// True for the PBFT-family substrates (client-driven, reconfig policies).
+    /// True for the PBFT-family substrates (reconfiguration policies; their
+    /// cells need a traffic axis).
     pub fn is_pbft(&self) -> bool {
         matches!(
             self,
@@ -201,17 +202,20 @@ pub struct ProtocolScenario {
     pub adversaries: Vec<AdversaryScript>,
     /// Virtual run duration.
     pub duration: Duration,
-    /// Offered-load axis. Empty = the paper's saturated workload. Non-empty
-    /// = every cell drives its substrate from an open-loop traffic queue
-    /// compiled from the cell's [`TrafficSpec`] — *every* substrate consumes
-    /// the queue; there is no per-substrate fallback to a saturated source.
+    /// Offered-load axis. Empty = the paper's saturated workload, which only
+    /// HotStuff and the trees have: a PBFT-family cell without a traffic
+    /// axis panics. Non-empty = every cell drives its substrate from an
+    /// open-loop traffic queue compiled from the cell's [`TrafficSpec`] —
+    /// *every* substrate consumes the queue; there is no per-substrate
+    /// fallback to a saturated source.
     pub traffics: Vec<TrafficSpec>,
     /// When measurement-driven policies may first reconfigure.
     pub optimize_after: SimTime,
     /// Delay between a tree failure and the next root resuming (models the
     /// configuration search, e.g. 1 s of simulated annealing).
     pub reconfig_delay: Option<Duration>,
-    /// Client-latency windows to report (PBFT substrates).
+    /// Latency windows to report: what clients see in traffic cells, the
+    /// per-commit consensus latency in saturated ones.
     pub windows: Vec<LatencyWindow>,
 }
 
@@ -369,33 +373,31 @@ impl ProtocolScenario {
         }
         let faults = compiled.faults;
         // Every arm builds its family's configuration, runs it through the
-        // one harness, and produces a latency-window closure, so
-        // `LatencyWindow` metrics work uniformly across substrates: the PBFT
-        // family reports client-observed latency (its clients are part of the
-        // simulation), HotStuff and the trees report the per-commit
-        // consensus-latency timeline of the common report.
-        let window_mean: Box<dyn Fn(f64, f64) -> f64> = if substrate.is_pbft() {
-            // Open-loop cells replace the simulated closed-loop clients (one
-            // per replica) with the traffic queue's geo-placed population.
-            let clients = if traffic.is_some() { 0 } else { n };
-            let mut cfg = PbftConfig::new(n, f, clients, |id| {
+        // one harness, records its family's metrics and yields the report's
+        // per-commit consensus-latency timeline: what a `LatencyWindow`
+        // averages in a saturated cell, which has no clients to ask.
+        let latency_timeline = if substrate.is_pbft() {
+            let traffic = traffic.clone().unwrap_or_else(|| {
+                panic!(
+                    "{} proposes only from an open-loop traffic queue: \
+                     give the scenario a traffic axis (ProtocolScenario::with_traffic_axis)",
+                    substrate.label()
+                )
+            });
+            let mut cfg = PbftConfig::new(n, f, traffic, |id| {
                 substrate.pbft_policy(id, n, f, self.optimize_after)
             })
             .run_for(self.duration);
             cfg.misbehavior = misbehavior;
-            cfg.traffic = traffic.clone();
             cfg.telemetry = telemetry.clone();
-            let latency = Box::new(colocated_latency(&rtt, n, clients));
+            let latency = Box::new(MatrixLatency::from_rtt_millis(n, &rtt));
             let (report, _) = run(&cfg, latency, faults);
             record_common(&report, &mut metrics, &mut auditor);
-            let roles = report.roles;
-            metrics
-                .set(
-                    "client_ops",
-                    roles.client_completed.iter().sum::<u64>() as f64,
-                )
-                .set("reconfigurations", roles.reconfigurations.len() as f64);
-            Box::new(move |from, to| roles.mean_client_latency(from, to))
+            metrics.set(
+                "reconfigurations",
+                report.roles.reconfigurations.len() as f64,
+            );
+            report.latency_timeline
         } else if substrate.is_tree() {
             let mut cfg = KauriConfig::new(n);
             cfg.run_for = self.duration;
@@ -469,8 +471,7 @@ impl ProtocolScenario {
                     .collect(),
             );
             metrics.set_series("latency_timeline", report.latency_timeline.clone());
-            let tl = report.latency_timeline;
-            Box::new(move |from, to| timeline_mean(&tl, from, to))
+            report.latency_timeline
         } else {
             let pacemaker = match substrate {
                 Substrate::HotStuffFixed => Pacemaker::Fixed { leader: 0 },
@@ -486,8 +487,7 @@ impl ProtocolScenario {
             record_common(&report, &mut metrics, &mut auditor);
             metrics.set("views", report.roles.views as f64);
             metrics.set_series("latency_timeline", report.latency_timeline.clone());
-            let tl = report.latency_timeline;
-            Box::new(move |from, to| timeline_mean(&tl, from, to))
+            report.latency_timeline
         };
         if let Some(queue) = &traffic {
             // Client-side metrics: offered vs committed vs goodput, the
@@ -528,7 +528,10 @@ impl ProtocolScenario {
             metrics.set_series("queue_depth_timeline", tr.depth_timeline);
         } else {
             for w in &self.windows {
-                metrics.set(format!("lat_{}_ms", w.label), window_mean(w.from_s, w.to_s));
+                metrics.set(
+                    format!("lat_{}_ms", w.label),
+                    timeline_mean(&latency_timeline, w.from_s, w.to_s),
+                );
             }
         }
         // Finish the audit before draining the registry: the final strict
@@ -1341,12 +1344,27 @@ mod tests {
             vec![Substrate::BftSmart],
             vec![Topology::with_n(Deployment::Europe21, 4)],
         )
+        .with_traffic_axis(vec![probe_load()])
         .run_for(Duration::from_secs(10));
         let spec = ScenarioSpec::new("unit", vec![0], ScenarioKind::Protocol(scenario));
         let points = spec.points();
         let m = spec.run_cell(&points[0], 0);
         assert!(m.values["blocks"] > 0.0);
         assert!(m.values["latency_ms"] > 0.0);
+    }
+
+    /// The PBFT family has one proposal source, the traffic queue: a cell
+    /// without one names the axis it is missing.
+    #[test]
+    #[should_panic(expected = "traffic axis")]
+    fn pbft_cell_without_traffic_axis_panics() {
+        let scenario = ProtocolScenario::new(
+            vec![Substrate::BftSmart],
+            vec![Topology::with_n(Deployment::Europe21, 4)],
+        )
+        .run_for(Duration::from_secs(1));
+        let spec = ScenarioSpec::new("unit", vec![0], ScenarioKind::Protocol(scenario));
+        spec.run_cell(&spec.points()[0], 0);
     }
 
     /// The satellite guarantee: installing a trace sink must not perturb a

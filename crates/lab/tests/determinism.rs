@@ -6,13 +6,14 @@
 
 use lab::{
     run_sweep, AdversaryScript, Attack, Deployment, LatencyWindow, ProtocolScenario, ScenarioKind,
-    ScenarioSpec, Substrate, SweepOptions, Target, Topology,
+    ScenarioSpec, Substrate, SweepOptions, Target, Topology, TrafficSpec,
 };
 use netsim::{Duration, SimTime};
 
 /// A phased-adversary scenario over a seed-dependent topology: every part of
 /// the pipeline that could leak cross-thread state is on the path — per-seed
-/// city sampling, per-cell policy seeding, phased faults, window metrics.
+/// city sampling, client placement and arrivals, per-cell policy seeding,
+/// phased faults, window metrics.
 fn spec() -> ScenarioSpec {
     let mut scenario = ProtocolScenario::new(
         vec![Substrate::BftSmart, Substrate::OptiAware],
@@ -34,6 +35,9 @@ fn spec() -> ScenarioSpec {
                 target: Target::Replica(1),
             },
         )])
+    .with_traffic_axis(vec![TrafficSpec::poisson(100.0)
+        .with_clients(8)
+        .with_batching(100, Duration::from_millis(25))])
     .run_for(Duration::from_secs(15));
     scenario.optimize_after = SimTime::from_secs(3);
     scenario.windows = vec![

@@ -8,14 +8,15 @@
 //! suspicions, leader terms — from the same calls the policy receives, and
 //! reads the policy's own `searches()` diagnostic.
 
-use lab::harness::{colocated_latency, run};
-use lab::{Deployment, Topology};
-use netsim::{Duration, FaultPlan, SimTime};
+use lab::harness::run;
+use lab::{Deployment, Topology, TrafficSpec};
+use netsim::{Duration, FaultPlan, MatrixLatency, SimTime};
 use optiaware::{OptiAwareBlob, OptiAwarePolicy};
 use optilog::{LatencyMonitor, LatencyVector};
 use pbft::score::optimize_configuration;
 use pbft::{PbftConfig, PbftRoundRecord, ReconfigPolicy, WeightConfig};
 use std::sync::{Arc, Mutex};
+use traffic::SharedTrafficQueue;
 
 /// What one replica's policy was handed, and what it did with it.
 #[derive(Debug, Clone, Copy, Default)]
@@ -88,7 +89,11 @@ fn optiaware_searches_on_log_events_not_on_commits() {
     let (optimised, _) = optimize_configuration(&rtt, n, f, &all, &[], 1);
 
     let out = Arc::new(Mutex::new(vec![Seen::default(); n]));
-    let mut config = PbftConfig::new(n, f, 2, |id| {
+    let load = TrafficSpec::poisson(100.0)
+        .with_clients(8)
+        .with_batching(100, Duration::from_millis(25));
+    let queue = SharedTrafficQueue::generate(&load, &[1.0; 8], 0, SimTime::from_secs(10));
+    let mut config = PbftConfig::new(n, f, queue, |id| {
         Box::new(Observed {
             id,
             inner: OptiAwarePolicy::new(id, n, f, SimTime::from_secs(2)),
@@ -107,7 +112,7 @@ fn optiaware_searches_on_log_events_not_on_commits() {
         SimTime::from_secs(4),
         SimTime::from_secs(8),
     );
-    let latency = colocated_latency(&rtt, n, config.clients);
+    let latency = MatrixLatency::from_rtt_millis(n, &rtt);
     let (report, _) = run(&config, Box::new(latency), FaultPlan::none());
 
     // The scenario is not vacuous: the optimisation, then the mitigation.

@@ -28,8 +28,11 @@
 //!
 //! The protocol is written against the runtime-agnostic `runtime` node API,
 //! so the same replicas run inside the discrete-event simulator or over real
-//! sockets; clients are nodes issuing requests in a closed loop and measuring
-//! end-to-end latency, which is what Fig 7 plots.
+//! sockets. Proposals have one source, as in every other family: the run's
+//! open-loop traffic queue ([`traffic::SharedTrafficQueue`]) of geo-placed
+//! clients. The leader proposes a batch when the queue has one ready and an
+//! empty heartbeat block otherwise, and the queue measures the end-to-end
+//! latency clients see, which is what Fig 7 plots.
 
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 pub mod cluster;
@@ -42,6 +45,6 @@ pub mod weights;
 pub use cluster::{PbftConfig, PbftRoles};
 pub use messages::{PbftMessage, Phase};
 pub use policy::{PbftRoundRecord, ReconfigPolicy, StaticPolicy};
-pub use replica::{ClientState, PbftNode, ReplicaState};
+pub use replica::ReplicaState;
 pub use score::{predict_round_latency, predict_message_delays, weighted_quorum_time};
 pub use weights::{VoterSet, WeightConfig};

@@ -1,7 +1,7 @@
 //! Wire messages of the PBFT/BFT-SMaRt-style protocol.
 
 use crypto::Digest;
-use rsm::{Command, SealedBlock};
+use rsm::SealedBlock;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -25,14 +25,9 @@ impl Phase {
     }
 }
 
-/// Messages exchanged between replicas and clients.
+/// Messages exchanged between replicas.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum PbftMessage {
-    /// Client request broadcast to all replicas; the current leader batches it.
-    Request {
-        /// The command to replicate.
-        cmd: Command,
-    },
     /// Leader proposal: a block, the leader's proposal timestamp, and any
     /// measurement blobs riding on the proposal (the sensor app of Fig 1).
     Propose {
@@ -68,13 +63,6 @@ pub enum PbftMessage {
         digest: Digest,
         /// The voting replica.
         voter: usize,
-    },
-    /// Execution reply to a client.
-    Reply {
-        /// The client's command sequence number.
-        client_seq: u64,
-        /// The replying replica.
-        replica: usize,
     },
     /// Latency probe.
     Probe {

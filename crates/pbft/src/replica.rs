@@ -1,33 +1,30 @@
-//! The PBFT/BFT-SMaRt replica and client state machines, driven by the
-//! discrete-event simulator.
+//! The PBFT/BFT-SMaRt replica state machine, written against the
+//! runtime-agnostic node API.
 //!
-//! A [`PbftNode`] is either a replica or a client. Replicas run the
-//! three-phase protocol with weighted quorums; the leader piggybacks pending
-//! measurement blobs on its proposals (the "sensor app" path of Fig 1), and
-//! every replica feeds committed blobs to its [`ReconfigPolicy`] in log
-//! order, so configuration decisions are identical everywhere. Clients issue
-//! requests in a closed loop and record end-to-end latency, which is what
-//! Fig 7 plots.
+//! Replicas run the three-phase protocol with weighted quorums. The leader
+//! takes each proposal's commands from the run's open-loop traffic queue
+//! (a batch when the queue's size-or-timeout rule has one ready, an empty
+//! heartbeat block otherwise) and piggybacks pending measurement blobs on it
+//! (the "sensor app" path of Fig 1). Every replica feeds committed blobs to
+//! its [`ReconfigPolicy`] in log order, so configuration decisions are
+//! identical everywhere. The proposer of a batch reports its commit back to
+//! the queue, which measures what clients see end to end (what Fig 7 plots).
 
 use crate::messages::{PbftMessage, Phase};
 use crate::policy::{PbftRoundRecord, ReconfigPolicy};
 use crate::weights::{VoterSet, WeightConfig};
 use crypto::Digest;
 use rsm::{misbehavior, Block, Command, CommitStats, DelayStage, SealedBlock};
-use runtime::{Context, Duration, Node, NodeId, SimTime, TimeSeries, TimerId};
-use std::collections::{BTreeMap, BTreeSet};
+use runtime::{Context, Duration, Node, NodeId, SimTime, TimerId};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use telemetry::{Stage, Telemetry};
 use traffic::SharedTrafficQueue;
 
-/// Timer tags used by replicas and clients.
+/// Timer tags.
 const TIMER_PROBE_START: u64 = 1;
 const TIMER_PROBE_COLLECT: u64 = 2;
 const TIMER_DELAYED_PROPOSE: u64 = 4;
-
-/// Most client requests one proposal carries (closed-loop clients; open-loop
-/// traffic is batched by its queue).
-const BATCH_CAP: usize = 1000;
 
 /// One in-flight consensus instance at a replica.
 #[derive(Debug, Clone)]
@@ -101,8 +98,6 @@ pub struct ReplicaState {
     /// `config`'s weighted quorum threshold, derived whenever a
     /// configuration is adopted, so a vote sums only its voters' weights.
     quorum: u32,
-    pending_requests: Vec<Command>,
-    committed_requests: BTreeSet<(u64, u64)>,
     pending_measurements: Vec<Vec<u8>>,
     instances: BTreeMap<u64, Instance>,
     next_seq: u64,
@@ -117,10 +112,9 @@ pub struct ReplicaState {
     pending_records: Vec<PbftRoundRecord>,
     probe_nonce: u64,
     probe_rtts: Vec<f64>,
-    /// Open-loop traffic source (`None` = client-driven closed loop). When
-    /// set, the leader pulls size-or-timeout batches from the shared queue
-    /// instead of draining client requests, and no client nodes exist.
-    traffic: Option<SharedTrafficQueue>,
+    /// The run's open-loop traffic source: the leader pulls size-or-timeout
+    /// batches from this queue, shared by every replica of the run.
+    traffic: SharedTrafficQueue,
     /// Traffic batch ids by proposed sequence number (proposer side).
     traffic_batches: BTreeMap<u64, u64>,
     /// `(seq, digest fingerprint)` per commit, in local commit order — the
@@ -136,11 +130,12 @@ pub struct ReplicaState {
 }
 
 impl ReplicaState {
-    /// Create a replica.
+    /// Create a replica that proposes from `traffic`.
     pub fn new(
         id: usize,
         n: usize,
         f: usize,
+        traffic: SharedTrafficQueue,
         policy: Box<dyn ReconfigPolicy>,
     ) -> Self {
         assert!(
@@ -160,8 +155,6 @@ impl ReplicaState {
             policy,
             quorum: config.quorum_threshold(f),
             config,
-            pending_requests: Vec::new(),
-            committed_requests: BTreeSet::new(),
             pending_measurements: Vec::new(),
             instances: BTreeMap::new(),
             next_seq: 1,
@@ -172,7 +165,7 @@ impl ReplicaState {
             pending_records: Vec::new(),
             probe_nonce: 0,
             probe_rtts: vec![f64::INFINITY; n],
-            traffic: None,
+            traffic,
             traffic_batches: BTreeMap::new(),
             commit_checkpoints: Vec::new(),
             telemetry: Telemetry::disabled(),
@@ -184,13 +177,6 @@ impl ReplicaState {
     /// Install scripted proposal-delay stages (the protocol-level attack).
     pub fn with_delays(mut self, delays: Vec<DelayStage>) -> Self {
         self.delays = delays;
-        self
-    }
-
-    /// Drive proposals from an open-loop traffic queue instead of the
-    /// closed-loop clients.
-    pub fn with_traffic(mut self, traffic: Option<SharedTrafficQueue>) -> Self {
-        self.traffic = traffic;
         self
     }
 
@@ -216,10 +202,6 @@ impl ReplicaState {
         self.config.leader == self.id
     }
 
-    fn client_node(&self, client: u64) -> NodeId {
-        self.n + client as usize
-    }
-
     fn try_propose(&mut self, ctx: &mut Context<PbftMessage>) {
         if !self.is_leader() || self.delayed_block.is_some() {
             return;
@@ -228,26 +210,19 @@ impl ReplicaState {
         if self.next_seq != self.last_committed_seq + 1 {
             return;
         }
-        // Leaders propose continuously: when no client requests or
-        // measurements are pending, an empty heartbeat block keeps rounds
-        // back-to-back, which is what the round-duration estimate `d_rnd`
-        // (and therefore suspicion condition (a)) assumes. With an open-loop
-        // traffic source the same cadence holds: the leader attaches a batch
-        // whenever the queue's size-or-timeout rule has one ready and
-        // heartbeats otherwise, so batching never distorts round timing (and
-        // never triggers condition (a) against an honest, lightly-loaded
-        // leader).
-        let commands: Vec<Command> = if let Some(queue) = &self.traffic {
-            match queue.try_batch_at(ctx.now, self.id) {
-                Some(batch) => {
-                    self.traffic_batches.insert(self.next_seq, batch.id);
-                    batch.commands
-                }
-                None => Vec::new(),
+        // Leaders propose continuously: the leader attaches a batch whenever
+        // the queue's size-or-timeout rule has one ready and otherwise sends
+        // an empty heartbeat block, which keeps rounds back-to-back. That is
+        // what the round-duration estimate `d_rnd` (and therefore suspicion
+        // condition (a)) assumes, so batching never distorts round timing
+        // (and never triggers condition (a) against an honest,
+        // lightly-loaded leader).
+        let commands = match self.traffic.try_batch_at(ctx.now, self.id) {
+            Some(batch) => {
+                self.traffic_batches.insert(self.next_seq, batch.id);
+                batch.commands
             }
-        } else {
-            let take = self.pending_requests.len().min(BATCH_CAP);
-            self.pending_requests.drain(..take).collect()
+            None => Vec::new(),
         };
         let block = Block::new(
             Digest::ZERO,
@@ -482,27 +457,10 @@ impl ReplicaState {
             );
         }
 
-        if let Some(queue) = &self.traffic {
-            // Open-loop mode: no client nodes exist to reply to. The
-            // proposer (the only replica that knows the batch id) reports
-            // the commit so the queue can account end-to-end latency.
-            if let Some(id) = self.traffic_batches.remove(&seq) {
-                queue.commit_batch_in(id, ctx.now, seq);
-            }
-        } else {
-            // Reply to clients and remember executed requests.
-            for cmd in commands {
-                self.committed_requests.insert((cmd.client, cmd.seq));
-                ctx.send(
-                    self.client_node(cmd.client),
-                    PbftMessage::Reply {
-                        client_seq: cmd.seq,
-                        replica: self.id,
-                    },
-                );
-            }
-            self.pending_requests
-                .retain(|c| !self.committed_requests.contains(&(c.client, c.seq)));
+        // The proposer (the only replica that knows the batch id) reports
+        // the commit so the queue can account end-to-end latency.
+        if let Some(id) = self.traffic_batches.remove(&seq) {
+            self.traffic.commit_batch_in(id, ctx.now, seq);
         }
 
         // Feed committed measurements to the policy (log order).
@@ -598,169 +556,70 @@ impl ReplicaState {
     }
 }
 
-/// Client state: a closed-loop request issuer measuring end-to-end latency.
-pub struct ClientState {
-    /// Client id (its node id is `n + id`).
-    pub id: u64,
-    /// Every replica: the targets of each request.
-    replicas: Vec<NodeId>,
-    f: usize,
-    next_seq: u64,
-    sent_at: SimTime,
-    repliers: BTreeSet<usize>,
-    /// End-to-end latency timeline: (reply time in s, latency in ms).
-    pub latency: TimeSeries,
-    /// Total completed requests.
-    pub completed: u64,
-}
-
-impl ClientState {
-    /// Create a client.
-    pub fn new(id: u64, n: usize, f: usize) -> Self {
-        ClientState {
-            id,
-            replicas: (0..n).collect(),
-            f,
-            next_seq: 0,
-            sent_at: SimTime::ZERO,
-            repliers: BTreeSet::new(),
-            latency: TimeSeries::new(),
-            completed: 0,
-        }
-    }
-
-    fn send_next(&mut self, ctx: &mut Context<PbftMessage>) {
-        let cmd = Command::empty(self.id, self.next_seq);
-        self.sent_at = ctx.now;
-        self.repliers.clear();
-        ctx.multicast(&self.replicas, PbftMessage::Request { cmd });
-    }
-
-    fn on_reply(&mut self, ctx: &mut Context<PbftMessage>, client_seq: u64, replica: usize) {
-        if client_seq != self.next_seq {
-            return;
-        }
-        self.repliers.insert(replica);
-        if self.repliers.len() > self.f {
-            let latency = ctx.now.since(self.sent_at);
-            self.latency.push(ctx.now, latency.as_millis_f64());
-            self.completed += 1;
-            self.next_seq += 1;
-            self.send_next(ctx);
-        }
-    }
-}
-
-/// A node in the PBFT simulation: replica or client.
-// Replica state dwarfs client state, but simulations hold only n + c
-// nodes, so boxing would cost indirection for no measurable memory win.
-#[allow(clippy::large_enum_variant)]
-pub enum PbftNode {
-    /// A consensus replica.
-    Replica(ReplicaState),
-    /// A request-issuing client.
-    Client(ClientState),
-}
-
-impl Node for PbftNode {
+impl Node for ReplicaState {
     type Msg = PbftMessage;
 
     fn on_start(&mut self, ctx: &mut Context<PbftMessage>) {
-        match self {
-            PbftNode::Replica(r) => {
-                // Stagger probe rounds slightly so they do not all collide.
-                let offset = Duration::from_millis(50 * (r.id as u64 + 1));
-                ctx.set_timer(offset, TIMER_PROBE_START);
-                if r.is_leader() {
-                    r.try_propose(ctx);
-                }
-            }
-            PbftNode::Client(c) => c.send_next(ctx),
+        // Stagger probe rounds slightly so they do not all collide.
+        let offset = Duration::from_millis(50 * (self.id as u64 + 1));
+        ctx.set_timer(offset, TIMER_PROBE_START);
+        if self.is_leader() {
+            self.try_propose(ctx);
         }
     }
 
     fn on_message(&mut self, ctx: &mut Context<PbftMessage>, from: NodeId, msg: PbftMessage) {
-        match self {
-            PbftNode::Replica(r) => match msg {
-                PbftMessage::Request { cmd } => {
-                    if !r.committed_requests.contains(&(cmd.client, cmd.seq))
-                        && !r
-                            .pending_requests
-                            .iter()
-                            .any(|c| c.client == cmd.client && c.seq == cmd.seq)
-                    {
-                        r.pending_requests.push(cmd);
-                        if r.is_leader() {
-                            r.try_propose(ctx);
-                        }
-                    }
+        match msg {
+            PbftMessage::Propose {
+                seq,
+                epoch,
+                block,
+                timestamp_us,
+                measurements,
+            } => self.handle_propose(ctx, from, seq, epoch, block, timestamp_us, measurements),
+            PbftMessage::Write { seq, digest, voter } => self.handle_write(ctx, voter, seq, digest),
+            PbftMessage::Accept { seq, digest, voter } => {
+                self.handle_accept(ctx, voter, seq, digest)
+            }
+            PbftMessage::Probe { nonce, sent_at_us } => {
+                ctx.send(
+                    from,
+                    PbftMessage::ProbeReply {
+                        nonce,
+                        sent_at_us,
+                        replica: self.id,
+                    },
+                );
+            }
+            PbftMessage::ProbeReply {
+                nonce,
+                sent_at_us,
+                replica,
+            } => {
+                if nonce == self.probe_nonce && replica < self.n {
+                    let rtt = ctx.now.since(SimTime::from_micros(sent_at_us));
+                    self.probe_rtts[replica] = rtt.as_millis_f64();
                 }
-                PbftMessage::Propose {
-                    seq,
-                    epoch,
-                    block,
-                    timestamp_us,
-                    measurements,
-                } => r.handle_propose(ctx, from, seq, epoch, block, timestamp_us, measurements),
-                PbftMessage::Write { seq, digest, voter } => {
-                    r.handle_write(ctx, voter, seq, digest)
-                }
-                PbftMessage::Accept { seq, digest, voter } => {
-                    r.handle_accept(ctx, voter, seq, digest)
-                }
-                PbftMessage::Probe { nonce, sent_at_us } => {
-                    ctx.send(
-                        from,
-                        PbftMessage::ProbeReply {
-                            nonce,
-                            sent_at_us,
-                            replica: r.id,
-                        },
-                    );
-                }
-                PbftMessage::ProbeReply {
-                    nonce,
-                    sent_at_us,
-                    replica,
-                } => {
-                    if nonce == r.probe_nonce && replica < r.n {
-                        let rtt = ctx.now.since(SimTime::from_micros(sent_at_us));
-                        r.probe_rtts[replica] = rtt.as_millis_f64();
-                    }
-                }
-                PbftMessage::SensorData { blobs } => {
-                    if r.is_leader() {
-                        r.pending_measurements.extend(blobs);
-                        r.try_propose(ctx);
-                    }
-                }
-                PbftMessage::Reply { .. } => {}
-            },
-            PbftNode::Client(c) => {
-                if let PbftMessage::Reply {
-                    client_seq,
-                    replica,
-                } = msg
-                {
-                    c.on_reply(ctx, client_seq, replica);
+            }
+            PbftMessage::SensorData { blobs } => {
+                if self.is_leader() {
+                    self.pending_measurements.extend(blobs);
+                    self.try_propose(ctx);
                 }
             }
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Context<PbftMessage>, _timer: TimerId, tag: u64) {
-        match self {
-            PbftNode::Replica(r) => match tag {
-                TIMER_PROBE_START => r.start_probe_round(ctx),
-                TIMER_PROBE_COLLECT => r.finish_probe_round(ctx),
-                TIMER_DELAYED_PROPOSE => {
-                    if let Some((seq, block, measurements)) = r.delayed_block.take() {
-                        r.send_propose(ctx, seq, block, measurements);
-                    }
+        match tag {
+            TIMER_PROBE_START => self.start_probe_round(ctx),
+            TIMER_PROBE_COLLECT => self.finish_probe_round(ctx),
+            TIMER_DELAYED_PROPOSE => {
+                if let Some((seq, block, measurements)) = self.delayed_block.take() {
+                    self.send_propose(ctx, seq, block, measurements);
                 }
-                _ => {}
-            },
-            PbftNode::Client(_) => {}
+            }
+            _ => {}
         }
     }
 }
@@ -772,19 +631,11 @@ mod tests {
 
     #[test]
     fn replica_initial_state() {
-        let r = ReplicaState::new(2, 7, 2, Box::new(StaticPolicy));
+        let idle =
+            SharedTrafficQueue::generate(&rsm::TrafficSpec::poisson(1.0), &[1.0], 0, SimTime::ZERO);
+        let r = ReplicaState::new(2, 7, 2, idle, Box::new(StaticPolicy));
         assert_eq!(r.config().leader, 0);
         assert!(!r.is_leader());
         assert_eq!(r.last_committed_seq, 0);
-    }
-
-    #[test]
-    fn client_counts_distinct_repliers() {
-        let mut c = ClientState::new(0, 4, 1);
-        // Simulate context plumbing minimally by checking internal bookkeeping.
-        c.next_seq = 0;
-        c.repliers.insert(1);
-        c.repliers.insert(1);
-        assert_eq!(c.repliers.len(), 1);
     }
 }

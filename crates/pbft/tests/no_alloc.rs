@@ -6,12 +6,13 @@
 //! test keeps its readings on a single thread.
 
 use crypto::Digest;
-use pbft::{PbftMessage, PbftNode, ReplicaState, StaticPolicy};
-use rsm::{Block, Command, SealedBlock};
+use pbft::{PbftMessage, ReplicaState, StaticPolicy};
+use rsm::{Block, Command, SealedBlock, TrafficSpec};
 use runtime::{Action, Context, Node, NodeId, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use traffic::SharedTrafficQueue;
 
 static ALLOCATED: AtomicU64 = AtomicU64::new(0);
 
@@ -48,15 +49,17 @@ const ME: NodeId = 5;
 /// Drives one replica by hand, the way a runtime does: one `Context` per
 /// callback over a recycled action buffer.
 struct Runtime {
-    node: PbftNode,
+    node: ReplicaState,
     actions: Vec<Action<PbftMessage>>,
     next_timer: u64,
     now: SimTime,
 }
 
 impl Runtime {
-    /// Deliver `msg`; returns the bytes allocated and the messages sent.
-    fn deliver(&mut self, from: NodeId, msg: PbftMessage) -> (u64, usize) {
+    /// Deliver `msg`; returns the bytes allocated, the messages sent and
+    /// whether the replica committed.
+    fn deliver(&mut self, from: NodeId, msg: PbftMessage) -> (u64, usize, bool) {
+        let commits = self.node.commit_checkpoints().len();
         let before = ALLOCATED.load(Ordering::Relaxed);
         let buffer = std::mem::take(&mut self.actions);
         let mut ctx = Context::new(ME, self.now, N, self.next_timer, buffer);
@@ -69,14 +72,21 @@ impl Runtime {
         });
         self.actions = buffer;
         self.next_timer = next_timer;
-        (ALLOCATED.load(Ordering::Relaxed) - before, sent)
+        let bytes = ALLOCATED.load(Ordering::Relaxed) - before;
+        (bytes, sent, self.node.commit_checkpoints().len() > commits)
     }
+}
+
+/// A queue with nothing scheduled.
+fn idle_queue() -> SharedTrafficQueue {
+    SharedTrafficQueue::generate(&TrafficSpec::poisson(1.0), &[1.0], 0, SimTime::ZERO)
 }
 
 #[test]
 fn votes_that_complete_no_quorum_allocate_nothing() {
     let mut rt = Runtime {
-        node: PbftNode::Replica(ReplicaState::new(ME, N, F, Box::new(StaticPolicy))),
+        // Only the leader reads the queue, and this replica never leads.
+        node: ReplicaState::new(ME, N, F, idle_queue(), Box::new(StaticPolicy)),
         actions: Vec::new(),
         next_timer: 0,
         now: SimTime::ZERO,
@@ -95,7 +105,7 @@ fn votes_that_complete_no_quorum_allocate_nothing() {
             commands,
         )));
         let digest = block.digest();
-        let (_, sent) = rt.deliver(
+        let (_, sent, _) = rt.deliver(
             0,
             PbftMessage::Propose {
                 seq,
@@ -113,12 +123,13 @@ fn votes_that_complete_no_quorum_allocate_nothing() {
 
         // Exactly one Write completes the write quorum (and multicasts this
         // replica's Accept), exactly one Accept completes the accept quorum
-        // (and commits, replying to the clients); no other vote allocates,
-        // including the Accepts that arrive after the commit.
+        // (and commits); no other vote allocates, including the Accepts that
+        // arrive after the commit.
         let mut completions = 0;
         for voter in voters() {
-            let (bytes, sent) = rt.deliver(voter, PbftMessage::Write { seq, digest, voter });
-            if sent > 0 {
+            let (bytes, sent, committed) =
+                rt.deliver(voter, PbftMessage::Write { seq, digest, voter });
+            if sent > 0 || committed {
                 completions += 1;
             } else {
                 assert_eq!(
@@ -128,8 +139,9 @@ fn votes_that_complete_no_quorum_allocate_nothing() {
             }
         }
         for voter in voters() {
-            let (bytes, sent) = rt.deliver(voter, PbftMessage::Accept { seq, digest, voter });
-            if sent > 0 {
+            let (bytes, sent, committed) =
+                rt.deliver(voter, PbftMessage::Accept { seq, digest, voter });
+            if sent > 0 || committed {
                 completions += 1;
             } else {
                 assert_eq!(

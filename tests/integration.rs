@@ -5,13 +5,14 @@ use optilog_suite::*;
 
 use kauri::{KauriBinsPolicy, KauriCluster, KauriConfig};
 use hotstuff::{HotStuffConfig, Pacemaker};
-use lab::harness::{colocated_latency, run};
+use lab::harness::run;
 use netsim::{CityDataset, Duration, FaultPlan, LatencyModel, MatrixLatency, SimTime};
 use optiaware::OptiAwarePolicy;
 use optilog::{AnnealingParams, SuspicionMonitorParams};
 use optitree::{search_tree, tree_score, OptiTreePolicy, TreeSearchSpace};
 use pbft::{PbftConfig, PbftRoles, ReconfigPolicy, StaticPolicy};
-use rsm::{RunReport, SystemConfig};
+use rsm::{timeline_mean, RunReport, SystemConfig, TrafficSpec};
+use traffic::{SharedTrafficQueue, TrafficReport};
 
 fn europe_rtt(n: usize) -> Vec<f64> {
     let ds = CityDataset::worldwide();
@@ -30,13 +31,28 @@ fn matrix(n: usize, rtt: &[f64]) -> Box<dyn LatencyModel> {
     Box::new(MatrixLatency::from_rtt_millis(n, rtt))
 }
 
-/// A fault-free PBFT run over `rtt` with the configured clients co-located.
+/// Clients of the open-loop PBFT load.
+const CLIENTS: usize = 8;
+
+/// Poisson load at 100 cmd/s until `secs` from [`CLIENTS`] clients 1 ms
+/// from their replica, batches of 100 or 25 ms.
+fn load(secs: u64) -> SharedTrafficQueue {
+    let spec = TrafficSpec::poisson(100.0)
+        .with_clients(CLIENTS)
+        .with_batching(100, Duration::from_millis(25));
+    SharedTrafficQueue::generate(&spec, &[1.0; CLIENTS], 7, SimTime::from_secs(secs))
+}
+
+/// A fault-free PBFT run over `rtt`, and what its queue's clients saw.
 fn sim_pbft<F: Fn(usize) -> Box<dyn ReconfigPolicy>>(
     config: &PbftConfig<F>,
     rtt: &[f64],
-) -> RunReport<PbftRoles> {
-    let latency = colocated_latency(rtt, config.n, config.clients);
-    run(config, Box::new(latency), FaultPlan::none()).0
+) -> (RunReport<PbftRoles>, TrafficReport) {
+    let report = run(config, matrix(config.n, rtt), FaultPlan::none()).0;
+    let traffic = config
+        .traffic
+        .report(config.run_for.as_micros() / 1_000_000);
+    (report, traffic)
 }
 
 // ---- per-substrate smoke tests: every protocol commits over the city
@@ -46,8 +62,8 @@ fn sim_pbft<F: Fn(usize) -> Box<dyn ReconfigPolicy>>(
 fn smoke_pbft_commits_over_city_matrix() {
     let n = 7;
     let config =
-        PbftConfig::new(n, 2, 2, |_| Box::new(StaticPolicy)).run_for(Duration::from_secs(5));
-    let report = sim_pbft(&config, &europe_rtt(n));
+        PbftConfig::new(n, 2, load(5), |_| Box::new(StaticPolicy)).run_for(Duration::from_secs(5));
+    let (report, _) = sim_pbft(&config, &europe_rtt(n));
     assert!(
         report.summary.committed_blocks > 0,
         "pbft committed nothing: {report:?}"
@@ -86,11 +102,16 @@ fn smoke_kauri_commits_over_city_matrix() {
 #[test]
 fn pbft_over_city_latencies_commits_client_requests() {
     let n = 7;
-    let config =
-        PbftConfig::new(n, 2, 3, |_| Box::new(StaticPolicy)).run_for(Duration::from_secs(15));
-    let report = sim_pbft(&config, &europe_rtt(n));
+    let config = PbftConfig::new(n, 2, load(15), |_| Box::new(StaticPolicy))
+        .run_for(Duration::from_secs(15));
+    let (report, traffic) = sim_pbft(&config, &europe_rtt(n));
     assert!(report.summary.committed_blocks > 10);
-    assert!(report.roles.client_completed.iter().all(|&c| c > 3));
+    assert!(
+        traffic.committed > 3 * CLIENTS as u64,
+        "committed {} of {}",
+        traffic.committed,
+        traffic.offered
+    );
 }
 
 #[test]
@@ -106,23 +127,24 @@ fn optiaware_recovers_from_delay_attack_while_aware_does_not() {
     let attack = SimTime::from_secs(40);
     let optimize_after = SimTime::from_secs(15);
     let attacked = |policy: &dyn Fn(usize) -> Box<dyn ReconfigPolicy>| {
-        let mut cfg = PbftConfig::new(n, f, 3, policy).run_for(Duration::from_secs(100));
+        let mut cfg = PbftConfig::new(n, f, load(100), policy).run_for(Duration::from_secs(100));
         cfg.misbehavior.delay_proposals_during(
             attacker,
             Duration::from_millis(400),
             attack,
             SimTime::MAX,
         );
-        sim_pbft(&cfg, &rtt).roles
+        let (report, traffic) = sim_pbft(&cfg, &rtt);
+        (report.roles, traffic.e2e_timeline)
     };
-    let aware = attacked(&|_| Box::new(OptiAwarePolicy::aware(n, f, optimize_after)));
-    let opti = attacked(&|id| Box::new(OptiAwarePolicy::new(id, n, f, optimize_after)));
+    let (_, aware_e2e) = attacked(&|_| Box::new(OptiAwarePolicy::aware(n, f, optimize_after)));
+    let (opti, opti_e2e) = attacked(&|id| Box::new(OptiAwarePolicy::new(id, n, f, optimize_after)));
 
     // By the end of the run OptiAware must be no worse than Aware: either it
     // detected the attack and reassigned the leader, or its suspicion-driven
     // role assignment kept the attacker out of the leader role altogether.
-    let aware_late = aware.mean_client_latency(80.0, 100.0);
-    let opti_late = opti.mean_client_latency(80.0, 100.0);
+    let aware_late = timeline_mean(&aware_e2e, 80.0, 100.0);
+    let opti_late = timeline_mean(&opti_e2e, 80.0, 100.0);
     // Aware has no suspicion mechanism: the attacker keeps the leader role
     // and clients keep paying the 400 ms Pre-Prepare delay.
     assert!(
