@@ -68,14 +68,17 @@ impl Deployment {
 
     /// Build the replica-to-replica RTT matrix (ms) for `n` replicas of this
     /// deployment, assigning replicas to cities round-robin (or at random for
-    /// the world-wide samples, where `seed` selects the draw).
+    /// the world-wide samples, where `seed` selects the draw). RTTs are
+    /// symmetric, so each unordered pair is computed once and mirrored.
     pub fn rtt_matrix(&self, n: usize, seed: u64) -> Vec<f64> {
         let ds = CityDataset::worldwide();
         let assignment = self.replica_cities(&ds, n, seed);
         let mut m = vec![0.0; n * n];
         for a in 0..n {
-            for b in 0..n {
-                m[a * n + b] = ds.rtt_ms(assignment[a], assignment[b]);
+            for b in a + 1..n {
+                let rtt = ds.rtt_ms(assignment[a], assignment[b]);
+                m[a * n + b] = rtt;
+                m[b * n + a] = rtt;
             }
         }
         m
@@ -172,6 +175,46 @@ mod tests {
             assert_eq!(m.len(), n * n);
             assert_eq!(m[0], 0.0);
             assert!(m.iter().all(|&x| x.is_finite()));
+        }
+    }
+
+    #[test]
+    fn mirrored_matrix_is_the_per_pair_rtt_in_both_orders() {
+        let ds = CityDataset::worldwide();
+        let mut cases: Vec<(Deployment, usize, u64)> = [
+            Deployment::Europe21,
+            Deployment::NaEu43,
+            Deployment::Stellar56,
+            Deployment::Global73,
+        ]
+        .into_iter()
+        .flat_map(|d| [(d, 7, 12), (d, d.default_n(), 12)])
+        .collect();
+        for seed in [0, 1, 3, 12] {
+            cases.push((Deployment::WorldRandom, 50, seed));
+            cases.push((Deployment::WorldDistinct, 60, seed));
+        }
+        for (d, n, seed) in cases {
+            let cities = d.replica_cities(&ds, n, seed);
+            let m = d.rtt_matrix(n, seed);
+            for a in 0..n {
+                for b in 0..n {
+                    let (ab, ba) = (
+                        ds.rtt_ms(cities[a], cities[b]),
+                        ds.rtt_ms(cities[b], cities[a]),
+                    );
+                    assert_eq!(
+                        ab.to_bits(),
+                        ba.to_bits(),
+                        "{d:?} n={n} seed={seed}: {a}↔{b}"
+                    );
+                    assert_eq!(
+                        m[a * n + b].to_bits(),
+                        ab.to_bits(),
+                        "{d:?} n={n} seed={seed}: {a}→{b}"
+                    );
+                }
+            }
         }
     }
 

@@ -207,6 +207,26 @@ impl Registry {
         );
     }
 
+    /// Record every value of `values` into one histogram, as one
+    /// [`Registry::observe`] per value would, but with one key lookup for
+    /// the lot: on a key the registry already holds, nothing is allocated.
+    /// Unlike no `observe` call at all, an empty `values` still creates the
+    /// key, so callers pass a non-empty batch.
+    pub fn observe_each(
+        &mut self,
+        name: &str,
+        replica: Option<usize>,
+        values: impl IntoIterator<Item = u64>,
+    ) {
+        upsert(
+            &mut self.hists,
+            name,
+            replica,
+            LogLinearHistogram::new(),
+            |h| values.into_iter().for_each(|v| h.record(v)),
+        );
+    }
+
     /// A counter's current value (0 if never touched).
     pub fn counter(&self, name: &str, replica: Option<usize>) -> u64 {
         let view: &dyn KeyView = &(name, replica);

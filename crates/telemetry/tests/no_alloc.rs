@@ -1,6 +1,7 @@
-//! Recording into a key the registry already holds must not touch the heap:
-//! the lookup borrows the caller's `&str`, and the `String` is built on first
-//! insert only. Its own test binary, because the counting allocator below is
+//! Recording into a key the registry already holds must not touch the heap,
+//! one value at a time or a batch of them through `observe_each`: the lookup
+//! borrows the caller's `&str`, and the `String` is built on first insert
+//! only. Its own test binary, because the counting allocator below is
 //! process-wide; the one test keeps its readings on a single thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -47,6 +48,7 @@ fn a_hit_on_an_existing_key_allocates_nothing() {
         reg.gauge_set("t.alloc.depth", None, 1.0);
         reg.gauge_max("t.alloc.peak", Some(0), 1.0);
         reg.observe("t.alloc.lat_us", Some(3), 700);
+        reg.observe_each("t.alloc.lat_us", Some(3), [40, 700, 90_000]);
     });
     assert!(first > 0, "first insert builds the key");
     let hit = allocated_by(|| {
@@ -54,10 +56,13 @@ fn a_hit_on_an_existing_key_allocates_nothing() {
         reg.gauge_set("t.alloc.depth", None, 2.0);
         reg.gauge_max("t.alloc.peak", Some(0), 9.0);
         reg.observe("t.alloc.lat_us", Some(3), 700);
+        reg.observe_each("t.alloc.lat_us", Some(3), [40, 700, 90_000]);
+        reg.observe_each("t.alloc.lat_us", Some(3), std::iter::repeat_n(700, 1000));
         assert_eq!(reg.counter("t.alloc.count", Some(3)), 6);
         assert_eq!(reg.gauge("t.alloc.depth", None), Some(2.0));
         assert_eq!(reg.gauge("t.alloc.peak", Some(0)), Some(9.0));
-        assert!(reg.histogram("t.alloc.lat_us", Some(3)).is_some());
+        let hist = reg.histogram("t.alloc.lat_us", Some(3));
+        assert_eq!(hist.map(|h| h.count()), Some(4 + 1 + 3 + 1000));
     });
     assert_eq!(hit, 0, "hits on existing keys must not allocate");
 

@@ -15,7 +15,11 @@
 //! The queue is bounded: arrivals beyond `queue_capacity` are *rejected*
 //! (admission-control backpressure) rather than buffered, so a saturated
 //! run shows a latency plateau plus a goodput gap instead of an unbounded
-//! latency explosion.
+//! latency explosion. A full queue refuses the arrivals due at that instant
+//! in bulk: they are counted off the schedule without being ranked, so an
+//! overloaded run pays for what it admits rather than for what it offers.
+//! Each refused arrival still uses up the id it would have carried, so the
+//! ids of admitted commands are those of the one-at-a-time admission.
 //!
 //! Substrates share one queue per run ([`SharedTrafficQueue`]) — the queue
 //! logically follows whichever replica currently holds the proposer role,
@@ -182,16 +186,16 @@ impl Schedule {
         }
     }
 
-    /// Draw one arrival into `pending`, or retire the source at the horizon.
-    fn draw(&mut self) {
-        match self.source.as_mut().and_then(Source::draw) {
-            Some((send, client)) => {
-                let leg = Duration::from_millis_f64(self.ingress_ms[client as usize]);
-                self.pending.push(Reverse((send + leg, send, client)));
-                self.drawn += 1;
-            }
-            None => self.source = None,
-        }
+    /// Draw the next arrival as its `(ingress, send, client)` key, or retire
+    /// the source at the horizon.
+    fn draw(&mut self) -> Option<(SimTime, SimTime, u64)> {
+        let Some((send, client)) = self.source.as_mut().and_then(Source::draw) else {
+            self.source = None;
+            return None;
+        };
+        self.drawn += 1;
+        let leg = Duration::from_millis_f64(self.ingress_ms[client as usize]);
+        Some((send + leg, send, client))
     }
 
     /// Move the next arrival in ingress order into `ready`, drawing until
@@ -212,7 +216,11 @@ impl Schedule {
                     return true;
                 }
                 None if self.source.is_none() => return false,
-                _ => self.draw(),
+                _ => {
+                    if let Some(key) = self.draw() {
+                        self.pending.push(Reverse(key));
+                    }
+                }
             }
         }
     }
@@ -230,6 +238,44 @@ impl Schedule {
         let idx = self.taken;
         self.taken += 1;
         Some(Queued { idx, arrival })
+    }
+
+    /// Count off every arrival not yet taken that has entered the queue by
+    /// `now`, as if each were taken and then refused: `taken` ends where
+    /// [`Schedule::take_due`] called until `None` would leave it, so later
+    /// ids do not move, and every draw counts in `drawn`, so `offered()` does
+    /// not either. None of the refused arrivals is ranked or kept.
+    ///
+    /// `ready` is counted first, then — only if it empties — the due head of
+    /// `pending`, then fresh draws while the source's frontier is due. If
+    /// `ready` still holds an entry, its ingress is past `now`, and every
+    /// arrival in `pending` or drawn later enters no earlier than it, so none
+    /// of them is due; once the frontier passes `now`, no later draw is.
+    fn refuse_due(&mut self, now: SimTime) -> u64 {
+        let mut refused = 0;
+        while self.ready.front().is_some_and(|a| a.ingress <= now) {
+            self.ready.pop_front();
+            refused += 1;
+        }
+        if self.ready.is_empty() {
+            while self
+                .pending
+                .peek()
+                .is_some_and(|&Reverse((ingress, ..))| ingress <= now)
+            {
+                self.pending.pop();
+                refused += 1;
+            }
+            while self.source.as_ref().is_some_and(|s| s.frontier <= now) {
+                match self.draw() {
+                    Some((ingress, ..)) if ingress <= now => refused += 1,
+                    Some(key) => self.pending.push(Reverse(key)),
+                    None => {}
+                }
+            }
+        }
+        self.taken += refused;
+        refused
     }
 
     /// Total arrivals the schedule offers: the drawn prefix plus whatever a
@@ -426,11 +472,14 @@ impl TrafficQueue {
         self.slo * 4
     }
 
-    /// Move every arrival whose ingress instant has passed into the waiting
-    /// queue, rejecting those that find it full; then let clients whose
-    /// batch has been in flight beyond the retry clock re-submit — the
-    /// backstop for batches lost at a *crashed* proposer, which can never
-    /// return them itself.
+    /// Let clients whose batch has been in flight beyond the retry clock
+    /// re-submit — the backstop for batches lost at a *crashed* proposer,
+    /// which can never return them itself; then move every arrival whose
+    /// ingress instant has passed into the waiting queue, in ingress order,
+    /// until it is full. Nothing leaves `waiting` in here, so every arrival
+    /// still due then finds it full and is rejected: those are counted off
+    /// in bulk ([`Schedule::refuse_due`]), each using up its id as a
+    /// one-at-a-time refusal would, so later ids do not move.
     fn admit(&mut self, now: SimTime) {
         let timeout = self.retry_timeout();
         let expired: Vec<u64> = self
@@ -442,15 +491,18 @@ impl TrafficQueue {
         for id in expired {
             self.retry_batch(id, now);
         }
-        let (mut admitted, mut rejected) = (0u64, 0u64);
-        while let Some(queued) = self.schedule.take_due(now) {
-            if self.waiting.len() >= self.capacity {
-                rejected += 1;
-            } else {
-                self.waiting.push_back(queued);
-                admitted += 1;
-            }
+        let mut admitted = 0u64;
+        while self.waiting.len() < self.capacity {
+            let Some(queued) = self.schedule.take_due(now) else {
+                break;
+            };
+            self.waiting.push_back(queued);
+            admitted += 1;
         }
+        // The loop stops with nothing due or with `waiting` full. `waiting`
+        // only grows in here, so in the second case every arrival still due
+        // is refused whatever its rank, and only their number matters.
+        let rejected = self.schedule.refuse_due(now);
         self.admitted += admitted;
         self.rejected += rejected;
         self.max_depth = self.max_depth.max(self.waiting.len());
@@ -556,10 +608,13 @@ impl TrafficQueue {
         }
         self.in_flight_commands += queued.len() as u64;
         self.telemetry.with_registry(|reg| {
-            for q in &queued {
-                let waited = now.since(q.arrival.ingress);
-                reg.observe("traffic.queue.wait_us", None, waited.as_micros());
-            }
+            reg.observe_each(
+                "traffic.queue.wait_us",
+                None,
+                queued
+                    .iter()
+                    .map(|q| now.since(q.arrival.ingress).as_micros()),
+            );
             reg.counter_add("traffic.queue.dispatched", None, queued.len() as u64);
             reg.gauge_max("traffic.queue.depth_peak", None, self.max_depth as f64);
             self.publish_conservation_gauges(reg);
@@ -707,10 +762,15 @@ impl TrafficQueue {
             }
         }
         self.telemetry.with_registry(|reg| {
-            for (q, &forward_ms) in flight.commands.iter().zip(&flight.forward_ms) {
-                let e2e = e2e_of(&q.arrival, forward_ms);
-                reg.observe("traffic.client.e2e_us", None, e2e.as_micros());
-            }
+            reg.observe_each(
+                "traffic.client.e2e_us",
+                None,
+                flight
+                    .commands
+                    .iter()
+                    .zip(&flight.forward_ms)
+                    .map(|(q, &forward_ms)| e2e_of(&q.arrival, forward_ms).as_micros()),
+            );
             reg.counter_add(
                 "traffic.client.committed",
                 None,

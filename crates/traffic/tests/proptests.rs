@@ -1,16 +1,18 @@
 //! Property-based tests for the open-loop traffic subsystem: every arrival
 //! process is seed-deterministic and hits its configured mean rate within
 //! tolerance, for arbitrary (bounded) parameters — not just the hand-picked
-//! unit-test cases — and a generated queue, which draws its schedule on
-//! demand, behaves exactly like the same schedule drawn up front.
+//! unit-test cases — a generated queue, which draws its schedule on demand,
+//! behaves exactly like the same schedule drawn up front, and both admit and
+//! refuse exactly as a one-at-a-time reference does.
 
 use netsim::{Duration, SimTime};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
-use rsm::{ArrivalProcess, TrafficSpec};
-use traffic::{ArrivalSampler, ScheduledArrival, TrafficQueue};
+use rsm::{ArrivalProcess, CommitStats, TrafficSpec};
+use std::collections::VecDeque;
+use traffic::{ArrivalSampler, ScheduledArrival, TrafficQueue, TrafficReport};
 
 /// Collect the process's arrivals below `horizon` seconds.
 fn arrivals(process: ArrivalProcess, horizon: f64, seed: u64) -> Vec<f64> {
@@ -125,6 +127,19 @@ proptest! {
 /// (the instant, then the client), stopping at the first instant at or past
 /// the horizon.
 fn eager(spec: &TrafficSpec, ingress_ms: &[f64], seed: u64, horizon: SimTime) -> TrafficQueue {
+    let schedule = eager_schedule(spec, ingress_ms, seed, horizon);
+    TrafficQueue::from_schedule(spec.batching, spec.queue_capacity, spec.slo, schedule)
+        .with_max_retries(spec.max_retries)
+}
+
+/// The whole schedule `TrafficQueue::generate` draws on demand, in send
+/// order.
+fn eager_schedule(
+    spec: &TrafficSpec,
+    ingress_ms: &[f64],
+    seed: u64,
+    horizon: SimTime,
+) -> Vec<ScheduledArrival> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut sampler = ArrivalSampler::new(spec.arrivals);
     let mut schedule = Vec::new();
@@ -139,8 +154,7 @@ fn eager(spec: &TrafficSpec, ingress_ms: &[f64], seed: u64, horizon: SimTime) ->
             ingress_ms: ingress_ms[client],
         });
     }
-    TrafficQueue::from_schedule(spec.batching, spec.queue_capacity, spec.slo, schedule)
-        .with_max_retries(spec.max_retries)
+    schedule
 }
 
 /// What a driven queue showed: every `next_ready_at` instant, and every batch
@@ -227,5 +241,176 @@ proptest! {
         );
         let secs = horizon_ms.div_ceil(1000);
         prop_assert_eq!(streamed.report(secs), reference.report(secs));
+    }
+}
+
+/// The admission queue by its definition: the whole schedule sorted by
+/// `(ingress, send, client)`, every arrival due by `now` taken in turn with
+/// the next id and admitted while fewer than `capacity` wait, refused
+/// otherwise; batches leave in FIFO order on size or timeout, and each
+/// commits at the instant it is handed.
+struct Reference {
+    spec: TrafficSpec,
+    /// `(ingress, send, client, leg ms)` in ingress order.
+    arrivals: Vec<(SimTime, SimTime, u64, f64)>,
+    taken: usize,
+    waiting: VecDeque<usize>,
+    batches: u64,
+    admitted: u64,
+    rejected: u64,
+    max_depth: usize,
+    depth_timeline: Vec<(f64, f64)>,
+    stats: CommitStats,
+}
+
+impl Reference {
+    fn new(spec: &TrafficSpec, schedule: &[ScheduledArrival]) -> Self {
+        let mut arrivals: Vec<_> = schedule
+            .iter()
+            .map(|s| {
+                let ingress = s.send + Duration::from_millis_f64(s.ingress_ms);
+                (ingress, s.send, s.client, s.ingress_ms)
+            })
+            .collect();
+        arrivals.sort_by_key(|&(ingress, send, client, _)| (ingress, send, client));
+        Reference {
+            spec: *spec,
+            arrivals,
+            taken: 0,
+            waiting: VecDeque::new(),
+            batches: 0,
+            admitted: 0,
+            rejected: 0,
+            max_depth: 0,
+            depth_timeline: Vec::new(),
+            stats: CommitStats::new().with_slo(spec.slo),
+        }
+    }
+
+    fn admit(&mut self, now: SimTime) {
+        while self.arrivals.get(self.taken).is_some_and(|a| a.0 <= now) {
+            if self.waiting.len() < self.spec.queue_capacity {
+                self.waiting.push_back(self.taken);
+                self.admitted += 1;
+            } else {
+                self.rejected += 1;
+            }
+            self.taken += 1;
+        }
+        self.max_depth = self.max_depth.max(self.waiting.len());
+    }
+
+    /// The batch `try_batch(now)` hands out, as its id and `(command id,
+    /// client)` pairs, committed at `commit`.
+    fn try_batch(&mut self, now: SimTime, commit: SimTime) -> Option<(u64, Vec<(u64, u64)>)> {
+        self.admit(now);
+        let oldest = self.arrivals[*self.waiting.front()?].0;
+        let batching = self.spec.batching;
+        if self.waiting.len() < batching.max_batch && now < oldest + batching.max_delay {
+            return None;
+        }
+        let take = self.waiting.len().min(batching.max_batch);
+        let commands = self
+            .waiting
+            .drain(..take)
+            .map(|i| {
+                let (_, send, client, leg) = self.arrivals[i];
+                let e2e = commit.since(send) + Duration::from_millis_f64(leg);
+                self.stats.record_client_commit(e2e, commit);
+                (i as u64, client)
+            })
+            .collect();
+        self.depth_timeline
+            .push((now.as_secs_f64(), self.waiting.len() as f64));
+        self.batches += 1;
+        Some((self.batches - 1, commands))
+    }
+
+    fn report(&mut self, run_secs: u64) -> TrafficReport {
+        let offered = self.arrivals.len() as u64;
+        let (committed, goodput) = (self.stats.client_commands(), self.stats.goodput_commands());
+        let secs = run_secs.max(1) as f64;
+        TrafficReport {
+            offered,
+            admitted: self.admitted,
+            rejected: self.rejected,
+            retried: 0,
+            abandoned: 0,
+            committed,
+            goodput,
+            offered_ops: offered as f64 / secs,
+            committed_ops: committed as f64 / secs,
+            goodput_ops: goodput as f64 / secs,
+            e2e_mean_ms: self.stats.e2e_histogram().mean().as_millis_f64(),
+            e2e_p50_ms: self.stats.e2e_histogram().median().as_millis_f64(),
+            e2e_p99_ms: self.stats.e2e_histogram().percentile(0.99).as_millis_f64(),
+            e2e_timeline: self.stats.e2e_timeline().points().to_vec(),
+            goodput_timeline: (self.stats.goodput_buckets().iter().enumerate())
+                .map(|(sec, &ops)| (sec as f64, ops as f64))
+                .collect(),
+            depth_timeline: self.depth_timeline.clone(),
+            max_depth: self.max_depth,
+        }
+    }
+}
+
+proptest! {
+    /// A small queue on a coarse clock, mostly overloaded, admits and
+    /// refuses exactly as the one-at-a-time reference: same batches with the
+    /// same command ids and clients, same counts, same report. Both the
+    /// on-demand schedule and the one given up front are checked, so a
+    /// fault they share cannot hide behind their agreement.
+    #[test]
+    fn full_queue_refuses_as_the_one_at_a_time_reference(
+        (poisson, rate, on_ms, off_ms) in (any::<bool>(), 50.0f64..12000.0, 20u64..500, 20u64..500),
+        (clients, single, legs) in (
+            1usize..33,
+            0u64..4,
+            prop::collection::vec((0u64..3, 0.0f64..50.0), 32),
+        ),
+        (max_batch, capacity_factor, horizon_ms) in (1usize..60, 1usize..=3, 1u64..2500),
+        (step_ms, commit_ms, seed) in (20u64..=200, 0u64..300, 0u64..1000),
+    ) {
+        let arrivals = if poisson {
+            ArrivalProcess::Poisson { rate }
+        } else {
+            ArrivalProcess::OnOff {
+                rate,
+                on: Duration::from_millis(on_ms),
+                off: Duration::from_millis(off_ms),
+            }
+        };
+        let clients = if single == 0 { 1 } else { clients };
+        let ingress: Vec<f64> = legs[..clients].iter().map(|&(k, ms)| leg(k, ms)).collect();
+        let spec = TrafficSpec::poisson(rate)
+            .with_arrivals(arrivals)
+            .with_clients(clients)
+            .with_batching(max_batch, Duration::from_millis(40))
+            .with_capacity(max_batch * capacity_factor);
+        let horizon = SimTime::from_millis(horizon_ms);
+        let schedule = eager_schedule(&spec, &ingress, seed, horizon);
+        let (step, commit) = (Duration::from_millis(step_ms), Duration::from_millis(commit_ms));
+        let secs = horizon_ms.div_ceil(1000);
+        for mut q in [
+            TrafficQueue::generate(&spec, &ingress, seed, horizon),
+            eager(&spec, &ingress, seed, horizon),
+        ] {
+            let mut reference = Reference::new(&spec, &schedule);
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let mut now = SimTime::ZERO;
+            while let Some(at) = q.next_ready_at(now) {
+                reference.admit(now);
+                now = at.max(now + step);
+                if let Some(b) = q.try_batch(now) {
+                    got.push((b.id, b.commands.iter().map(|c| (c.seq, c.client)).collect()));
+                    q.commit_batch(b.id, now + commit);
+                }
+                want.extend(reference.try_batch(now, now + commit));
+            }
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(q.admitted(), reference.admitted);
+            prop_assert_eq!(q.rejected(), reference.rejected);
+            prop_assert_eq!(q.report(secs), reference.report(secs));
+        }
     }
 }
