@@ -26,7 +26,7 @@
 //! should diff.
 
 use netsim::{
-    Context, Duration, EventScheduler, HeapScheduler, Node, NodeId, Simulation, SimTime, TimerId,
+    Context, Duration, EventScheduler, HeapScheduler, Node, NodeId, SimTime, Simulation, TimerId,
     TimerWheel, UniformLatency,
 };
 use std::io::Write;
@@ -260,7 +260,14 @@ fn main() {
             rounds = (rounds / 20).max(50);
         }
         let wheel = run_engine(n, rounds, false, None, TimerWheel::new(), "wheel+interned");
-        let heap = run_engine(n, rounds, true, None, HeapScheduler::default(), "heap+clones");
+        let heap = run_engine(
+            n,
+            rounds,
+            true,
+            None,
+            HeapScheduler::default(),
+            "heap+clones",
+        );
         let speedup = wheel.events_per_sec() / heap.events_per_sec();
         for m in [&wheel, &heap] {
             println!(

@@ -26,7 +26,10 @@ pub const SCENARIOS: [(&str, &str); 13] = [
     ("fig07_runtime_attack", "[run-secs=180] [n=21]"),
     ("fig08_candidate_time", "[graphs-per-size=100]"),
     ("fig09_baseline_comparison", "[run-secs=120]"),
-    ("fig10_reconfigurations", "[runs=50] [n=211] [reconfigurations=35]"),
+    (
+        "fig10_reconfigurations",
+        "[runs=50] [n=211] [reconfigurations=35]",
+    ),
     ("fig11_malicious_delays", "[run-secs=60]"),
     ("fig12_sa_search", "[runs-per-point=20]"),
     ("fig13_proposal_size", ""),
@@ -35,7 +38,10 @@ pub const SCENARIOS: [(&str, &str); 13] = [
     ("sweep_delay_attack", "[run-secs=120] [n=10]"),
     ("sweep_tree_delay_attack", "[run-secs=120] [n=13]"),
     ("sweep_intermediate_delay", "[run-secs=120] [n=13]"),
-    ("sweep_load_latency", "[knee-run-secs=30] [n=7] [attack-run-secs=100]"),
+    (
+        "sweep_load_latency",
+        "[knee-run-secs=30] [n=7] [attack-run-secs=100]",
+    ),
 ];
 
 /// One sweep of a scenario: the spec, the metric columns of its printed
@@ -216,7 +222,11 @@ fn runtime_attack(run_secs: u64, n: usize, seeds: Vec<u64>) -> Sweep {
         LatencyWindow::new("attack", t_atk + 2.0, t_atk + 50.0),
         LatencyWindow::new("recovered", t_atk + 60.0, run_secs as f64),
     ];
-    let spec = ScenarioSpec::new("fig07_runtime_attack", seeds, ScenarioKind::Protocol(scenario));
+    let spec = ScenarioSpec::new(
+        "fig07_runtime_attack",
+        seeds,
+        ScenarioKind::Protocol(scenario),
+    );
     Sweep::new(
         spec,
         &[
@@ -258,7 +268,9 @@ fn candidate_time(graphs: usize, seeds: Vec<u64>) -> Sweep {
                 .to_string(),
             format!("# {graphs} random graphs per size, edge probability 0.15"),
         ])
-        .below(["# Expected shape: sub-millisecond below n=25, growing rapidly but < 1 s at n=100."])
+        .below([
+            "# Expected shape: sub-millisecond below n=25, growing rapidly but < 1 s at n=100.",
+        ])
 }
 
 /// Fig 9 — throughput and latency of OptiTree, Kauri, and HotStuff across
@@ -280,7 +292,11 @@ fn baseline_comparison(run_secs: u64, seeds: Vec<u64>) -> Sweep {
         ],
     )
     .run_for(Duration::from_secs(run_secs));
-    let spec = ScenarioSpec::new("fig09_baseline_comparison", seeds, ScenarioKind::Protocol(scenario));
+    let spec = ScenarioSpec::new(
+        "fig09_baseline_comparison",
+        seeds,
+        ScenarioKind::Protocol(scenario),
+    );
     Sweep::new(spec, &["throughput_ops", "latency_ms", "p99_ms"])
         .above(["# Fig 9: throughput [op/s] and consensus latency [ms] per deployment"])
         .below([
@@ -348,7 +364,11 @@ fn malicious_delays(run_secs: u64, seeds: Vec<u64>) -> Sweep {
     )
     .with_adversaries(adversaries)
     .run_for(Duration::from_secs(run_secs));
-    let spec = ScenarioSpec::new("fig11_malicious_delays", seeds, ScenarioKind::Protocol(scenario));
+    let spec = ScenarioSpec::new(
+        "fig11_malicious_delays",
+        seeds,
+        ScenarioKind::Protocol(scenario),
+    );
     Sweep::new(spec, &["throughput_ops", "latency_ms"])
         .above(["# Fig 11: OptiTree (no pipeline, Europe21) with faulty internal nodes inflating latency by δ"])
         .below([
@@ -393,7 +413,12 @@ fn proposal_size(seeds: Vec<u64>) -> Sweep {
     );
     Sweep::new(
         spec,
-        &["bytes_base", "bytes_latency_vec", "bytes_suspicions", "bytes_misbehavior"],
+        &[
+            "bytes_base",
+            "bytes_latency_vec",
+            "bytes_suspicions",
+            "bytes_misbehavior",
+        ],
     )
     .above(["# Fig 13: average proposal size [bytes] with different measurements included"])
     .below([
@@ -438,7 +463,11 @@ fn root_crashes(run_secs: u64, seeds: Vec<u64>) -> Sweep {
     )])
     .run_for(Duration::from_secs(run_secs));
     scenario.reconfig_delay = Some(Duration::from_secs(1)); // the 1 s simulated-annealing search
-    let spec = ScenarioSpec::new("fig15_reconfiguration", seeds, ScenarioKind::Protocol(scenario));
+    let spec = ScenarioSpec::new(
+        "fig15_reconfiguration",
+        seeds,
+        ScenarioKind::Protocol(scenario),
+    );
     Sweep {
         timeline: true,
         ..Sweep::new(spec, &["throughput_ops", "reconfigurations"])
@@ -474,10 +503,19 @@ fn delay_attack(run_secs: u64, n: usize, seeds: Vec<u64>) -> Sweep {
         LatencyWindow::new("clean", 2.0, attack_start as f64),
         LatencyWindow::new("attacked", attack_start as f64, run_secs as f64),
     ];
-    let spec = ScenarioSpec::new("sweep_delay_attack", seeds, ScenarioKind::Protocol(scenario));
+    let spec = ScenarioSpec::new(
+        "sweep_delay_attack",
+        seeds,
+        ScenarioKind::Protocol(scenario),
+    );
     Sweep::new(
         spec,
-        &["lat_clean_ms", "lat_attacked_ms", "reconfigurations", "throughput_ops"],
+        &[
+            "lat_clean_ms",
+            "lat_attacked_ms",
+            "reconfigurations",
+            "throughput_ops",
+        ],
     )
     .above(["# Delay-attack sweep"])
 }
@@ -509,7 +547,10 @@ pub const TREE_DELAY_OVERT_MS: u64 = 2_500;
 /// the withheld commits before reconfiguration dilutes them) and
 /// `recovered` (the final third).
 pub fn tree_delay_attack_spec(run_secs: u64, n: usize, seeds: Vec<u64>) -> ScenarioSpec {
-    assert!(run_secs >= 60, "phases need at least a 60 s run, got {run_secs}");
+    assert!(
+        run_secs >= 60,
+        "phases need at least a 60 s run, got {run_secs}"
+    );
     let attack_start = run_secs / 3;
     let escalate = attack_start + run_secs / 8;
     let attack_end = attack_start + run_secs / 4;
@@ -543,9 +584,17 @@ pub fn tree_delay_attack_spec(run_secs: u64, n: usize, seeds: Vec<u64>) -> Scena
     scenario.windows = vec![
         LatencyWindow::new("clean", (run_secs / 12) as f64, attack_start as f64),
         LatencyWindow::new("attack", attack_start as f64, attack_start as f64 + 2.0),
-        LatencyWindow::new("recovered", (run_secs - run_secs / 3) as f64, run_secs as f64),
+        LatencyWindow::new(
+            "recovered",
+            (run_secs - run_secs / 3) as f64,
+            run_secs as f64,
+        ),
     ];
-    ScenarioSpec::new("sweep_tree_delay_attack", seeds, ScenarioKind::Protocol(scenario))
+    ScenarioSpec::new(
+        "sweep_tree_delay_attack",
+        seeds,
+        ScenarioKind::Protocol(scenario),
+    )
 }
 
 /// The Fig 7 counterpart this repo adds: an overtly-delaying *intermediate*
@@ -563,7 +612,10 @@ pub fn tree_delay_attack_spec(run_secs: u64, n: usize, seeds: Vec<u64>) -> Scena
 /// `run/3` to `run·3/4`. Windows: `clean` (pre-attack), `attack` (the two
 /// seconds after onset), `recovered` (the final sixth).
 pub fn intermediate_delay_spec(run_secs: u64, n: usize, seeds: Vec<u64>) -> ScenarioSpec {
-    assert!(run_secs >= 60, "phases need at least a 60 s run, got {run_secs}");
+    assert!(
+        run_secs >= 60,
+        "phases need at least a 60 s run, got {run_secs}"
+    );
     let attack_start = run_secs / 3;
     let attack_end = run_secs * 3 / 4;
     let mut scenario = ProtocolScenario::new(
@@ -582,9 +634,17 @@ pub fn intermediate_delay_spec(run_secs: u64, n: usize, seeds: Vec<u64>) -> Scen
     scenario.windows = vec![
         LatencyWindow::new("clean", (run_secs / 12) as f64, attack_start as f64),
         LatencyWindow::new("attack", attack_start as f64, attack_start as f64 + 2.0),
-        LatencyWindow::new("recovered", (run_secs - run_secs / 6) as f64, run_secs as f64),
+        LatencyWindow::new(
+            "recovered",
+            (run_secs - run_secs / 6) as f64,
+            run_secs as f64,
+        ),
     ];
-    ScenarioSpec::new("intermediate_delay", seeds, ScenarioKind::Protocol(scenario))
+    ScenarioSpec::new(
+        "intermediate_delay",
+        seeds,
+        ScenarioKind::Protocol(scenario),
+    )
 }
 
 /// Commands per batch in the load sweeps: small enough that every substrate
@@ -663,7 +723,10 @@ pub const LOAD_ATTACK_RATE: f64 = 1_000.0;
 /// phase), `recovered` (after it ends); each reports `lat_*_ms` (e2e) and
 /// `goodput_*_ops`.
 pub fn load_attack_spec(run_secs: u64, n: usize, seeds: Vec<u64>) -> ScenarioSpec {
-    assert!(run_secs >= 80, "phases need at least an 80 s run, got {run_secs}");
+    assert!(
+        run_secs >= 80,
+        "phases need at least an 80 s run, got {run_secs}"
+    );
     let attack_from = SimTime::from_secs(run_secs * 35 / 100);
     let attack_until = SimTime::from_secs(run_secs * 85 / 100);
     let delay = Duration::from_millis(LOAD_ATTACK_DELAY_MS);
@@ -691,7 +754,11 @@ pub fn load_attack_spec(run_secs: u64, n: usize, seeds: Vec<u64>) -> ScenarioSpe
             },
         );
     let mut scenario = ProtocolScenario::new(
-        vec![Substrate::Aware, Substrate::OptiAware, Substrate::HotStuffFixed],
+        vec![
+            Substrate::Aware,
+            Substrate::OptiAware,
+            Substrate::HotStuffFixed,
+        ],
         vec![Topology::with_n(Deployment::Europe21, n)],
     )
     .with_adversaries(vec![script])

@@ -19,7 +19,9 @@ fn intermediate_delayer_is_rotated_out_and_the_root_exonerated() {
     let report = run_sweep(&spec, &SweepOptions::serial());
 
     for label in ["Kauri", "Kauri-sa", "OptiTree"] {
-        let p = report.point(label).unwrap_or_else(|| panic!("missing point {label}"));
+        let p = report
+            .point(label)
+            .unwrap_or_else(|| panic!("missing point {label}"));
         // The §6.4 pairs committed through the log and they name the
         // delayer, not the root.
         assert!(
@@ -47,7 +49,10 @@ fn intermediate_delayer_is_rotated_out_and_the_root_exonerated() {
         // The tree keeps committing through and after the episode: the
         // recovered window is no worse than 2x the clean one.
         let (clean, recovered) = (p.metric("lat_clean_ms"), p.metric("lat_recovered_ms"));
-        assert!(clean > 0.0 && recovered > 0.0, "{label}: windows must be populated");
+        assert!(
+            clean > 0.0 && recovered > 0.0,
+            "{label}: windows must be populated"
+        );
         assert!(
             recovered < clean * 2.0,
             "{label}: latency must recover, clean={clean:.1}ms recovered={recovered:.1}ms"
@@ -57,7 +62,11 @@ fn intermediate_delayer_is_rotated_out_and_the_root_exonerated() {
     // OptiTree's pair-driven candidate exclusion: the delayer is excluded,
     // the innocent root is exonerated (stays a candidate).
     let ot = report.point("OptiTree").expect("OptiTree point");
-    assert_eq!(ot.metric("attacker_excluded"), 1.0, "pairs must exclude the delayer");
+    assert_eq!(
+        ot.metric("attacker_excluded"),
+        1.0,
+        "pairs must exclude the delayer"
+    );
     assert_eq!(
         ot.metric("initial_root_excluded"),
         0.0,

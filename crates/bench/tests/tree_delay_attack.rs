@@ -25,7 +25,9 @@ fn tree_delay_attack_shows_fig7_shape() {
         "OptiTree",
         "OptiTree (no pipeline)",
     ] {
-        let p = report.point(label).unwrap_or_else(|| panic!("missing point {label}"));
+        let p = report
+            .point(label)
+            .unwrap_or_else(|| panic!("missing point {label}"));
         for w in ["lat_clean_ms", "lat_attack_ms", "lat_recovered_ms"] {
             assert!(
                 p.metric(w) > 0.0,

@@ -151,9 +151,15 @@ mod tests {
 
     #[test]
     fn command_epoch_accessor() {
-        let c: ConfigCommand<u32> = ConfigCommand::Config { epoch: 5, config: 1 };
+        let c: ConfigCommand<u32> = ConfigCommand::Config {
+            epoch: 5,
+            config: 1,
+        };
         assert_eq!(c.epoch(), Some(5));
-        let e: ConfigCommand<u32> = ConfigCommand::Exclude { epoch: 2, replicas: vec![1] };
+        let e: ConfigCommand<u32> = ConfigCommand::Exclude {
+            epoch: 2,
+            replicas: vec![1],
+        };
         assert_eq!(e.epoch(), Some(2));
         let p: ConfigCommand<u32> = ConfigCommand::Pair(SuspicionPair {
             accuser: 0,
@@ -169,7 +175,10 @@ mod tests {
     fn phase_filter_keeps_rootmost_evidence_and_resets_per_epoch() {
         let mut f = PhaseFilter::new();
         assert!(f.accept(10, 1), "first evidence for a round is accepted");
-        assert!(!f.accept(10, 2), "deeper echo of the same round is filtered");
+        assert!(
+            !f.accept(10, 2),
+            "deeper echo of the same round is filtered"
+        );
         assert!(f.accept(10, 1), "equal-phase evidence still acts");
         // First-committed-wins tie-break: a deeper pair committing first is
         // accepted, and the later root-most pair still acts (and lowers the

@@ -203,7 +203,10 @@ mod tests {
         assert_eq!(log.current().config, 20);
         assert_eq!(log.len(), 3);
         // Gaps are fine: epochs whose command never committed are skipped.
-        let adopted = log.apply(cfg(5, 50), SimTime::from_secs(3)).cloned().expect("adopts");
+        let adopted = log
+            .apply(cfg(5, 50), SimTime::from_secs(3))
+            .cloned()
+            .expect("adopts");
         assert_eq!(adopted.epoch, 5);
         assert_eq!(adopted.seq, 3);
         assert_eq!(adopted.adopted_at, SimTime::from_secs(3));
@@ -214,7 +217,10 @@ mod tests {
     fn history_keeps_per_epoch_adoption_times_and_prunes() {
         let mut log = ConfigLog::new(0u32, 3);
         for e in 1..=5u64 {
-            log.apply(cfg(e, e as u32 * 10), SimTime::ZERO + Duration::from_secs(e));
+            log.apply(
+                cfg(e, e as u32 * 10),
+                SimTime::ZERO + Duration::from_secs(e),
+            );
         }
         // Capacity 3: epochs 3, 4, 5 retained; 0..2 pruned.
         assert!(log.get(2).is_none());
@@ -226,7 +232,9 @@ mod tests {
     #[test]
     fn pairs_and_exclusions_accumulate_without_adoption() {
         let mut log = ConfigLog::new(0u32, 4);
-        assert!(log.apply(ConfigCommand::Pair(pair(1, 2, 7)), SimTime::ZERO).is_none());
+        assert!(log
+            .apply(ConfigCommand::Pair(pair(1, 2, 7)), SimTime::ZERO)
+            .is_none());
         assert!(log
             .apply(
                 ConfigCommand::Exclude {

@@ -86,8 +86,8 @@ impl AnnealingParams {
     /// searches cool slower and actually explore more.
     pub fn budgeted(iterations: usize) -> Self {
         let d = AnnealingParams::default();
-        let cooling = (d.min_temperature / d.initial_temperature)
-            .powf(1.0 / iterations.max(1) as f64);
+        let cooling =
+            (d.min_temperature / d.initial_temperature).powf(1.0 / iterations.max(1) as f64);
         AnnealingParams {
             iterations,
             cooling,
@@ -318,7 +318,10 @@ mod tests {
             stuck.iterations
         );
         let full = Annealer::new(AnnealingParams::budgeted(50_000)).search(&space, 5);
-        assert_eq!(full.iterations, 50_000, "budget-tied cooling must not early-stop");
+        assert_eq!(
+            full.iterations, 50_000,
+            "budget-tied cooling must not early-stop"
+        );
     }
 
     #[test]

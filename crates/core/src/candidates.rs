@@ -168,4 +168,3 @@ mod tests {
         assert!(sel.candidates.len() >= n - f);
     }
 }
-

@@ -368,7 +368,11 @@ mod tests {
     fn budget_exhaustion_still_returns_independent_set() {
         // Dense-ish random-like graph; tiny budget forces the heuristic path.
         let edges: Vec<(usize, usize)> = (0..20)
-            .flat_map(|a| ((a + 1)..20).filter(move |b| (a * 7 + b) % 3 == 0).map(move |b| (a, b)))
+            .flat_map(|a| {
+                ((a + 1)..20)
+                    .filter(move |b| (a * 7 + b) % 3 == 0)
+                    .map(move |b| (a, b))
+            })
             .collect();
         let g = graph_with_edges(20, &edges);
         let mis = g.maximum_independent_set(5);
@@ -421,7 +425,11 @@ mod tests {
             assert!(seen.insert(b));
         }
         // Maximality: every graph edge touches a covered vertex.
-        let covered: BTreeSet<usize> = excl.disjoint_edges.iter().flat_map(|&(a, b)| [a, b]).collect();
+        let covered: BTreeSet<usize> = excl
+            .disjoint_edges
+            .iter()
+            .flat_map(|&(a, b)| [a, b])
+            .collect();
         for (a, b) in g.edges() {
             assert!(covered.contains(&a) || covered.contains(&b));
         }

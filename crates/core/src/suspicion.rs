@@ -157,7 +157,11 @@ impl SuspicionSensor {
 
     /// Evaluate a completed round and return the suspicions to log
     /// (conditions (a) and (b)).
-    pub fn evaluate_round(&mut self, obs: &RoundObservation<'_>, is_leader: bool) -> Vec<Suspicion> {
+    pub fn evaluate_round(
+        &mut self,
+        obs: &RoundObservation<'_>,
+        is_leader: bool,
+    ) -> Vec<Suspicion> {
         let mut out = Vec::new();
 
         // Condition (a): consecutive proposal timestamps within δ·d_rnd.
@@ -209,7 +213,10 @@ impl SuspicionSensor {
         if committed.accused != self.id || committed.accuser == self.id {
             return None;
         }
-        if !self.reciprocated.insert((committed.accuser, committed.round)) {
+        if !self
+            .reciprocated
+            .insert((committed.accuser, committed.round))
+        {
             return None;
         }
         Some(Suspicion {
@@ -392,13 +399,18 @@ impl SuspicionMonitor {
             .iter()
             .filter(|(_, e)| {
                 !e.reciprocated
-                    && self.current_view.saturating_sub(e.view_added) > self.params.reciprocation_views
+                    && self.current_view.saturating_sub(e.view_added)
+                        > self.params.reciprocation_views
             })
             .map(|(&k, _)| k)
             .collect();
         for key in expired {
             let e = self.edges.remove(&key).expect("edge existed");
-            let accused = if key.0 == e.first_accuser { key.1 } else { key.0 };
+            let accused = if key.0 == e.first_accuser {
+                key.1
+            } else {
+                key.0
+            };
             self.crashed.insert(accused);
         }
 
@@ -469,7 +481,11 @@ impl SuspicionMonitor {
         let key = normalize(s.accuser, s.accused);
         if let Some(e) = self.edges.get_mut(&key) {
             // A suspicion in the opposite direction counts as reciprocation.
-            let original_accused = if key.0 == e.first_accuser { key.1 } else { key.0 };
+            let original_accused = if key.0 == e.first_accuser {
+                key.1
+            } else {
+                key.0
+            };
             if s.accuser == original_accused {
                 e.reciprocated = true;
             }
@@ -675,8 +691,14 @@ mod tests {
         assert_eq!(rec.kind, SuspicionKind::False);
         assert_eq!(rec.accuser, 2);
         assert_eq!(rec.accused, 5);
-        assert!(sensor.reciprocate(&incoming).is_none(), "only once per accuser");
-        assert!(sensor.reciprocate(&slow(5, 3, 7, 1)).is_none(), "not about us");
+        assert!(
+            sensor.reciprocate(&incoming).is_none(),
+            "only once per accuser"
+        );
+        assert!(
+            sensor.reciprocate(&slow(5, 3, 7, 1)).is_none(),
+            "not about us"
+        );
     }
 
     #[test]
@@ -797,7 +819,17 @@ mod tests {
         // n=7, f=2: K must always contain at least 5 replicas, even when an
         // adversary floods the log with suspicions among many pairs.
         let mut m = monitor(7, 2);
-        let pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0), (0, 2), (1, 3)];
+        let pairs = [
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (3, 4),
+            (4, 5),
+            (5, 6),
+            (6, 0),
+            (0, 2),
+            (1, 3),
+        ];
         for (i, &(a, b)) in pairs.iter().enumerate() {
             m.on_suspicion(&slow(a, b, i as u64, 1));
             m.on_suspicion(&slow(b, a, i as u64, 1));
@@ -884,7 +916,10 @@ mod tests {
             sel.candidates.len()
         );
         // The estimate is consistent with the remaining (post-discard) graph.
-        assert_eq!(sel.estimate_u, m.graph().vertex_count() - sel.candidates.len());
+        assert_eq!(
+            sel.estimate_u,
+            m.graph().vertex_count() - sel.candidates.len()
+        );
     }
 
     #[test]

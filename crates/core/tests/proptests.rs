@@ -1,8 +1,8 @@
 //! Property-based tests for OptiLog's core data structures and invariants.
 
 use optilog::{
-    CandidateSelector, LatencyMatrix, LatencyVector, SelectionStrategy, Suspicion, SuspicionKind,
-    SuspicionGraph, SuspicionMonitor, SuspicionMonitorParams, TreeExclusion,
+    CandidateSelector, LatencyMatrix, LatencyVector, SelectionStrategy, Suspicion, SuspicionGraph,
+    SuspicionKind, SuspicionMonitor, SuspicionMonitorParams, TreeExclusion,
 };
 use proptest::prelude::*;
 

@@ -76,8 +76,8 @@ fn loopback_early_stop_shuts_down_cleanly() {
     cfg.telemetry = Telemetry::recording();
     let started = std::time::Instant::now();
     // …but the stop predicate fires after ~1 s.
-    let report = run_cluster(&cfg, &|| started.elapsed().as_secs_f64() > 1.0)
-        .expect("cluster launches");
+    let report =
+        run_cluster(&cfg, &|| started.elapsed().as_secs_f64() > 1.0).expect("cluster launches");
     assert!(
         report.wall_secs < 10.0,
         "stop request must end the run early, ran {:.1}s",

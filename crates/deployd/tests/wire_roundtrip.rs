@@ -8,8 +8,8 @@ use crypto::Digest;
 use hotstuff::HotStuffMessage;
 use kauri::{KauriMessage, Tree, TreeCommand};
 use pbft::PbftMessage;
-use runtime::{encode_frame, read_frame, NodeId, WireMsg};
 use rsm::{Block, Command, SealedBlock};
+use runtime::{encode_frame, read_frame, NodeId, WireMsg};
 use std::io::Cursor;
 use std::sync::Arc;
 

@@ -8,10 +8,10 @@
 
 use crate::tree::{conformity_bins, Tree};
 use configlog::SuspicionPair;
-use runtime::Duration;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use runtime::Duration;
 
 /// How the protocol obtains trees and failure timeouts.
 pub trait TreePolicy: Send {
@@ -126,7 +126,10 @@ mod tests {
         for _ in 0..bins {
             assert!(!p.next_tree(n, b).is_star());
         }
-        assert!(p.next_tree(n, b).is_star(), "after t trials Kauri reverts to a star");
+        assert!(
+            p.next_tree(n, b).is_star(),
+            "after t trials Kauri reverts to a star"
+        );
     }
 
     #[test]

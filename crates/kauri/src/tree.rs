@@ -53,7 +53,10 @@ impl Tree {
                 children.get_mut(&root).expect("root entry").push(leaf);
             } else {
                 let parent = intermediates[idx % intermediates.len()];
-                children.get_mut(&parent).expect("intermediate entry").push(leaf);
+                children
+                    .get_mut(&parent)
+                    .expect("intermediate entry")
+                    .push(leaf);
             }
         }
         Tree {
@@ -120,12 +123,7 @@ impl Tree {
 
     /// Total number of replicas covered by the tree.
     pub fn size(&self) -> usize {
-        1 + self.intermediates.len()
-            + self
-                .children
-                .values()
-                .map(|v| v.len())
-                .sum::<usize>()
+        1 + self.intermediates.len() + self.children.values().map(|v| v.len()).sum::<usize>()
     }
 
     /// The leaf children of a given intermediate node.

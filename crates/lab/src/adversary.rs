@@ -200,13 +200,17 @@ impl AdversaryScript {
                 }
                 Attack::DelayOutgoing { target, extra } => {
                     for r in ctx.resolve(target) {
-                        out.faults
-                            .add_node_fault_during(r, NodeFault::OutgoingDelay(extra), window);
+                        out.faults.add_node_fault_during(
+                            r,
+                            NodeFault::OutgoingDelay(extra),
+                            window,
+                        );
                     }
                 }
                 Attack::Silence { target } => {
                     for r in ctx.resolve(target) {
-                        out.faults.add_node_fault_during(r, NodeFault::Silent, window);
+                        out.faults
+                            .add_node_fault_during(r, NodeFault::Silent, window);
                     }
                 }
                 Attack::Crash { target } => {
@@ -281,7 +285,11 @@ impl CompileContext<'_> {
     fn resolve(&self, target: Target) -> Vec<usize> {
         match target {
             Target::Replica(r) => {
-                assert!(r < self.n, "target replica {r} out of range (n = {})", self.n);
+                assert!(
+                    r < self.n,
+                    "target replica {r} out of range (n = {})",
+                    self.n
+                );
                 vec![r]
             }
             Target::OptimizedLeader => {
@@ -304,9 +312,12 @@ impl CompileContext<'_> {
                     vec![0]
                 }
             }
-            Target::TreeIntermediates { count } => {
-                self.probe_tree().intermediates.into_iter().take(count).collect()
-            }
+            Target::TreeIntermediates { count } => self
+                .probe_tree()
+                .intermediates
+                .into_iter()
+                .take(count)
+                .collect(),
         }
     }
 
@@ -323,7 +334,12 @@ impl CompileContext<'_> {
     /// The sequence of roots the tree policy elects, with the time each gets
     /// crashed: the Fig 15 probe. Stops when a root repeats (the policy
     /// cycled) or the window ends.
-    fn root_sequence(&self, from: SimTime, end: SimTime, interval: Duration) -> Vec<(usize, SimTime)> {
+    fn root_sequence(
+        &self,
+        from: SimTime,
+        end: SimTime,
+        interval: Duration,
+    ) -> Vec<(usize, SimTime)> {
         assert!(
             !self.substrate.is_pbft(),
             "CrashRoots requires a tree substrate, got {}",
@@ -393,21 +409,20 @@ mod tests {
         assert_eq!(atk.from, SimTime::from_secs(10));
         assert_eq!(atk.until, SimTime::from_secs(20));
         // The resolved attacker is the optimiser's leader pick.
-        let expect = pbft::score::optimize_configuration(
-            &rtt,
-            21,
-            6,
-            &(0..21).collect::<Vec<_>>(),
-            &[],
-            1,
-        )
-        .0
-        .leader;
+        let expect =
+            pbft::score::optimize_configuration(&rtt, 21, 6, &(0..21).collect::<Vec<_>>(), &[], 1)
+                .0
+                .leader;
         assert_eq!(atk.replica, expect);
         // No network-level fault was emitted for it.
         assert!(compiled
             .faults
-            .effective_delay(SimTime::from_secs(15), atk.replica, 0, Duration::from_millis(5))
+            .effective_delay(
+                SimTime::from_secs(15),
+                atk.replica,
+                0,
+                Duration::from_millis(5)
+            )
             .is_some());
     }
 
@@ -461,7 +476,9 @@ mod tests {
         // The attacker is the first tree's root, reproduced via the same
         // seeded policy the run will use.
         let mut policy = Substrate::OptiTreeNoPipeline.tree_policy(21, rtt.to_vec(), 7);
-        let expect = policy.next_tree(21, SystemConfig::new(21).tree_branch_factor()).root;
+        let expect = policy
+            .next_tree(21, SystemConfig::new(21).tree_branch_factor())
+            .root;
         assert_eq!(compiled.delay_attacks[0].replica, expect);
         // On non-tree substrates the initial proposer is the first view's
         // leader: replica 0 for the fixed pacemaker, 1 % n for round-robin.
@@ -493,15 +510,29 @@ mod tests {
         let compiled = script.compile(&ctx(&rtt, 21, Substrate::Kauri));
         let base = Duration::from_millis(10);
         let f = &compiled.faults;
-        assert_eq!(f.effective_delay(SimTime::from_secs(5), 2, 0, base).unwrap(), base);
         assert_eq!(
-            f.effective_delay(SimTime::from_secs(15), 2, 0, base).unwrap().as_millis(),
+            f.effective_delay(SimTime::from_secs(5), 2, 0, base)
+                .unwrap(),
+            base
+        );
+        assert_eq!(
+            f.effective_delay(SimTime::from_secs(15), 2, 0, base)
+                .unwrap()
+                .as_millis(),
             20
         );
-        assert_eq!(f.effective_delay(SimTime::from_secs(25), 2, 0, base).unwrap(), base);
+        assert_eq!(
+            f.effective_delay(SimTime::from_secs(25), 2, 0, base)
+                .unwrap(),
+            base
+        );
         assert!(f.is_crashed(2, SimTime::from_secs(35)));
         assert!(!f.is_crashed(2, SimTime::from_secs(40)));
-        assert_eq!(f.effective_delay(SimTime::from_secs(45), 2, 0, base).unwrap(), base);
+        assert_eq!(
+            f.effective_delay(SimTime::from_secs(45), 2, 0, base)
+                .unwrap(),
+            base
+        );
     }
 
     #[test]

@@ -49,7 +49,9 @@ pub mod runner;
 pub mod scenario;
 pub mod topology;
 
-pub use adversary::{AdversaryScript, Attack, CompileContext, CompiledAdversary, DelayAttack, Stage, Target};
+pub use adversary::{
+    AdversaryScript, Attack, CompileContext, CompiledAdversary, DelayAttack, Stage, Target,
+};
 pub use results::{
     ci95, mean, timeline_mean, CellMetrics, CellReport, MetricSummary, PointReport, ScenarioReport,
 };

@@ -244,16 +244,27 @@ impl ScenarioReport {
                             .collect(),
                     ),
                 ),
-                ("cells".into(), Value::Arr(p.cells.iter().map(cell_value).collect())),
+                (
+                    "cells".into(),
+                    Value::Arr(p.cells.iter().map(cell_value).collect()),
+                ),
             ])
         };
         Value::Map(vec![
             ("scenario".into(), Value::Str(self.scenario.clone())),
             (
                 "seeds".into(),
-                Value::Arr(self.seeds.iter().map(|&s| Value::Num(Number::U64(s))).collect()),
+                Value::Arr(
+                    self.seeds
+                        .iter()
+                        .map(|&s| Value::Num(Number::U64(s)))
+                        .collect(),
+                ),
             ),
-            ("points".into(), Value::Arr(self.points.iter().map(point_value).collect())),
+            (
+                "points".into(),
+                Value::Arr(self.points.iter().map(point_value).collect()),
+            ),
         ])
     }
 
@@ -312,7 +323,13 @@ impl ScenarioReport {
     /// fraction of total e2e time.
     pub fn render_breakdown_tables(&self) -> String {
         const PHASES: [&str; 7] = [
-            "ingress", "admission", "hold", "dissem", "vote", "reply", "other",
+            "ingress",
+            "admission",
+            "hold",
+            "dissem",
+            "vote",
+            "reply",
+            "other",
         ];
         let mut out = String::new();
         for p in &self.points {
@@ -414,7 +431,10 @@ mod tests {
         let p = PointReport::aggregate(
             "s".into(),
             BTreeMap::new(),
-            vec![CellReport { seed: 3, metrics: m }],
+            vec![CellReport {
+                seed: 3,
+                metrics: m,
+            }],
         );
         let report = ScenarioReport {
             scenario: "unit".into(),

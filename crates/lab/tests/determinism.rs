@@ -44,7 +44,11 @@ fn spec() -> ScenarioSpec {
         LatencyWindow::new("clean", 1.0, 6.0),
         LatencyWindow::new("attacked", 6.0, 10.0),
     ];
-    ScenarioSpec::new("determinism_probe", vec![3, 11, 42], ScenarioKind::Protocol(scenario))
+    ScenarioSpec::new(
+        "determinism_probe",
+        vec![3, 11, 42],
+        ScenarioKind::Protocol(scenario),
+    )
 }
 
 /// The tree-substrate analogue: the protocol-level root-delay attack, the
@@ -68,7 +72,11 @@ fn tree_spec() -> ScenarioSpec {
         LatencyWindow::new("clean", 1.0, 6.0),
         LatencyWindow::new("attacked", 6.0, 12.0),
     ];
-    ScenarioSpec::new("tree_determinism_probe", vec![0, 7], ScenarioKind::Protocol(scenario))
+    ScenarioSpec::new(
+        "tree_determinism_probe",
+        vec![0, 7],
+        ScenarioKind::Protocol(scenario),
+    )
 }
 
 #[test]
@@ -104,8 +112,16 @@ fn tree_delay_scenario_is_byte_identical_across_worker_counts() {
     // substrate (the HotStuff/tree timelines used to be PBFT-only).
     let report = run_sweep(&spec, &SweepOptions::serial());
     for p in &report.points {
-        assert!(p.metric("lat_clean_ms") > 0.0, "{}: clean window empty", p.label);
-        assert!(p.metric("lat_attacked_ms") > 0.0, "{}: attacked window empty", p.label);
+        assert!(
+            p.metric("lat_clean_ms") > 0.0,
+            "{}: clean window empty",
+            p.label
+        );
+        assert!(
+            p.metric("lat_attacked_ms") > 0.0,
+            "{}: attacked window empty",
+            p.label
+        );
     }
 }
 

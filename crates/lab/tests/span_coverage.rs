@@ -11,7 +11,7 @@
 
 use lab::{
     AdversaryScript, Attack, Deployment, ProtocolScenario, ScenarioKind, ScenarioSpec, Substrate,
-    Target, TracedCell, Topology,
+    Target, Topology, TracedCell,
 };
 use netsim::{Duration, SimTime};
 use telemetry::Stage;
@@ -61,7 +61,8 @@ fn audit(family: &str, cell: &TracedCell, absent: &[Stage]) {
             assert!(
                 count > 0,
                 "{family}: stage {:?} missing from the trace (instrumentation gap?): {:?}",
-                stage, cell.stage_counts
+                stage,
+                cell.stage_counts
             );
         }
     }

@@ -270,7 +270,11 @@ impl CityDataset {
     /// # Panics
     /// If the subset holds fewer than `n` cities.
     pub fn assign_distinct(&self, subset: &[usize], n: usize, seed: u64) -> Vec<usize> {
-        assert!(subset.len() >= n, "subset holds {} cities, need {n}", subset.len());
+        assert!(
+            subset.len() >= n,
+            "subset holds {} cities, need {n}",
+            subset.len()
+        );
         let mut rng = StdRng::seed_from_u64(seed);
         subset
             .choose_multiple(&mut rng, n)

@@ -159,7 +159,13 @@ mod tests {
     use crate::time::SimTime;
 
     fn timer(at: u64) -> (SimTime, EventKind<()>) {
-        (SimTime::from_micros(at), EventKind::Timer { timer: TimerId(0), tag: 0 })
+        (
+            SimTime::from_micros(at),
+            EventKind::Timer {
+                timer: TimerId(0),
+                tag: 0,
+            },
+        )
     }
 
     #[test]

@@ -83,7 +83,10 @@ impl FaultPlan {
             window == FaultWindow::ALWAYS || !matches!(fault, NodeFault::CrashAt(_)),
             "CrashAt ignores fault windows; use crash()/crash_between() for bounded crashes"
         );
-        self.node_faults.entry(node).or_default().push((fault, window));
+        self.node_faults
+            .entry(node)
+            .or_default()
+            .push((fault, window));
         self
     }
 
@@ -359,19 +362,29 @@ mod tests {
         );
         let base = Duration::from_millis(10);
         // Only the node stage: base + 100.
-        let d = plan.effective_delay(SimTime::from_secs(15), 0, 1, base).unwrap();
+        let d = plan
+            .effective_delay(SimTime::from_secs(15), 0, 1, base)
+            .unwrap();
         assert_eq!(d.as_millis(), 110);
         // Overlap: (base + 100) * 2 — node faults apply before link faults.
-        let d = plan.effective_delay(SimTime::from_secs(25), 0, 1, base).unwrap();
+        let d = plan
+            .effective_delay(SimTime::from_secs(25), 0, 1, base)
+            .unwrap();
         assert_eq!(d.as_millis(), 220);
         // Only the link stage: base * 2.
-        let d = plan.effective_delay(SimTime::from_secs(35), 0, 1, base).unwrap();
+        let d = plan
+            .effective_delay(SimTime::from_secs(35), 0, 1, base)
+            .unwrap();
         assert_eq!(d.as_millis(), 20);
         // Outside both: base.
-        let d = plan.effective_delay(SimTime::from_secs(45), 0, 1, base).unwrap();
+        let d = plan
+            .effective_delay(SimTime::from_secs(45), 0, 1, base)
+            .unwrap();
         assert_eq!(d.as_millis(), 10);
         // The link stage is directional: 0 → 2 sees only the node stage.
-        let d = plan.effective_delay(SimTime::from_secs(25), 0, 2, base).unwrap();
+        let d = plan
+            .effective_delay(SimTime::from_secs(25), 0, 2, base)
+            .unwrap();
         assert_eq!(d.as_millis(), 110);
     }
 
@@ -390,21 +403,29 @@ mod tests {
         let base = Duration::from_millis(10);
         // Attack active before the crash.
         assert_eq!(
-            plan.effective_delay(SimTime::from_secs(20), 1, 0, base).unwrap().as_millis(),
+            plan.effective_delay(SimTime::from_secs(20), 1, 0, base)
+                .unwrap()
+                .as_millis(),
             30
         );
         // Crashed: nothing gets out, attack or not.
         assert!(plan.is_crashed(1, SimTime::from_secs(50)));
-        assert!(plan.effective_delay(SimTime::from_secs(50), 1, 0, base).is_none());
+        assert!(plan
+            .effective_delay(SimTime::from_secs(50), 1, 0, base)
+            .is_none());
         // Recovered mid-window: the attack stage applies again.
         assert!(!plan.is_crashed(1, SimTime::from_secs(60)));
         assert_eq!(
-            plan.effective_delay(SimTime::from_secs(70), 1, 0, base).unwrap().as_millis(),
+            plan.effective_delay(SimTime::from_secs(70), 1, 0, base)
+                .unwrap()
+                .as_millis(),
             30
         );
         // Attack window closed: clean.
         assert_eq!(
-            plan.effective_delay(SimTime::from_secs(150), 1, 0, base).unwrap().as_millis(),
+            plan.effective_delay(SimTime::from_secs(150), 1, 0, base)
+                .unwrap()
+                .as_millis(),
             10
         );
     }
@@ -433,8 +454,14 @@ mod tests {
             FaultWindow::between(SimTime::from_secs(2), SimTime::from_secs(4)),
         );
         let base = Duration::from_millis(1);
-        assert!(plan.effective_delay(SimTime::from_secs(1), 0, 1, base).is_some());
-        assert!(plan.effective_delay(SimTime::from_secs(3), 0, 1, base).is_none());
-        assert!(plan.effective_delay(SimTime::from_secs(4), 0, 1, base).is_some());
+        assert!(plan
+            .effective_delay(SimTime::from_secs(1), 0, 1, base)
+            .is_some());
+        assert!(plan
+            .effective_delay(SimTime::from_secs(3), 0, 1, base)
+            .is_none());
+        assert!(plan
+            .effective_delay(SimTime::from_secs(4), 0, 1, base)
+            .is_some());
     }
 }

@@ -32,9 +32,9 @@ pub mod time;
 
 pub use cities::{City, CityDataset, Region};
 pub use event::{Event, EventKind, EventQueue, Payload};
-pub use sched::{EngineProfile, EventHandle, EventScheduler, HeapScheduler, TimerWheel};
 pub use faults::{FaultPlan, FaultWindow, LinkFault, NodeFault};
 pub use latency::{LatencyModel, MatrixLatency, UniformLatency};
+pub use sched::{EngineProfile, EventHandle, EventScheduler, HeapScheduler, TimerWheel};
 pub use sim::{Action, Context, Node, NodeId, Simulation, SimulationConfig, TimerId};
 pub use stats::{Histogram, RateCounter, TimeSeries};
 pub use time::{Duration, SimTime};

@@ -247,7 +247,11 @@ impl<M> TimerWheel<M> {
                     // Enter the window: jump the cursor to its start and
                     // redistribute the bucket to strictly lower levels.
                     let above = BITS * (level + 1);
-                    let base = if above >= 64 { 0 } else { (self.now >> above) << above };
+                    let base = if above >= 64 {
+                        0
+                    } else {
+                        (self.now >> above) << above
+                    };
                     let window_start = base | ((s as u64) << shift);
                     self.now = self.now.max(window_start);
                     self.occ[level] &= !(1 << s);
@@ -487,7 +491,10 @@ mod tests {
     #[test]
     fn wheel_pops_in_time_then_seq_order() {
         let mut w: TimerWheel<()> = TimerWheel::new();
-        for (i, at) in [30u64, 10, 20, 10, 1_000_000, 65, 64, 4097].iter().enumerate() {
+        for (i, at) in [30u64, 10, 20, 10, 1_000_000, 65, 64, 4097]
+            .iter()
+            .enumerate()
+        {
             let (t, k) = crash(*at);
             w.schedule(t, i, k);
         }
@@ -556,7 +563,11 @@ mod tests {
             assert!(w.cancel(a));
         }
         assert_eq!(w.len(), 0);
-        assert!(w.slab_capacity() <= 4, "slab reuses freed slots: {}", w.slab_capacity());
+        assert!(
+            w.slab_capacity() <= 4,
+            "slab reuses freed slots: {}",
+            w.slab_capacity()
+        );
         // Cancelled events are really gone; survivors still pop in order.
         let (t, k) = crash(123);
         w.schedule(t, 0, k);
@@ -592,7 +603,11 @@ mod tests {
         assert_eq!(w.pop().unwrap().at.as_micros(), 100);
         let (_, k) = crash(0);
         w.schedule(SimTime::from_micros(10), 1, k);
-        assert_eq!(w.pop().unwrap().at.as_micros(), 100, "clamped to the cursor");
+        assert_eq!(
+            w.pop().unwrap().at.as_micros(),
+            100,
+            "clamped to the cursor"
+        );
     }
 
     #[test]

@@ -227,7 +227,11 @@ impl<N: Node, S: EventScheduler<N::Msg>> Simulation<N, S> {
         telemetry.counter_add("netsim.engine.cancelled", None, p.cancelled);
         telemetry.counter_add("netsim.engine.cascades", None, p.cascades);
         telemetry.counter_add("netsim.engine.cascade_entries", None, p.cascade_entries);
-        telemetry.gauge_max("netsim.engine.live_high_water", None, p.live_high_water as f64);
+        telemetry.gauge_max(
+            "netsim.engine.live_high_water",
+            None,
+            p.live_high_water as f64,
+        );
         telemetry.gauge_max(
             "netsim.engine.slots_high_water",
             None,
@@ -273,9 +277,9 @@ impl<N: Node, S: EventScheduler<N::Msg>> Simulation<N, S> {
                 }
             }
             Action::SetTimer { timer, delay, tag } => {
-                let handle = self
-                    .sched
-                    .schedule(self.now + delay, from, EventKind::Timer { timer, tag });
+                let handle =
+                    self.sched
+                        .schedule(self.now + delay, from, EventKind::Timer { timer, tag });
                 self.live_timers.insert(timer.0, handle);
             }
             Action::CancelTimer { timer } => {
@@ -597,7 +601,8 @@ mod tests {
         let t = telemetry::Telemetry::recording();
         sim.record_engine_metrics(&t);
         assert_eq!(
-            t.registry_snapshot().counter("netsim.sim.max_events_hit", None),
+            t.registry_snapshot()
+                .counter("netsim.sim.max_events_hit", None),
             1
         );
 
@@ -612,7 +617,8 @@ mod tests {
         let t = telemetry::Telemetry::recording();
         clean.record_engine_metrics(&t);
         assert_eq!(
-            t.registry_snapshot().counter("netsim.sim.max_events_hit", None),
+            t.registry_snapshot()
+                .counter("netsim.sim.max_events_hit", None),
             0
         );
     }

@@ -31,13 +31,15 @@
 //! from the output of its last search; `searches()` counts the searches.
 
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
-use runtime::{Duration, SimTime};
 use optilog::{
     ConfigCommand, ConfigLog, LatencyMonitor, LatencyVector, MessageTimeout, RoundObservation,
     RoundTimeouts, Suspicion, SuspicionMonitor, SuspicionMonitorParams, SuspicionSensor, DELTA,
 };
 use pbft::score::optimize_configuration;
-use pbft::{predict_message_delays, predict_round_latency, PbftRoundRecord, ReconfigPolicy, WeightConfig};
+use pbft::{
+    predict_message_delays, predict_round_latency, PbftRoundRecord, ReconfigPolicy, WeightConfig,
+};
+use runtime::{Duration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -353,7 +355,8 @@ impl ReconfigPolicy for OptiAwarePolicy {
         match blob {
             OptiAwareBlob::Latency { reporter, rtt_ms } => {
                 let before = self.latency.revision();
-                self.latency.on_vector(&LatencyVector::new(reporter, rtt_ms));
+                self.latency
+                    .on_vector(&LatencyVector::new(reporter, rtt_ms));
                 if self.latency.revision() != before {
                     self.rebuild_timeout_caches();
                 }
@@ -510,7 +513,10 @@ mod tests {
         // After the measurement period the policy optimises.
         let cfg = p.decide(0, SimTime::from_secs(41)).expect("optimises");
         assert_eq!(cfg.epoch, 1);
-        assert!([0, 1, 2].contains(&cfg.leader), "leader in the fast cluster");
+        assert!(
+            [0, 1, 2].contains(&cfg.leader),
+            "leader in the fast cluster"
+        );
     }
 
     #[test]
@@ -595,7 +601,9 @@ mod tests {
         let mut p = OptiAwarePolicy::new(1, n, 1, SimTime::ZERO);
         // Replica 0 would normally be the best leader (fastest links).
         feed_matrix(&mut p, &uniformish(n, &[0, 1], 5.0, 80.0));
-        let first = p.decide(0, SimTime::from_secs(1)).expect("initial optimisation");
+        let first = p
+            .decide(0, SimTime::from_secs(1))
+            .expect("initial optimisation");
         assert_eq!(first.leader, 0);
 
         // Two replicas suspect replica 0 (e.g. it delays proposals); replica 0

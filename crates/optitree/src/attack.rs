@@ -80,9 +80,7 @@ pub fn simulate_suspicion_attack(
         // The attacker picks a random internal node and suspects the root,
         // rendering the tree invalid and forcing a reconfiguration.
         let internals = tree.internal_nodes();
-        let victim = *internals
-            .choose(&mut rng)
-            .expect("tree has internal nodes");
+        let victim = *internals.choose(&mut rng).expect("tree has internal nodes");
         match variant {
             AttackVariant::Kauri => {}
             AttackVariant::KauriSa => kauri_sa.on_view_failure(&[victim]),

@@ -23,12 +23,12 @@
 use crate::score::tree_timeouts;
 use crate::search::{search_tree, TreeSearchSpace};
 use kauri::{Tree, TreePolicy};
-use runtime::Duration;
 use optilog::{
     AnnealingParams, PhaseFilter, Suspicion, SuspicionMonitor, SuspicionMonitorParams,
     SuspicionPair, DELTA,
 };
 use rsm::SystemConfig;
+use runtime::Duration;
 use std::collections::BTreeSet;
 
 /// OptiTree: candidate-constrained SA tree selection with the `u` estimate.
@@ -182,8 +182,7 @@ impl TreePolicy for OptiTreePolicy {
                 // restore the full exclusion set and this reset would wipe
                 // the crash exclusions again on every reconfiguration.
                 self.monitor = SuspicionMonitor::new(
-                    SuspicionMonitorParams::new(self.system.n, self.system.f)
-                        .with_tree_strategy(),
+                    SuspicionMonitorParams::new(self.system.n, self.system.f).with_tree_strategy(),
                 );
                 self.monitor.on_view(self.terms);
                 self.refresh_monitor_cache();
@@ -369,7 +368,11 @@ mod tests {
         for a in 0..n {
             for b in 0..n {
                 if a != b {
-                    m[a * n + b] = if a < cluster && b < cluster { 10.0 } else { 200.0 };
+                    m[a * n + b] = if a < cluster && b < cluster {
+                        10.0
+                    } else {
+                        200.0
+                    };
                 }
             }
         }
@@ -433,7 +436,11 @@ mod tests {
         let mut policy = KauriSaPolicy::new(system, clustered(n, 21), 9);
         let t1 = policy.next_tree(n, 4);
         policy.on_view_failure(&[t1.root]);
-        assert_eq!(policy.excluded().len(), 5, "root + 4 intermediates excluded");
+        assert_eq!(
+            policy.excluded().len(),
+            5,
+            "root + 4 intermediates excluded"
+        );
         let t2 = policy.next_tree(n, 4);
         for r in t1.internal_nodes() {
             assert!(!t2.internal_nodes().contains(&r));
@@ -445,7 +452,11 @@ mod tests {
         let n = 21;
         let system = SystemConfig::new(n);
         let mut policy = OptiTreePolicy::new(system, clustered(n, 21), 2);
-        assert_eq!(policy.view_timeout(), Duration::from_millis(2_000), "default before a tree exists");
+        assert_eq!(
+            policy.view_timeout(),
+            Duration::from_millis(2_000),
+            "default before a tree exists"
+        );
         let _ = policy.next_tree(n, 4);
         let view = policy.view_timeout();
         // All links are 10 ms RTT, so the view timeout must be tight (well
@@ -480,7 +491,10 @@ mod tests {
             policy.on_committed_pair(&pair.reciprocation());
         }
         policy.on_adopted_epoch(2);
-        assert!(policy.excluded().contains(&attacker), "pairs must exclude the delayer");
+        assert!(
+            policy.excluded().contains(&attacker),
+            "pairs must exclude the delayer"
+        );
         assert!(
             !policy.excluded().contains(&root),
             "the innocent root must stay eligible: {:?}",
@@ -518,7 +532,10 @@ mod tests {
             policy.on_committed_pair(&pair);
             policy.on_committed_pair(&pair.reciprocation());
         }
-        assert!(policy.excluded().contains(&root), "the delaying root is excluded");
+        assert!(
+            policy.excluded().contains(&root),
+            "the delaying root is excluded"
+        );
         // The leaves' deeper echoes of round 50 (accusing intermediates 1
         // and 2) were causally filtered: the innocent intermediates they
         // would implicate are not *both* swept out with the root.

@@ -197,7 +197,11 @@ mod tests {
                 if a == b {
                     continue;
                 }
-                m[a * n + b] = if a < cluster && b < cluster { 10.0 } else { 200.0 };
+                m[a * n + b] = if a < cluster && b < cluster {
+                    10.0
+                } else {
+                    200.0
+                };
             }
         }
         m
@@ -235,7 +239,7 @@ mod tests {
     fn fast_internal_nodes_beat_slow_internal_nodes() {
         let n = 13;
         let m = matrix(n, 4); // replicas 0..4 fast among themselves
-        // Tree A: root + intermediates all from the fast cluster.
+                              // Tree A: root + intermediates all from the fast cluster.
         let mut order_fast: Vec<usize> = vec![0, 1, 2, 3];
         order_fast.extend(4..n);
         // Tree B: root fast but intermediates from the slow set.

@@ -138,11 +138,7 @@ impl SearchSpace for TreeSearchSpace {
 }
 
 /// Run the annealing search and return the best tree found with its score.
-pub fn search_tree(
-    space: &TreeSearchSpace,
-    params: AnnealingParams,
-    seed: u64,
-) -> (Tree, f64) {
+pub fn search_tree(space: &TreeSearchSpace, params: AnnealingParams, seed: u64) -> (Tree, f64) {
     let result = Annealer::new(params).search(space, seed);
     (space.tree_of(&result.config.order), result.score)
 }
@@ -157,7 +153,11 @@ mod tests {
         for a in 0..n {
             for b in 0..n {
                 if a != b {
-                    m[a * n + b] = if a < cluster && b < cluster { 10.0 } else { 200.0 };
+                    m[a * n + b] = if a < cluster && b < cluster {
+                        10.0
+                    } else {
+                        200.0
+                    };
                 }
             }
         }
@@ -215,12 +215,11 @@ mod tests {
             },
             7,
         );
-        assert!(score < 450.0, "score {score} should reflect mostly-fast paths");
-        let fast_internals = tree
-            .internal_nodes()
-            .iter()
-            .filter(|&&r| r < 8)
-            .count();
+        assert!(
+            score < 450.0,
+            "score {score} should reflect mostly-fast paths"
+        );
+        let fast_internals = tree.internal_nodes().iter().filter(|&&r| r < 8).count();
         assert!(
             fast_internals >= 4,
             "most internal nodes should be fast, got {:?}",

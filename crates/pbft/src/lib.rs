@@ -46,5 +46,5 @@ pub use cluster::{PbftConfig, PbftRoles};
 pub use messages::{PbftMessage, Phase};
 pub use policy::{PbftRoundRecord, ReconfigPolicy, StaticPolicy};
 pub use replica::ReplicaState;
-pub use score::{predict_round_latency, predict_message_delays, weighted_quorum_time};
+pub use score::{predict_message_delays, predict_round_latency, weighted_quorum_time};
 pub use weights::{VoterSet, WeightConfig};

@@ -157,7 +157,11 @@ pub fn optimize_configuration(
         // Greedy V_max assignment for this leader: give high weights to the
         // candidates closest to the leader (by RTT), which is the heuristic
         // Aware's exhaustive search converges to in well-behaved settings.
-        let mut others: Vec<usize> = candidates.iter().copied().filter(|&r| r != leader).collect();
+        let mut others: Vec<usize> = candidates
+            .iter()
+            .copied()
+            .filter(|&r| r != leader)
+            .collect();
         others.sort_by(|&a, &b| {
             matrix[leader * n + a]
                 .partial_cmp(&matrix[leader * n + b])
@@ -235,7 +239,10 @@ mod tests {
         let (m, n) = clustered_matrix();
         let all: Vec<usize> = (0..n).collect();
         let (config, score) = optimize_configuration(&m, n, 1, &all, &[], 1);
-        assert!([0, 1, 2].contains(&config.leader), "leader should be in the cluster");
+        assert!(
+            [0, 1, 2].contains(&config.leader),
+            "leader should be in the cluster"
+        );
         assert!(config.vmax_holders().iter().all(|r| [0, 1, 2].contains(r)));
         // Round trip within the cluster is 10ms; the predicted round should be
         // a small multiple of that, far below the 200ms links.
@@ -257,7 +264,10 @@ mod tests {
         let config = WeightConfig::with_assignment(n, 0, &[0, 1], 1);
         let delays = predict_message_delays(&m, n, f, &config, 2);
         // The Propose from the leader takes exactly one one-way delay (TR1).
-        let propose = delays.iter().find(|(s, p, _)| *s == 0 && *p == 1).expect("propose");
+        let propose = delays
+            .iter()
+            .find(|(s, p, _)| *s == 0 && *p == 1)
+            .expect("propose");
         assert_eq!(propose.2, 5.0);
         // Writes arrive no earlier than the Propose that enables them (TR2).
         for (s, phase, d) in &delays {
@@ -267,8 +277,14 @@ mod tests {
             }
         }
         // Accept delays are the largest per sender.
-        let write_from_1 = delays.iter().find(|(s, p, _)| *s == 1 && *p == 2).expect("write");
-        let accept_from_1 = delays.iter().find(|(s, p, _)| *s == 1 && *p == 3).expect("accept");
+        let write_from_1 = delays
+            .iter()
+            .find(|(s, p, _)| *s == 1 && *p == 2)
+            .expect("write");
+        let accept_from_1 = delays
+            .iter()
+            .find(|(s, p, _)| *s == 1 && *p == 3)
+            .expect("accept");
         assert!(accept_from_1.2 >= write_from_1.2);
     }
 

@@ -122,8 +122,14 @@ mod tests {
             SimTime::from_secs(20),
         );
         assert!(proposal_hold(&plan, 2, SimTime::from_secs(9)).is_zero());
-        assert_eq!(proposal_hold(&plan, 2, SimTime::from_secs(10)).as_millis(), 400);
-        assert_eq!(proposal_hold(&plan, 2, SimTime::from_secs(19)).as_millis(), 400);
+        assert_eq!(
+            proposal_hold(&plan, 2, SimTime::from_secs(10)).as_millis(),
+            400
+        );
+        assert_eq!(
+            proposal_hold(&plan, 2, SimTime::from_secs(19)).as_millis(),
+            400
+        );
         assert!(proposal_hold(&plan, 2, SimTime::from_secs(20)).is_zero());
         // Other replicas are unaffected.
         assert!(proposal_hold(&plan, 0, SimTime::from_secs(15)).is_zero());
@@ -144,9 +150,15 @@ mod tests {
             SimTime::from_secs(12),
             SimTime::MAX,
         );
-        assert_eq!(proposal_hold(&plan, 1, SimTime::from_secs(6)).as_millis(), 100);
+        assert_eq!(
+            proposal_hold(&plan, 1, SimTime::from_secs(6)).as_millis(),
+            100
+        );
         assert!(proposal_hold(&plan, 1, SimTime::from_secs(9)).is_zero());
-        assert_eq!(proposal_hold(&plan, 1, SimTime::from_secs(500)).as_millis(), 700);
+        assert_eq!(
+            proposal_hold(&plan, 1, SimTime::from_secs(500)).as_millis(),
+            700
+        );
         assert_eq!(plan.stages_for(1).len(), 2);
     }
 

@@ -169,7 +169,10 @@ impl TrafficSpec {
     /// Override the batching rule.
     pub fn with_batching(mut self, max_batch: usize, max_delay: Duration) -> Self {
         assert!(max_batch > 0, "batch size must be positive");
-        self.batching = BatchingPolicy { max_batch, max_delay };
+        self.batching = BatchingPolicy {
+            max_batch,
+            max_delay,
+        };
         self
     }
 

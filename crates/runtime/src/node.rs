@@ -253,8 +253,12 @@ mod tests {
         assert_eq!(next, 43, "allocator state advances past minted ids");
         match (&actions[0], &actions[1]) {
             (
-                Action::SetTimer { timer: t0, tag: 7, .. },
-                Action::SetTimer { timer: t1, tag: 8, .. },
+                Action::SetTimer {
+                    timer: t0, tag: 7, ..
+                },
+                Action::SetTimer {
+                    timer: t1, tag: 8, ..
+                },
             ) => {
                 assert_eq!(*t0, a, "the buffered action carries the minted id");
                 assert_eq!(*t1, b);
@@ -292,10 +296,25 @@ mod tests {
         assert_eq!(actions.len(), 3);
         assert!(matches!(
             &actions[0],
-            Action::Send { to: 3, payload: Payload::Owned(2) }
+            Action::Send {
+                to: 3,
+                payload: Payload::Owned(2)
+            }
         ));
-        assert!(matches!(&actions[1], Action::Send { to: 1, payload: Payload::Shared(_) }));
-        assert!(matches!(&actions[2], Action::Send { to: 4, payload: Payload::Shared(_) }));
+        assert!(matches!(
+            &actions[1],
+            Action::Send {
+                to: 1,
+                payload: Payload::Shared(_)
+            }
+        ));
+        assert!(matches!(
+            &actions[2],
+            Action::Send {
+                to: 4,
+                payload: Payload::Shared(_)
+            }
+        ));
     }
 
     #[test]

@@ -77,7 +77,10 @@ impl PartialOrd for TimerEntry {
 impl Ord for TimerEntry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Reverse: BinaryHeap is a max-heap, we pop earliest-due first.
-        other.due.cmp(&self.due).then_with(|| other.seq.cmp(&self.seq))
+        other
+            .due
+            .cmp(&self.due)
+            .then_with(|| other.seq.cmp(&self.seq))
     }
 }
 
@@ -224,9 +227,7 @@ where
             match event {
                 ReplicaEvent::Start => self.node.on_start(&mut ctx),
                 ReplicaEvent::Deliver { from, msg } => self.node.on_message(&mut ctx, from, msg),
-                ReplicaEvent::TimerFired { timer, tag } => {
-                    self.node.on_timer(&mut ctx, timer, tag)
-                }
+                ReplicaEvent::TimerFired { timer, tag } => self.node.on_timer(&mut ctx, timer, tag),
                 ReplicaEvent::Shutdown => break,
             }
             actions = self.apply(ctx, &mut touched);

@@ -17,11 +17,15 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// A point in time, measured in microseconds since the run's origin
 /// (simulation start or real-cluster launch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
+)]
 pub struct SimTime(pub u64);
 
 /// A span of time in microseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
+)]
 pub struct Duration(pub u64);
 
 impl SimTime {

@@ -161,8 +161,7 @@ mod tests {
     fn body_cut_short_is_unexpected_eof() {
         let frame = encode_frame(2, &TestMsg::Blob(vec![7; 100_000])).unwrap();
         for cut in [5, 1000, frame.len() - 1] {
-            let err =
-                read_frame::<TestMsg, _>(&mut io::Cursor::new(&frame[..cut])).unwrap_err();
+            let err = read_frame::<TestMsg, _>(&mut io::Cursor::new(&frame[..cut])).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
         }
         // The same frame whole, larger than the up-front reservation.

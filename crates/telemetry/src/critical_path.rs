@@ -187,7 +187,11 @@ pub fn attribute(events: &[TraceEvent]) -> Vec<CommandPath> {
     for e in events {
         match e.stage {
             Stage::ClientEmit => {
-                clients.entry(e.tid).or_default().emit.get_or_insert((e.ts_us, e.dur_us));
+                clients
+                    .entry(e.tid)
+                    .or_default()
+                    .emit
+                    .get_or_insert((e.ts_us, e.dur_us));
             }
             Stage::Admission => {
                 // A retried command is dispatched more than once; the last
@@ -206,7 +210,11 @@ pub fn attribute(events: &[TraceEvent]) -> Vec<CommandPath> {
                 clients.entry(e.tid).or_default().reply = Some((e.ts_us, e.dur_us, view));
             }
             Stage::Propose => {
-                views.entry(e.tid).or_default().propose_ts.get_or_insert(e.ts_us);
+                views
+                    .entry(e.tid)
+                    .or_default()
+                    .propose_ts
+                    .get_or_insert(e.ts_us);
             }
             Stage::Forward => {
                 let v = views.entry(e.tid).or_default();
@@ -244,8 +252,7 @@ pub fn attribute(events: &[TraceEvent]) -> Vec<CommandPath> {
                     phase_us[Phase::Hold.index()] = held_dissem + held_vote;
                     phase_us[Phase::Dissemination.index()] =
                         (fwd_end - propose_ts).saturating_sub(held_dissem);
-                    phase_us[Phase::Vote.index()] =
-                        (reply_ts - fwd_end).saturating_sub(held_vote);
+                    phase_us[Phase::Vote.index()] = (reply_ts - fwd_end).saturating_sub(held_vote);
                 }
             }
         }
@@ -421,7 +428,11 @@ mod tests {
     fn ev(stage: Stage, tid: u64, ts: u64, dur: u64, args: Vec<(&'static str, f64)>) -> TraceEvent {
         TraceEvent {
             stage,
-            pid: if stage.category() == "traffic" { CLIENTS_PID } else { 0 },
+            pid: if stage.category() == "traffic" {
+                CLIENTS_PID
+            } else {
+                0
+            },
             tid,
             ts_us: ts,
             dur_us: dur,
@@ -434,12 +445,12 @@ mod tests {
     #[test]
     fn clean_commit_attributes_exactly() {
         let events = vec![
-            ev(Stage::ClientEmit, 7, 1_000, 2_000, vec![]),   // send 1ms, +2ms to ingress
-            ev(Stage::Admission, 7, 3_000, 5_000, vec![]),    // 5ms queueing
+            ev(Stage::ClientEmit, 7, 1_000, 2_000, vec![]), // send 1ms, +2ms to ingress
+            ev(Stage::Admission, 7, 3_000, 5_000, vec![]),  // 5ms queueing
             ev(Stage::IngressForward, 7, 8_000, 1_500, vec![]), // 1.5ms hop
             ev(Stage::Propose, 42, 9_000, 0, vec![]),
-            ev(Stage::Forward, 42, 9_000, 4_000, vec![]),     // delivered at 13ms
-            ev(Stage::Forward, 42, 9_000, 6_000, vec![]),     // slowest at 15ms
+            ev(Stage::Forward, 42, 9_000, 4_000, vec![]), // delivered at 13ms
+            ev(Stage::Forward, 42, 9_000, 6_000, vec![]), // slowest at 15ms
             ev(Stage::Commit, 42, 9_000, 11_000, vec![]),
             ev(Stage::Reply, 7, 20_000, 2_500, vec![("view", 42.0)]),
         ];
@@ -485,7 +496,11 @@ mod tests {
         assert_eq!(total, p.e2e_us);
         // Under the attack the hold dominates the breakdown.
         let bd = LatencyBreakdown::from_paths([p.clone()].iter());
-        assert!(bd.share(Phase::Hold) > 0.5, "hold share {}", bd.share(Phase::Hold));
+        assert!(
+            bd.share(Phase::Hold) > 0.5,
+            "hold share {}",
+            bd.share(Phase::Hold)
+        );
     }
 
     /// Holds of *later* views on a chained-commit path (HotStuff three-chain:
@@ -548,12 +563,17 @@ mod tests {
                 ev(Stage::Admission, tid, 1_000, 500, vec![]),
                 ev(Stage::Propose, tid + 100, 2_000, 0, vec![]),
                 ev(Stage::Forward, tid + 100, 2_000, 3_000, vec![]),
-                ev(Stage::Reply, tid, commit, 1_000, vec![("view", (tid + 100) as f64)]),
+                ev(
+                    Stage::Reply,
+                    tid,
+                    commit,
+                    1_000,
+                    vec![("view", (tid + 100) as f64)],
+                ),
             ];
             LatencyBreakdown::from_paths(attribute(&events).iter())
         };
-        let shards: Vec<LatencyBreakdown> =
-            (0..5).map(|i| mk(i, 10_000 + i * 7_000)).collect();
+        let shards: Vec<LatencyBreakdown> = (0..5).map(|i| mk(i, 10_000 + i * 7_000)).collect();
         let mut fwd = LatencyBreakdown::new();
         for s in &shards {
             fwd.merge(s);

@@ -244,7 +244,8 @@ mod tests {
     #[test]
     fn merge_equals_recording_everything_in_one() {
         let mut all = LogLinearHistogram::new();
-        let mut parts: Vec<LogLinearHistogram> = (0..4).map(|_| LogLinearHistogram::new()).collect();
+        let mut parts: Vec<LogLinearHistogram> =
+            (0..4).map(|_| LogLinearHistogram::new()).collect();
         for v in 0..1_000u64 {
             let x = (v * 7919) % 50_000;
             all.record(x);
@@ -268,8 +269,15 @@ mod tests {
         assert_eq!(h.sum(), 3 + 3 + 17 + 900 * 3 + 1_000_000);
         let buckets: Vec<(u64, u64)> = h.cumulative_buckets().collect();
         assert!(buckets.windows(2).all(|w| w[0].0 < w[1].0), "bounds ascend");
-        assert!(buckets.windows(2).all(|w| w[0].1 <= w[1].1), "counts accumulate");
-        assert_eq!(buckets.last().unwrap().1, h.count(), "last bucket holds everything");
+        assert!(
+            buckets.windows(2).all(|w| w[0].1 <= w[1].1),
+            "counts accumulate"
+        );
+        assert_eq!(
+            buckets.last().unwrap().1,
+            h.count(),
+            "last bucket holds everything"
+        );
         // Every recorded value is ≤ its bucket's upper bound: the cumulative
         // count at the first bound ≥ v must include v's bucket.
         for v in [3u64, 17, 900, 1_000_000] {

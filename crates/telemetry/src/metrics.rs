@@ -23,7 +23,8 @@ pub struct MetricKey {
 impl MetricKey {
     fn new(name: &str, replica: Option<usize>) -> Self {
         debug_assert!(
-            name.chars().all(|c| c.is_ascii_alphanumeric() || c == '.' || c == '_'),
+            name.chars()
+                .all(|c| c.is_ascii_alphanumeric() || c == '.' || c == '_'),
             "metric names are dotted ascii: {name:?}"
         );
         MetricKey {
@@ -383,7 +384,9 @@ mod tests {
         r.counter_add("a.first", Some(3), 2);
         r.observe("m.hist_us", Some(0), 50);
         let text = r.prometheus_text();
-        let a = text.find("a_first_total{replica=\"3\"} 2").expect("labelled counter");
+        let a = text
+            .find("a_first_total{replica=\"3\"} 2")
+            .expect("labelled counter");
         let z = text.find("z_last_total 1").expect("plain counter");
         assert!(a < z, "counters render in key order");
         assert!(text.contains("m_hist_us_count{replica=\"0\"} 1"));
@@ -419,7 +422,10 @@ mod tests {
                 .iter()
                 .position(|l| !l.starts_with('#') && l.starts_with(family))
                 .unwrap_or_else(|| panic!("no samples for {family}"));
-            assert!(help < first_sample && ty < first_sample, "{family} headers lead");
+            assert!(
+                help < first_sample && ty < first_sample,
+                "{family} headers lead"
+            );
         }
         assert!(text.contains("# TYPE a_commits_total counter"));
         assert!(text.contains("# TYPE a_depth gauge"));
@@ -434,12 +440,18 @@ mod tests {
             .filter(|l| l.starts_with("a_lat_us_bucket"))
             .map(|l| {
                 let le = l.split("le=\"").nth(1).unwrap().split('"').next().unwrap();
-                let le = if le == "+Inf" { f64::INFINITY } else { le.parse().unwrap() };
+                let le = if le == "+Inf" {
+                    f64::INFINITY
+                } else {
+                    le.parse().unwrap()
+                };
                 (le, l.rsplit(' ').next().unwrap().parse().unwrap())
             })
             .collect();
         assert!(buckets.len() >= 2);
-        assert!(buckets.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 <= w[1].1));
+        assert!(buckets
+            .windows(2)
+            .all(|w| w[0].0 < w[1].0 && w[0].1 <= w[1].1));
         assert_eq!(buckets.last().unwrap().0, f64::INFINITY);
         assert_eq!(buckets.last().unwrap().1, 4);
         assert!(text.contains("a_lat_us_sum{replica=\"2\"} 5050"));

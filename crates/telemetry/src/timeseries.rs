@@ -180,15 +180,23 @@ impl Timeseries {
         for (&w, sample) in &self.windows {
             let t = ((w + 1) * self.window_us) as f64 / 1e6;
             for (name, &v) in &sample.counters {
-                out.entry(format!("ts.{name}.delta")).or_default().push((t, v as f64));
+                out.entry(format!("ts.{name}.delta"))
+                    .or_default()
+                    .push((t, v as f64));
             }
             for (name, &v) in &sample.gauges {
-                out.entry(format!("ts.{name}.value")).or_default().push((t, v));
+                out.entry(format!("ts.{name}.value"))
+                    .or_default()
+                    .push((t, v));
             }
             for (name, &(c, s)) in &sample.hists {
-                out.entry(format!("ts.{name}.count")).or_default().push((t, c as f64));
+                out.entry(format!("ts.{name}.count"))
+                    .or_default()
+                    .push((t, c as f64));
                 let mean = if c == 0 { 0.0 } else { s as f64 / c as f64 };
-                out.entry(format!("ts.{name}.mean")).or_default().push((t, mean));
+                out.entry(format!("ts.{name}.mean"))
+                    .or_default()
+                    .push((t, mean));
             }
         }
         out
@@ -347,7 +355,10 @@ mod tests {
         }
         assert_eq!(fwd, rev);
         assert_eq!(fwd.prometheus_text(), rev.prometheus_text());
-        assert_eq!(fwd.series()["ts.w.ops.delta"], vec![(1.0, 6.0), (2.0, 300.0)]);
+        assert_eq!(
+            fwd.series()["ts.w.ops.delta"],
+            vec![(1.0, 6.0), (2.0, 300.0)]
+        );
     }
 
     #[test]

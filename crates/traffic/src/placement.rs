@@ -39,8 +39,14 @@ pub fn place_clients(
     clients: usize,
     seed: u64,
 ) -> Vec<ClientPlacement> {
-    assert!(!subset.is_empty(), "client placement needs a non-empty city subset");
-    assert!(!replica_cities.is_empty(), "client placement needs replicas");
+    assert!(
+        !subset.is_empty(),
+        "client placement needs a non-empty city subset"
+    );
+    assert!(
+        !replica_cities.is_empty(),
+        "client placement needs replicas"
+    );
     let mut rng = StdRng::seed_from_u64(seed);
     (0..clients)
         .map(|_| {
@@ -98,7 +104,10 @@ mod tests {
         let replicas: Vec<usize> = subset.iter().take(7).copied().collect();
         for &ms in &client_ingress_ms(&ds, &subset, &replicas, 100, 1) {
             // Never worse than half the worst replica-pair RTT in the subset.
-            assert!(ms <= 125.0 + 1e-9, "ingress {ms} ms exceeds half the max RTT");
+            assert!(
+                ms <= 125.0 + 1e-9,
+                "ingress {ms} ms exceeds half the max RTT"
+            );
         }
     }
 
@@ -110,7 +119,10 @@ mod tests {
         let placed = place_clients(&ds, &subset, &replicas, 100, 1);
         // Same draws as client_ingress_ms: the scalar view is a projection.
         let scalar = client_ingress_ms(&ds, &subset, &replicas, 100, 1);
-        assert_eq!(placed.iter().map(|p| p.ingress_ms).collect::<Vec<_>>(), scalar);
+        assert_eq!(
+            placed.iter().map(|p| p.ingress_ms).collect::<Vec<_>>(),
+            scalar
+        );
         for p in &placed {
             assert!(p.nearest < replicas.len());
             // The reported ingress is achievable from *some* subset city via
@@ -118,16 +130,20 @@ mod tests {
             let achievable = subset.iter().any(|&city| {
                 let d = (ds.rtt_ms(city, replicas[p.nearest]) / 2.0).max(MIN_INGRESS_MS);
                 (d - p.ingress_ms).abs() < 1e-9
-                    && replicas
-                        .iter()
-                        .all(|&r| ds.rtt_ms(city, r) / 2.0 >= ds.rtt_ms(city, replicas[p.nearest]) / 2.0 - 1e-9)
+                    && replicas.iter().all(|&r| {
+                        ds.rtt_ms(city, r) / 2.0
+                            >= ds.rtt_ms(city, replicas[p.nearest]) / 2.0 - 1e-9
+                    })
             });
             assert!(achievable, "placement {p:?} not consistent with any city");
         }
         // Different replicas actually get picked across the population.
         let distinct: std::collections::BTreeSet<usize> =
             placed.iter().map(|p| p.nearest).collect();
-        assert!(distinct.len() > 1, "one ingress replica for 100 global clients");
+        assert!(
+            distinct.len() > 1,
+            "one ingress replica for 100 global clients"
+        );
     }
 
     #[test]

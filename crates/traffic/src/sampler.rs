@@ -73,8 +73,8 @@ impl ArrivalSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use runtime::Duration;
     use rand::SeedableRng;
+    use runtime::Duration;
 
     fn count_until(process: ArrivalProcess, horizon: f64, seed: u64) -> usize {
         let mut sampler = ArrivalSampler::new(process);
@@ -157,7 +157,10 @@ mod tests {
             off: Duration::from_secs(2),
         };
         for t in trace(p, 30.0, 3) {
-            assert!(t.rem_euclid(3.0) < 1.0, "arrival at {t} falls in an off-phase");
+            assert!(
+                t.rem_euclid(3.0) < 1.0,
+                "arrival at {t} falls in an off-phase"
+            );
         }
     }
 }

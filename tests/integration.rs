@@ -3,8 +3,8 @@
 
 use optilog_suite::*;
 
-use kauri::{KauriBinsPolicy, KauriCluster, KauriConfig};
 use hotstuff::{HotStuffConfig, Pacemaker};
+use kauri::{KauriBinsPolicy, KauriCluster, KauriConfig};
 use lab::harness::run;
 use netsim::{CityDataset, Duration, FaultPlan, LatencyModel, MatrixLatency, SimTime};
 use optiaware::OptiAwarePolicy;
@@ -121,9 +121,10 @@ fn optiaware_recovers_from_delay_attack_while_aware_does_not() {
     let rtt = europe_rtt(n);
     // The attacker is the replica Aware's optimisation would pick as leader,
     // so the Pre-Prepare delay attack actually hits the optimised path.
-    let attacker = pbft::score::optimize_configuration(&rtt, n, f, &(0..n).collect::<Vec<_>>(), &[], 1)
-        .0
-        .leader;
+    let attacker =
+        pbft::score::optimize_configuration(&rtt, n, f, &(0..n).collect::<Vec<_>>(), &[], 1)
+            .0
+            .leader;
     let attack = SimTime::from_secs(40);
     let optimize_after = SimTime::from_secs(15);
     let attacked = |policy: &dyn Fn(usize) -> Box<dyn ReconfigPolicy>| {
@@ -205,7 +206,14 @@ fn optitree_outperforms_random_kauri_trees_on_global_deployment() {
         3,
     );
     let random_avg: f64 = (0..10)
-        .map(|s| tree_score(&kauri::Tree::random(n, system.tree_branch_factor(), s), &rtt, n, k))
+        .map(|s| {
+            tree_score(
+                &kauri::Tree::random(n, system.tree_branch_factor(), s),
+                &rtt,
+                n,
+                k,
+            )
+        })
         .sum::<f64>()
         / 10.0;
     assert!(
