@@ -27,7 +27,7 @@ impl Digest {
         Digest(h.finalize())
     }
 
-    /// First 8 bytes as a short hex string (for logs and debugging).
+    /// First 4 bytes as an 8-digit hex string (for logs and debugging).
     pub fn short(&self) -> String {
         self.0[..4].iter().map(|b| format!("{b:02x}")).collect()
     }

@@ -116,10 +116,11 @@ impl Hashable for Block {
     /// - the tag `b"block"`, length-prefixed;
     /// - `parent` (32 bytes), then `view`, `height`, `proposer` and the
     ///   command count, each a little-endian `u64`;
-    /// - per command, `client` and `seq` as little-endian `u64`s, then its
-    ///   payload, length-prefixed.
+    /// - per command, `client`, `seq` and the payload's length as
+    ///   little-endian `u64`s, then the payload.
     ///
-    /// Length prefixes are [`Sha256::update_prefixed`]'s. A command's
+    /// Length prefixes follow [`Sha256::update_prefixed`]'s rule; a
+    /// command's three words go in as one 24-byte update. A command's
     /// `trace` is left out: observability must not perturb hashes.
     fn digest(&self) -> Digest {
         let mut h = Sha256::new();
@@ -134,9 +135,14 @@ impl Hashable for Block {
             h.update(&field.to_le_bytes());
         }
         for c in &self.commands {
-            h.update(&c.client.to_le_bytes());
-            h.update(&c.seq.to_le_bytes());
-            h.update_prefixed(&c.payload);
+            let mut head = [0u8; 24];
+            head[..8].copy_from_slice(&c.client.to_le_bytes());
+            head[8..16].copy_from_slice(&c.seq.to_le_bytes());
+            head[16..].copy_from_slice(&(c.payload.len() as u64).to_le_bytes());
+            h.update(&head);
+            if !c.payload.is_empty() {
+                h.update(&c.payload);
+            }
         }
         Digest(h.finalize())
     }
