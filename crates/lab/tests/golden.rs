@@ -36,6 +36,25 @@ fn cell_with(
     delay_ms: u64,
     more: impl FnOnce(AdversaryScript) -> AdversaryScript,
 ) -> CellMetrics {
+    let load = TrafficSpec::poisson(400.0)
+        .with_clients(8)
+        .with_batching(40, Duration::from_millis(40));
+    run(scenario(substrate, target, delay_ms, more).with_traffic_axis(vec![load]))
+}
+
+/// [`cell`] without its traffic axis: the leaders propose the paper's
+/// saturated 1000-command batches, and the windows read consensus latency.
+fn saturated_cell(substrate: Substrate, target: Target, delay_ms: u64) -> CellMetrics {
+    run(scenario(substrate, target, delay_ms, |script| script))
+}
+
+/// The shape every cell shares, before any traffic axis.
+fn scenario(
+    substrate: Substrate,
+    target: Target,
+    delay_ms: u64,
+    more: impl FnOnce(AdversaryScript) -> AdversaryScript,
+) -> ProtocolScenario {
     let script = AdversaryScript::named("delay").during(
         SimTime::from_secs(3),
         SimTime::from_secs(7),
@@ -49,15 +68,16 @@ fn cell_with(
         vec![Topology::with_n(Deployment::Europe21, 7)],
     )
     .with_adversaries(vec![more(script)])
-    .with_traffic_axis(vec![TrafficSpec::poisson(400.0)
-        .with_clients(8)
-        .with_batching(40, Duration::from_millis(40))])
     .run_for(Duration::from_secs(10));
     scenario.optimize_after = SimTime::from_secs(2);
     scenario.windows = vec![
         LatencyWindow::new("clean", 0.5, 3.0),
         LatencyWindow::new("attacked", 3.0, 7.0),
     ];
+    scenario
+}
+
+fn run(scenario: ProtocolScenario) -> CellMetrics {
     let spec = ScenarioSpec::new("golden", vec![SEED], ScenarioKind::Protocol(scenario));
     let points = spec.points();
     assert_eq!(points.len(), 1);
@@ -84,6 +104,18 @@ fn cells() -> &'static [(&'static str, CellMetrics)] {
             (
                 "Aware",
                 cell(Substrate::Aware, Target::OptimizedLeader, 400),
+            ),
+            (
+                "SaturatedHotStuffFixed",
+                saturated_cell(Substrate::HotStuffFixed, Target::Root, 400),
+            ),
+            (
+                "SaturatedHotStuffRr",
+                saturated_cell(Substrate::HotStuffRr, Target::Root, 400),
+            ),
+            (
+                "SaturatedKauri",
+                saturated_cell(Substrate::Kauri, Target::Root, 2_500),
             ),
         ]
     })
@@ -167,7 +199,13 @@ fn cells_exercise_load_attack_and_roles() {
     for (family, m) in cells() {
         let family = *family;
         let v = |k: &str| m.values.get(k).copied().unwrap_or(0.0);
-        assert!(v("committed_ops") > 100.0, "{family}: load must commit");
+        // A saturated cell has no clients: its commits are the load.
+        let load = if family.starts_with("Saturated") {
+            "throughput_ops"
+        } else {
+            "committed_ops"
+        };
+        assert!(v(load) > 100.0, "{family}: load must commit");
         assert!(
             v("lat_attacked_ms") > v("lat_clean_ms"),
             "{family}: the delay stage must show in client latency"
