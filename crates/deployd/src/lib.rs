@@ -82,8 +82,8 @@ pub struct DeployConfig {
     pub n: usize,
     /// Wall-clock run duration.
     pub run_for: Duration,
-    /// Offered open-loop load in commands per second; `0.0` runs the
-    /// saturated workload (leaders batch as fast as views turn).
+    /// Offered open-loop load in commands per second; `0.0` proposes from
+    /// the saturated queue (full batches of `batch_size`, no clients).
     pub rate: f64,
     /// Number of load-generating clients behind the shared queue.
     pub clients: usize,
@@ -220,20 +220,21 @@ pub fn run_cluster(
     should_stop: &dyn Fn() -> bool,
 ) -> std::io::Result<RealRunReport> {
     let queue = config.traffic_queue();
+    let traffic = queue
+        .clone()
+        .unwrap_or_else(|| SharedTrafficQueue::saturated(config.batch_size));
     match config.substrate {
         Substrate::HotStuff => {
             let mut hs = HotStuffConfig::new(config.n, Pacemaker::Fixed { leader: 0 });
-            hs.batch_size = config.batch_size;
             hs.run_for = config.run_for;
-            hs.traffic = queue.clone();
+            hs.traffic = traffic;
             hs.telemetry = config.telemetry.clone();
             run_on(config, &hs, queue, should_stop, |roles| roles.view_digests)
         }
         Substrate::Kauri => {
             let mut ka = KauriConfig::new(config.n);
-            ka.batch_size = config.batch_size;
             ka.run_for = config.run_for;
-            ka.traffic = queue.clone();
+            ka.traffic = traffic;
             ka.telemetry = config.telemetry.clone();
             // Identically-seeded policies so every replica derives the same
             // trees — the same discipline the simulation scenarios apply.

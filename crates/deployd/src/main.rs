@@ -8,9 +8,9 @@
 //! Replicas are the same structs the simulator drives, here running one OS
 //! thread each over full-mesh length-prefixed TCP on 127.0.0.1 with
 //! wall-clock timers (see `runtime::RealCluster`). Load is the traffic
-//! crate's open-loop arrival schedule; telemetry is the same handle the
-//! simulated runs install, so `--trace` produces a Perfetto/Chrome
-//! trace on a wall-clock axis directly comparable to a simulated one.
+//! crate's open-loop schedule (its saturated queue at `--rate 0`); telemetry
+//! is the same handle the simulated runs install, so `--trace` produces a
+//! Perfetto/Chrome trace on a wall-clock axis comparable to a simulated one.
 //!
 //! SIGTERM / SIGINT end the run early with a clean shutdown (replicas are
 //! stopped, stats collected, artifacts written) — the same path a normal
@@ -76,7 +76,7 @@ const USAGE: &str = "usage: deployd [--substrate hotstuff|kauri] [-n N] [--secs 
 [--rate CMDS_PER_SEC] [--clients C] [--batch B] [--seed SEED] \
 [--knee R1,R2,...] [--prometheus FILE] [--trace FILE] [--metrics-addr HOST:PORT] \
 [--flight-dir DIR]\n\
-  --rate 0 runs the saturated workload (no open-loop queue)\n\
+  --rate 0 proposes from the saturated queue (full --batch batches, no clients)\n\
   --knee sweeps offered load (one short run per rate) and prints the measured curve\n\
   --metrics-addr serves live GET /metrics (Prometheus text), GET /healthz, and \
 GET /audit (the consensus auditor's verdict) while the cluster runs\n\

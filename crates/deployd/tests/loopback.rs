@@ -66,6 +66,29 @@ fn loopback_kauri_commits_over_real_sockets() {
     );
 }
 
+/// `--rate 0` proposes from the saturated queue: full batches commit on
+/// every replica, and there is no client load to report or to balance.
+#[test]
+fn loopback_saturated_run_commits_full_batches() {
+    let mut cfg = DeployConfig::new(Substrate::HotStuff, 4);
+    cfg.run_for = Duration::from_secs(1);
+    cfg.rate = 0.0;
+    cfg.telemetry = Telemetry::recording();
+    let report = run_cluster(&cfg, &never_stop).expect("cluster launches");
+    assert!(report.traffic.is_none(), "no clients, no traffic report");
+    assert!(
+        report.per_replica_commits.iter().all(|&c| c > 0),
+        "every replica commits: {:?}",
+        report.per_replica_commits
+    );
+    assert_eq!(
+        report.summary.committed_commands,
+        report.summary.committed_blocks * cfg.batch_size as u64,
+        "every block is a full batch"
+    );
+    assert!(report.digests_agree() && report.audit.ok(), "{report:?}");
+}
+
 /// A stop request mid-run shuts the cluster down cleanly and still yields a
 /// consistent report — the SIGTERM path deployd's binary takes.
 #[test]
@@ -105,13 +128,12 @@ fn sim_vs_real_committed_ratio_within_tolerance() {
     let secs = 2;
     let base = {
         let mut hs = hotstuff::HotStuffConfig::new(n, hotstuff::Pacemaker::Fixed { leader: 0 });
-        hs.batch_size = 100;
         hs.run_for = Duration::from_secs(secs);
         hs
     };
     let spec = rsm::TrafficSpec::poisson(200.0)
         .with_clients(4)
-        .with_batching(base.batch_size, Duration::from_millis(40))
+        .with_batching(100, Duration::from_millis(40))
         .with_slo(Duration::from_secs(1));
     let offered_to = |runner: &dyn Fn(&hotstuff::HotStuffConfig)| {
         let queue = traffic::SharedTrafficQueue::generate(
@@ -121,7 +143,7 @@ fn sim_vs_real_committed_ratio_within_tolerance() {
             runtime::SimTime::from_secs(secs),
         );
         let mut cluster = base.clone();
-        cluster.traffic = Some(queue.clone());
+        cluster.traffic = queue.clone();
         runner(&cluster);
         let tr = queue.report(secs);
         (tr.committed as f64 / tr.offered.max(1) as f64, tr)
@@ -134,7 +156,7 @@ fn sim_vs_real_committed_ratio_within_tolerance() {
         deployd::run_on(
             &cfg,
             cluster,
-            cluster.traffic.clone(),
+            Some(cluster.traffic.clone()),
             &never_stop,
             |roles| roles.view_digests,
         )

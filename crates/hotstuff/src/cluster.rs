@@ -9,6 +9,9 @@ use runtime::Duration;
 use telemetry::{Instrumented, Telemetry};
 use traffic::SharedTrafficQueue;
 
+/// Commands per saturated block (§7.3).
+const PAPER_BATCH: usize = 1000;
+
 /// Configuration of a HotStuff experiment run.
 #[derive(Debug, Clone)]
 pub struct HotStuffConfig {
@@ -16,15 +19,14 @@ pub struct HotStuffConfig {
     pub system: SystemConfig,
     /// Leader-selection policy.
     pub pacemaker: Pacemaker,
-    /// Commands per block (the paper uses 1000).
-    pub batch_size: usize,
     /// Virtual run duration (the paper uses 120 s).
     pub run_for: Duration,
     /// Scripted protocol-level misbehavior (proposal-delay attacks).
     pub misbehavior: MisbehaviorPlan,
-    /// Open-loop traffic source shared by every (rotating) leader; `None`
-    /// keeps the saturated paper workload.
-    pub traffic: Option<SharedTrafficQueue>,
+    /// The proposal source every (rotating) leader shares, one per run:
+    /// the paper's saturated 1000-command batches by default, or an
+    /// open-loop admission queue.
+    pub traffic: SharedTrafficQueue,
     /// Telemetry handle installed on every replica (disabled by default).
     pub telemetry: Telemetry,
 }
@@ -35,10 +37,9 @@ impl HotStuffConfig {
         HotStuffConfig {
             system: SystemConfig::new(n),
             pacemaker,
-            batch_size: 1000,
             run_for: Duration::from_secs(120),
             misbehavior: MisbehaviorPlan::none(),
-            traffic: None,
+            traffic: SharedTrafficQueue::saturated(PAPER_BATCH),
             telemetry: Telemetry::disabled(),
         }
     }
@@ -73,9 +74,9 @@ impl Cluster for HotStuffConfig {
     fn build(&self) -> Vec<HotStuffNode> {
         (0..self.system.n)
             .map(|id| {
-                HotStuffNode::new(id, self.system, self.pacemaker, self.batch_size)
+                HotStuffNode::new(id, self.system, self.pacemaker, PAPER_BATCH)
                     .with_delays(self.misbehavior.stages_for(id))
-                    .with_traffic(self.traffic.clone())
+                    .with_traffic(Some(self.traffic.clone()))
                     .with_telemetry(self.telemetry.clone())
             })
             .collect()

@@ -11,16 +11,15 @@
 //! 3. That leader forms a quorum certificate from `n − f` votes and proposes
 //!    view `v + 1`.
 //!
-//! Batches come from a saturated [`rsm::BlockSource`], matching the paper's
-//! workload of 1000 empty commands per block — or, when the run is driven by
-//! an open-loop [`traffic::SharedTrafficQueue`], from the leader-side
-//! admission queue: the leader of the next view pulls a size-or-timeout
-//! batch, and when none is ready yet it parks the view and wakes up at the
-//! queue's next flush instant instead of proposing pre-filled blocks.
+//! Batches come from the run's [`traffic::SharedTrafficQueue`]: the leader
+//! of the next view pulls a batch, and when none is ready yet it parks the
+//! view and wakes up at the queue's next flush instant. The saturated queue,
+//! the paper's workload of 1000 empty commands per block, always has one;
+//! an open-loop admission queue has one once its size or timeout rule fires.
 
 use crate::pacemaker::Pacemaker;
 use crypto::{Digest, Hashable};
-use rsm::{misbehavior, Block, BlockSource, CommitStats, DelayStage, SystemConfig};
+use rsm::{misbehavior, Block, CommitStats, DelayStage, SystemConfig};
 use runtime::{Context, Node, NodeId, SimTime, TimerId};
 use serde::{Deserialize, Serialize};
 use std::collections::btree_map::Entry;
@@ -74,7 +73,6 @@ pub struct HotStuffNode {
     others: Vec<NodeId>,
     config: SystemConfig,
     pacemaker: Pacemaker,
-    batch: BlockSource,
     views: BTreeMap<u64, ViewEntry>,
     /// Stored views that carry commands and have not committed yet: what
     /// decides whether an idle leader sends an empty flush view or parks.
@@ -90,8 +88,8 @@ pub struct HotStuffNode {
     /// Proposals held by an active delay stage, keyed by release tag.
     held: BTreeMap<u64, HotStuffMessage>,
     next_held: u64,
-    /// Open-loop traffic source (`None` = the saturated paper workload).
-    traffic: Option<SharedTrafficQueue>,
+    /// The run's proposal source, shared by every (rotating) leader.
+    traffic: SharedTrafficQueue,
     /// View whose proposal is parked until the traffic queue can flush.
     pending_view: Option<u64>,
     /// The one wake-up armed while a view is parked.
@@ -113,7 +111,6 @@ impl HotStuffNode {
             others: (0..config.n).filter(|&r| r != id).collect(),
             config,
             pacemaker,
-            batch: BlockSource::saturated(batch_size),
             views: BTreeMap::new(),
             uncommitted_payload: 0,
             votes: BTreeMap::new(),
@@ -121,7 +118,7 @@ impl HotStuffNode {
             delays: Vec::new(),
             held: BTreeMap::new(),
             next_held: 0,
-            traffic: None,
+            traffic: SharedTrafficQueue::saturated(batch_size),
             pending_view: None,
             wake: WakeTimer::new(),
             batch_ids: BTreeMap::new(),
@@ -136,10 +133,10 @@ impl HotStuffNode {
         self
     }
 
-    /// Drive proposals from an open-loop traffic queue instead of the
-    /// saturated source.
-    pub fn with_traffic(mut self, traffic: Option<SharedTrafficQueue>) -> Self {
-        self.traffic = traffic;
+    /// Propose from the run's shared queue instead of the replica's own
+    /// saturated one of `batch_size` commands; `None` keeps the latter.
+    pub fn with_traffic(mut self, queue: Option<SharedTrafficQueue>) -> Self {
+        self.traffic = queue.unwrap_or(self.traffic);
         self
     }
 
@@ -175,35 +172,31 @@ impl HotStuffNode {
         if view <= self.highest_proposed {
             return;
         }
-        let commands = if let Some(queue) = &self.traffic {
-            match queue.try_batch_at(ctx.now, self.id) {
-                Some(batch) => {
-                    self.batch_ids.insert(view, batch.id);
-                    batch.commands
-                }
-                // A committed batch needs two successor views (three-chain):
-                // with an empty queue, an earlier command-bearing view would
-                // otherwise wait for the *next arrival burst* to commit. An
-                // empty flush block drives the chain instead; at most two
-                // are needed before every payload view has committed and
-                // the leader can park for real.
-                None if self.uncommitted_payload > 0 => Vec::new(),
-                None => {
-                    // Nothing flushable, nothing in flight: park the view
-                    // and wake up when the queue's size or timeout condition
-                    // can next fire. (The chain is idle until then — no
-                    // other leader can make progress before this view.)
-                    // Every vote past the quorum lands here again, hence
-                    // the one-wake-up rule.
-                    self.pending_view = Some(self.pending_view.unwrap_or(0).max(view));
-                    if let Some(at) = queue.next_ready_at(ctx.now) {
-                        self.wake.arm(ctx, at, TIMER_TRAFFIC_READY);
-                    }
-                    return;
-                }
+        let commands = match self.traffic.try_batch_at(ctx.now, self.id) {
+            Some(batch) => {
+                self.batch_ids.insert(view, batch.id);
+                batch.commands
             }
-        } else {
-            self.batch.next_batch()
+            // A committed batch needs two successor views (three-chain):
+            // with an empty queue, an earlier command-bearing view would
+            // otherwise wait for the *next arrival burst* to commit. An
+            // empty flush block drives the chain instead; at most two are
+            // needed before every payload view has committed and the leader
+            // can park for real.
+            None if self.uncommitted_payload > 0 => Vec::new(),
+            None => {
+                // Nothing flushable, nothing in flight: park the view and
+                // wake up when the queue's size or timeout condition can
+                // next fire. (The chain is idle until then — no other
+                // leader can make progress before this view.) Every vote
+                // past the quorum lands here again, hence the one-wake-up
+                // rule.
+                self.pending_view = Some(self.pending_view.unwrap_or(0).max(view));
+                if let Some(at) = self.traffic.next_ready_at(ctx.now) {
+                    self.wake.arm(ctx, at, TIMER_TRAFFIC_READY);
+                }
+                return;
+            }
         };
         self.highest_proposed = view;
         // Every vote below this view is now inert (see `handle_vote`).
@@ -319,10 +312,8 @@ impl HotStuffNode {
                     // The proposer of the committed view reports the batch
                     // back to the traffic queue (it is the only replica that
                     // knows the batch id) for end-to-end accounting.
-                    if let Some(queue) = &self.traffic {
-                        if let Some(id) = self.batch_ids.remove(&(view - 2)) {
-                            queue.commit_batch_in(id, ctx.now, view - 2);
-                        }
+                    if let Some(id) = self.batch_ids.remove(&(view - 2)) {
+                        self.traffic.commit_batch_in(id, ctx.now, view - 2);
                     }
                 }
             }

@@ -27,9 +27,8 @@ fn a_parked_leader_flushes_each_batch_and_wakes_once_per_commit() {
     let queue = SharedTrafficQueue::generate(&spec, &[1.0; 4], 11, horizon);
     let telemetry = Telemetry::tracing();
     let config = HotStuffConfig {
-        batch_size: 100,
         run_for: Duration::from_secs(RUN_SECS),
-        traffic: Some(queue),
+        traffic: queue,
         telemetry: telemetry.clone(),
         ..HotStuffConfig::new(N, Pacemaker::Fixed { leader: LEADER })
     };

@@ -11,6 +11,9 @@ use runtime::{Duration, Histogram};
 use telemetry::{Instrumented, Telemetry};
 use traffic::SharedTrafficQueue;
 
+/// Commands per saturated block (§7.3).
+const PAPER_BATCH: usize = 1000;
+
 /// Configuration of a Kauri experiment run.
 pub struct KauriConfig {
     /// System size and fault threshold.
@@ -20,8 +23,6 @@ pub struct KauriConfig {
     /// Number of concurrently pipelined views (the paper uses 3; 1 disables
     /// pipelining).
     pub pipeline: usize,
-    /// Commands per block.
-    pub batch_size: usize,
     /// Virtual run duration.
     pub run_for: Duration,
     /// Delay between a tree failure and the new root resuming proposals
@@ -29,9 +30,10 @@ pub struct KauriConfig {
     pub reconfig_delay: Duration,
     /// Scripted protocol-level misbehavior (proposal-delay attacks).
     pub misbehavior: MisbehaviorPlan,
-    /// Open-loop traffic source shared by every (rotating) root; `None`
-    /// keeps the saturated paper workload.
-    pub traffic: Option<SharedTrafficQueue>,
+    /// The proposal source every (rotating) root shares, one per run: the
+    /// paper's saturated 1000-command batches by default, or an open-loop
+    /// admission queue.
+    pub traffic: SharedTrafficQueue,
     /// Telemetry handle installed on every replica (disabled by default).
     pub telemetry: Telemetry,
 }
@@ -44,11 +46,10 @@ impl KauriConfig {
             branch: system.tree_branch_factor(),
             system,
             pipeline: 3,
-            batch_size: 1000,
             run_for: Duration::from_secs(120),
             reconfig_delay: Duration::from_secs(1),
             misbehavior: MisbehaviorPlan::none(),
-            traffic: None,
+            traffic: SharedTrafficQueue::saturated(PAPER_BATCH),
             telemetry: Telemetry::disabled(),
         }
     }
@@ -125,13 +126,13 @@ impl<F: Fn(usize) -> Box<dyn TreePolicy>> Cluster for KauriCluster<F> {
                     config.system,
                     tree,
                     policy,
-                    config.batch_size,
+                    PAPER_BATCH,
                     config.pipeline,
                     config.branch,
                     config.reconfig_delay,
                 )
                 .with_delays(config.misbehavior.stages_for(id))
-                .with_traffic(config.traffic.clone())
+                .with_traffic(Some(config.traffic.clone()))
                 .with_telemetry(config.telemetry.clone())
             })
             .collect();

@@ -47,7 +47,7 @@ use crate::policy::TreePolicy;
 use crate::tree::Tree;
 use configlog::{ConfigCommand, ConfigLog, PhaseFilter, SuspicionPair};
 use crypto::{Digest, Hashable};
-use rsm::{misbehavior, Block, BlockSource, CommitStats, DelayStage, SystemConfig};
+use rsm::{misbehavior, Block, CommitStats, DelayStage, SystemConfig};
 use runtime::{Context, Duration, Node, NodeId, SimTime, TimerId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -145,7 +145,7 @@ struct ViewState {
     voters: BTreeSet<usize>,
     /// Traffic batch carried by the view (proposer side), echoed to the
     /// queue on commit for end-to-end accounting.
-    batch_id: Option<u64>,
+    batch_id: u64,
     /// Configuration commands (pair evidence) riding this view; appended to
     /// the committed log when the view commits.
     cmds: Vec<TreeCommand>,
@@ -188,7 +188,6 @@ pub struct KauriNode {
     /// The replicated configuration log: committed, adopted state.
     config: ConfigLog<Tree>,
     policy: Box<dyn TreePolicy>,
-    batch: BlockSource,
     pipeline: usize,
     branch: usize,
     reconfig_delay: Duration,
@@ -243,10 +242,9 @@ pub struct KauriNode {
     delays: Vec<DelayStage>,
     held: BTreeMap<u64, HeldPayload>,
     next_held: u64,
-    /// Open-loop traffic source (`None` = the saturated paper workload).
-    /// Shared by every replica: the queue logically follows whichever
-    /// replica is the current root.
-    traffic: Option<SharedTrafficQueue>,
+    /// The run's proposal source. Shared by every replica: the queue
+    /// logically follows whichever replica is the current root.
+    traffic: SharedTrafficQueue,
     /// Consecutive proposals that arrived already older than the view
     /// timeout — the withheld-payload detector (see `handle_proposal`).
     stale_strikes: u32,
@@ -288,7 +286,6 @@ impl KauriNode {
             tree: Arc::new(tree),
             epoch: 0,
             policy,
-            batch: BlockSource::saturated(batch_size),
             pipeline: pipeline.max(1),
             branch,
             reconfig_delay,
@@ -311,7 +308,7 @@ impl KauriNode {
             delays: Vec::new(),
             held: BTreeMap::new(),
             next_held: 0,
-            traffic: None,
+            traffic: SharedTrafficQueue::saturated(batch_size),
             stale_strikes: 0,
             last_strike_view: 0,
             last_stale_upstream: None,
@@ -327,10 +324,10 @@ impl KauriNode {
         self
     }
 
-    /// Drive proposals from an open-loop traffic queue instead of the
-    /// saturated source.
-    pub fn with_traffic(mut self, traffic: Option<SharedTrafficQueue>) -> Self {
-        self.traffic = traffic;
+    /// Propose from the run's shared queue instead of the replica's own
+    /// saturated one of `batch_size` commands; `None` keeps the latter.
+    pub fn with_traffic(mut self, queue: Option<SharedTrafficQueue>) -> Self {
+        self.traffic = queue.unwrap_or(self.traffic);
         self
     }
 
@@ -671,10 +668,8 @@ impl KauriNode {
     /// Return the uncommitted views' traffic batches to the client
     /// population (bounded retries) before dropping them.
     fn abandon_uncommitted_views(&mut self, now: SimTime) {
-        if let Some(queue) = &self.traffic {
-            for id in self.views.values().filter_map(|s| s.batch_id) {
-                queue.retry_batch(id, now);
-            }
+        for state in self.views.values() {
+            self.traffic.retry_batch(state.batch_id, now);
         }
         self.views.clear();
     }
@@ -685,31 +680,20 @@ impl KauriNode {
         }
         // `views` holds exactly the views in flight.
         while self.views.len() < self.pipeline {
-            let (commands, batch_id) = if let Some(queue) = &self.traffic {
-                match queue.try_batch_at(ctx.now, self.id) {
-                    Some(batch) => {
-                        let id = batch.id;
-                        (batch.commands, Some(id))
-                    }
-                    None => {
-                        // Nothing flushable yet: park until the queue's
-                        // size or timeout condition can next fire. This is
-                        // reached after every commit, so it goes through the
-                        // one-wake-up rule (a wake-up at a replica that lost
-                        // the root role is a harmless no-op —
-                        // `propose_next` re-checks).
-                        if let Some(at) = queue.next_ready_at(ctx.now) {
-                            self.wake.arm(ctx, at, TIMER_TRAFFIC_READY);
-                        }
-                        return;
-                    }
+            let Some(batch) = self.traffic.try_batch_at(ctx.now, self.id) else {
+                // Nothing flushable yet: park until the queue's size or
+                // timeout condition can next fire. This is reached after
+                // every commit, so it goes through the one-wake-up rule (a
+                // wake-up at a replica that lost the root role is a
+                // harmless no-op — `propose_next` re-checks).
+                if let Some(at) = self.traffic.next_ready_at(ctx.now) {
+                    self.wake.arm(ctx, at, TIMER_TRAFFIC_READY);
                 }
-            } else {
-                (self.batch.next_batch(), None)
+                return;
             };
             let view = self.next_view;
             self.next_view += 1;
-            let block = Block::new(Digest::ZERO, view, view, self.id, commands);
+            let block = Block::new(Digest::ZERO, view, view, self.id, batch.commands);
             let digest = block.digest();
             // Evidence commands ride the view and commit with it.
             let cmds = std::mem::take(&mut self.pending_cmds);
@@ -719,7 +703,7 @@ impl KauriNode {
                     proposal_ts: ctx.now,
                     commands: block.len(),
                     voters: [self.id].into_iter().collect(),
-                    batch_id,
+                    batch_id: batch.id,
                     cmds,
                 },
             );
@@ -1037,9 +1021,7 @@ impl KauriNode {
             // traffic queue for end-to-end accounting. Batches in views a
             // reconfiguration discards are retried by the client population
             // (see `abandon_uncommitted_views`).
-            if let (Some(queue), Some(id)) = (&self.traffic, batch_id) {
-                queue.commit_batch_in(id, ctx.now, view);
-            }
+            self.traffic.commit_batch_in(batch_id, ctx.now, view);
             self.propose_next(ctx);
         }
     }
@@ -1224,10 +1206,7 @@ impl Node for KauriNode {
                 // burst gap, or the end of the schedule), not failure: the
                 // staleness clock is pushed forward instead of striking.
                 let stale = ctx.now.since(self.last_progress) >= self.progress_window();
-                let idle = self
-                    .traffic
-                    .as_ref()
-                    .is_some_and(|q| !q.has_flushable(ctx.now));
+                let idle = !self.traffic.has_flushable(ctx.now);
                 if stale && idle {
                     self.last_progress = ctx.now;
                 } else if stale && !self.is_root() {

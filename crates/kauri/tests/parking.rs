@@ -45,9 +45,8 @@ fn cell(run_secs: u64, faults: FaultPlan) -> Cell {
     let telemetry = Telemetry::tracing();
     queue.set_telemetry(telemetry.clone());
     let mut config = KauriConfig::new(N);
-    config.batch_size = 100;
     config.run_for = Duration::from_secs(run_secs);
-    config.traffic = Some(queue.clone());
+    config.traffic = queue.clone();
     config.telemetry = telemetry.clone();
     let nodes = KauriCluster::new(config, |_| Box::new(policy()) as Box<dyn TreePolicy>).build();
     let latency = Box::new(UniformLatency::new(N, Duration::from_micros(100)));

@@ -101,7 +101,7 @@ fn open_loop_traffic_commits_offered_load_below_saturation() {
         run_for: Duration::from_secs(22),
         ..HotStuffConfig::new(4, Pacemaker::Fixed { leader: 0 })
     };
-    cfg.traffic = Some(queue.clone());
+    cfg.traffic = queue.clone();
     let report = run(&cfg, uniform(4, 10), FaultPlan::none()).0;
     let tr = queue.report(20);
     assert!(
@@ -145,7 +145,7 @@ fn bursty_traffic_tail_commits_before_the_next_burst() {
         run_for: Duration::from_secs(18),
         ..HotStuffConfig::new(4, Pacemaker::Fixed { leader: 0 })
     };
-    cfg.traffic = Some(queue.clone());
+    cfg.traffic = queue.clone();
     run(&cfg, uniform(4, 10), FaultPlan::none());
     let tr = queue.report(16);
     assert!(
@@ -180,7 +180,7 @@ fn round_robin_leaders_share_the_traffic_queue() {
         run_for: Duration::from_secs(12),
         ..HotStuffConfig::new(4, Pacemaker::RoundRobin)
     };
-    cfg.traffic = Some(queue.clone());
+    cfg.traffic = queue.clone();
     run(&cfg, uniform(4, 10), FaultPlan::none());
     let tr = queue.report(10);
     assert!(

@@ -240,7 +240,7 @@ fn open_loop_traffic_commits_offered_load_below_saturation() {
         SimTime::from_secs(20),
     );
     let mut cfg = small_config(13, 22);
-    cfg.traffic = Some(queue.clone());
+    cfg.traffic = queue.clone();
     let report = run(
         &KauriCluster::new(cfg, |_| Box::new(KauriBinsPolicy::new(13, 3, 42))),
         uniform(13, 20),
@@ -273,7 +273,7 @@ fn traffic_queue_survives_root_crash_and_reconfiguration() {
         .with_batching(60, Duration::from_millis(40));
     let queue = traffic::SharedTrafficQueue::generate(&spec, &[1.0; 4], 5, SimTime::from_secs(40));
     let mut cfg = small_config(n, 40);
-    cfg.traffic = Some(queue.clone());
+    cfg.traffic = queue.clone();
     let mut faults = FaultPlan::none();
     faults.crash(probe_tree.root, SimTime::from_secs(10));
     let report = run(
@@ -312,7 +312,7 @@ fn reconfiguration_retries_dropped_batches() {
         .with_batching(50, Duration::from_millis(40));
     let queue = traffic::SharedTrafficQueue::generate(&spec, &[1.0; 4], 5, SimTime::from_secs(35));
     let mut cfg = small_config(n, 50);
-    cfg.traffic = Some(queue.clone());
+    cfg.traffic = queue.clone();
     let mut faults = FaultPlan::none();
     faults.crash(probe_tree.root, SimTime::from_secs(10));
     let report = run(
@@ -352,7 +352,7 @@ fn onoff_burst_gap_is_not_read_as_a_silent_root() {
         .with_batching(60, Duration::from_millis(40));
     let queue = traffic::SharedTrafficQueue::generate(&spec, &[1.0; 4], 5, SimTime::from_secs(38));
     let mut cfg = small_config(n, 40);
-    cfg.traffic = Some(queue.clone());
+    cfg.traffic = queue.clone();
     let report = run(
         &KauriCluster::new(cfg, |_| Box::new(KauriBinsPolicy::new(n, 3, 9))),
         uniform(n, 20),

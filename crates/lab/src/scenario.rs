@@ -202,9 +202,9 @@ pub struct ProtocolScenario {
     pub adversaries: Vec<AdversaryScript>,
     /// Virtual run duration.
     pub duration: Duration,
-    /// Offered-load axis. Empty = the paper's saturated workload, which only
-    /// HotStuff and the trees have: a PBFT-family cell without a traffic
-    /// axis panics. Non-empty = every cell drives its substrate from an
+    /// Offered-load axis. Empty = HotStuff and the trees propose from their
+    /// configuration's default saturated queue, and a PBFT-family cell
+    /// panics. Non-empty = every cell drives its substrate from an
     /// open-loop traffic queue compiled from the cell's [`TrafficSpec`] —
     /// *every* substrate consumes the queue; there is no per-substrate
     /// fallback to a saturated source.
@@ -402,7 +402,7 @@ impl ProtocolScenario {
             let mut cfg = KauriConfig::new(n);
             cfg.run_for = self.duration;
             cfg.misbehavior = misbehavior;
-            cfg.traffic = traffic.clone();
+            cfg.traffic = traffic.clone().unwrap_or(cfg.traffic);
             cfg.telemetry = telemetry.clone();
             if substrate == Substrate::OptiTreeNoPipeline {
                 cfg.pipeline = 1;
@@ -480,7 +480,7 @@ impl ProtocolScenario {
             let mut cfg = HotStuffConfig::new(n, pacemaker);
             cfg.run_for = self.duration;
             cfg.misbehavior = misbehavior;
-            cfg.traffic = traffic.clone();
+            cfg.traffic = traffic.clone().unwrap_or(cfg.traffic);
             cfg.telemetry = telemetry.clone();
             let latency = Box::new(MatrixLatency::from_rtt_millis(n, &rtt));
             let (report, _) = run(&cfg, latency, faults);

@@ -14,12 +14,12 @@
 //! * [`SystemConfig`] — `n`, `f` and quorum sizes.
 //! * [`CommitStats`] — throughput and consensus-latency collection used by the
 //!   experiment harnesses.
-//! * [`BlockSource`] — saturated batch generation matching the paper's
-//!   "blocks of 1000 proposals, each without transaction payload" workload.
-//! * [`TrafficSpec`] — the open-loop alternative: a declarative offered-load
-//!   description (arrival process, client population, size-or-timeout
-//!   batching, bounded queue, SLO) that the `traffic` crate compiles into
-//!   the admission queues substrates pull proposals from.
+//! * [`TrafficSpec`] — a declarative open-loop offered-load description
+//!   (arrival process, client population, size-or-timeout batching, bounded
+//!   queue, SLO) that the `traffic` crate compiles into the admission queue
+//!   substrates pull proposals from; the same crate also serves the paper's
+//!   "blocks of 1000 proposals, each without transaction payload" workload
+//!   as a saturated queue.
 //! * [`MisbehaviorPlan`] — scripted protocol-level misbehavior (the
 //!   proposal-delay attack) that every substrate installs as a replica
 //!   behaviour, so the same adversary script drives PBFT, HotStuff, and the
@@ -41,4 +41,4 @@ pub use cluster::{Cluster, RunReport};
 pub use config::SystemConfig;
 pub use misbehavior::{DelayStage, MisbehaviorPlan};
 pub use stats::{timeline_mean, CommitStats, RunSummary};
-pub use workload::{ArrivalProcess, BatchingPolicy, BlockSource, TrafficSpec};
+pub use workload::{ArrivalProcess, BatchingPolicy, TrafficSpec};

@@ -1,51 +1,16 @@
-//! Workload generation.
+//! Workload description.
 //!
 //! The paper's throughput experiments keep the leader saturated: clients are
 //! co-located with replicas (zero latency) and replicas batch requests into
-//! blocks of 1000 empty commands (§7.3). [`BlockSource`] reproduces that
-//! setup: whenever the protocol asks for the next batch, a full block is
-//! available.
-//!
-//! [`TrafficSpec`] is the *open-loop* alternative: instead of an always-full
-//! source it describes an offered load — an [`ArrivalProcess`], a client
-//! population, a size-or-timeout [`BatchingPolicy`], and a bounded admission
-//! queue with an SLO deadline. The spec is pure data (this crate stays
-//! sampling-free); the `traffic` crate compiles it into the per-run arrival
-//! schedule and admission queue the substrates consume.
+//! blocks of 1000 empty commands (§7.3). [`TrafficSpec`] describes the
+//! *open-loop* alternative: an offered load — an [`ArrivalProcess`], a
+//! client population, a size-or-timeout [`BatchingPolicy`], and a bounded
+//! admission queue with an SLO deadline. The spec is pure data (this crate
+//! stays sampling-free); the `traffic` crate compiles it into the per-run
+//! arrival schedule and admission queue the substrates consume, and
+//! provides the saturated workload as a queue of its own.
 
-use crate::block::Command;
 use runtime::Duration;
-
-/// A saturated source of command batches.
-#[derive(Debug, Clone)]
-pub struct BlockSource {
-    batch_size: usize,
-    next_seq: u64,
-    client: u64,
-}
-
-impl BlockSource {
-    /// A source producing batches of `batch_size` empty commands — the
-    /// paper's benchmark workload.
-    pub fn saturated(batch_size: usize) -> Self {
-        BlockSource {
-            batch_size,
-            next_seq: 0,
-            client: 0,
-        }
-    }
-
-    /// Produce the next batch of commands.
-    pub fn next_batch(&mut self) -> Vec<Command> {
-        (0..self.batch_size)
-            .map(|_| {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                Command::empty(self.client, seq)
-            })
-            .collect()
-    }
-}
 
 /// An open-loop arrival process: how request inter-arrival times are drawn.
 /// Rates are in commands per second of virtual time; sampling lives in the
@@ -115,7 +80,7 @@ impl Default for BatchingPolicy {
 }
 
 /// A declarative open-loop traffic workload: the offered-load counterpart of
-/// the saturated [`BlockSource`]. Pure data — the `traffic` crate turns it
+/// the paper's saturated batches. Pure data — the `traffic` crate turns it
 /// into a seeded arrival schedule and a leader-side admission queue.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficSpec {
@@ -197,23 +162,6 @@ impl TrafficSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn saturated_source_produces_full_batches() {
-        let mut src = BlockSource::saturated(1000);
-        let batch = src.next_batch();
-        assert_eq!(batch.len(), 1000);
-        assert!(batch.iter().all(|c| c.payload.is_empty()));
-    }
-
-    #[test]
-    fn sequence_numbers_are_unique_across_batches() {
-        let mut src = BlockSource::saturated(10);
-        let a = src.next_batch();
-        let b = src.next_batch();
-        assert_eq!(a[9].seq, 9);
-        assert_eq!(b[0].seq, 10);
-    }
 
     #[test]
     fn arrival_process_rates() {

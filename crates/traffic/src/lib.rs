@@ -1,10 +1,11 @@
-//! # traffic — open-loop geo-distributed client load for every substrate
+//! # traffic — the one proposal source of every substrate
 //!
-//! The paper's throughput experiments keep leaders saturated with pre-filled
-//! batches ([`rsm::BlockSource`]); this crate provides the *offered-load*
-//! counterpart, so experiments can ask throughput–latency questions (where
-//! is the saturation knee? what happens to goodput under attack?) instead of
-//! only saturation-point questions:
+//! Every substrate proposes from a [`SharedTrafficQueue`]: the paper's
+//! saturated batches of empty commands ([`SharedTrafficQueue::saturated`],
+//! §7.3), or an open-loop, geo-distributed client load, so experiments can
+//! also ask throughput–latency questions (where is the saturation knee?
+//! what happens to goodput under attack?). Only this crate tells the two
+//! apart:
 //!
 //! * [`ArrivalSampler`] — deterministic per-seed sampling of the open-loop
 //!   arrival processes declared by [`rsm::ArrivalProcess`] (Poisson and
@@ -18,10 +19,10 @@
 //! * [`TrafficQueue`] — the leader-side admission queue: bounded
 //!   (backpressure rejects arrivals beyond capacity) with size-or-timeout
 //!   batching ([`rsm::BatchingPolicy`]), handed to substrates as a
-//!   [`SharedTrafficQueue`] they pull [`TrafficBatch`]es from instead of a
-//!   saturated source. It draws its arrival schedule on demand, so its
-//!   memory is bounded by capacity, in-flight batches and the arrivals
-//!   sent within one ingress spread, not by rate × duration.
+//!   [`SharedTrafficQueue`] they pull [`TrafficBatch`]es from. It draws its
+//!   arrival schedule on demand, so its memory is bounded by capacity,
+//!   in-flight batches and the arrivals sent within one ingress spread, not
+//!   by rate × duration.
 //! * [`WakeTimer`] — the parking contract: a proposer that finds the queue
 //!   dry arms a wake-up for [`TrafficQueue::next_ready_at`], and however
 //!   often it is asked to propose in the meantime it holds **at most one

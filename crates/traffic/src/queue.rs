@@ -32,7 +32,8 @@ use rsm::{BatchingPolicy, Command, CommitStats, TrafficSpec};
 use runtime::{Duration, SimTime};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use telemetry::{Registry, Stage, Telemetry, CLIENTS_PID};
 
 /// One scheduled request, before admission.
@@ -851,7 +852,7 @@ impl TrafficQueue {
 }
 
 /// Client-side results of one run under offered load.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TrafficReport {
     /// Requests the schedule offered.
     pub offered: u64,
@@ -890,15 +891,28 @@ pub struct TrafficReport {
     pub max_depth: usize,
 }
 
-/// A [`TrafficQueue`] shared by every replica of one simulated run (the
-/// simulation is single-threaded; the mutex only satisfies `Send`).
+/// The one proposal source every replica of a run shares: an open-loop
+/// [`TrafficQueue`] (the mutex only satisfies `Send` in the simulation) or
+/// the paper's saturated workload ([`SharedTrafficQueue::saturated`]).
+/// Substrates drive both through the same calls; only this type tells them
+/// apart.
 #[derive(Debug, Clone)]
-pub struct SharedTrafficQueue(Arc<Mutex<TrafficQueue>>);
+pub struct SharedTrafficQueue(Shared);
+
+#[derive(Debug, Clone)]
+enum Shared {
+    Open(Arc<Mutex<TrafficQueue>>),
+    /// Batches of `max_batch` commands; `batches` counts those handed out.
+    Saturated {
+        max_batch: u64,
+        batches: Arc<AtomicU64>,
+    },
+}
 
 impl SharedTrafficQueue {
     /// Wrap a queue for sharing.
     pub fn new(queue: TrafficQueue) -> Self {
-        SharedTrafficQueue(Arc::new(Mutex::new(queue)))
+        SharedTrafficQueue(Shared::Open(Arc::new(Mutex::new(queue))))
     }
 
     /// Compile a spec; see [`TrafficQueue::generate`].
@@ -906,70 +920,114 @@ impl SharedTrafficQueue {
         Self::new(TrafficQueue::generate(spec, ingress_ms, seed, horizon))
     }
 
-    /// Install a telemetry handle; see [`TrafficQueue::with_telemetry`].
-    pub fn set_telemetry(&self, telemetry: Telemetry) {
-        self.lock().telemetry = telemetry;
+    /// The saturated workload (§7.3): always flushable, each batch
+    /// `max_batch` empty commands from client 0 with a running `seq` and a
+    /// fresh id, whichever replica asks. It has no clients, so committing
+    /// or dropping a batch does nothing and it records no metric or span.
+    pub fn saturated(max_batch: usize) -> Self {
+        assert!(max_batch > 0, "batch size must be positive");
+        SharedTrafficQueue(Shared::Saturated {
+            max_batch: max_batch as u64,
+            batches: Arc::default(),
+        })
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, TrafficQueue> {
-        self.0.lock().expect("traffic queue poisoned")
+    /// The open-loop queue, locked; `None` for the saturated workload,
+    /// which every call below but a batch request leaves alone.
+    fn open(&self) -> Option<MutexGuard<'_, TrafficQueue>> {
+        match &self.0 {
+            Shared::Open(q) => Some(q.lock().expect("traffic queue poisoned")),
+            Shared::Saturated { .. } => None,
+        }
+    }
+
+    fn dispatch(&self, now: SimTime, proposer: Option<usize>) -> Option<TrafficBatch> {
+        let Shared::Saturated { max_batch, batches } = &self.0 else {
+            return self.open()?.dispatch(now, proposer);
+        };
+        // The count publishes no other data: each caller only needs an id
+        // no other caller gets.
+        let id = batches.fetch_add(1, Ordering::Relaxed);
+        let commands = (id * max_batch..(id + 1) * max_batch)
+            .map(|seq| Command::empty(0, seq))
+            .collect();
+        Some(TrafficBatch { id, commands })
+    }
+
+    /// Install a telemetry handle; see [`TrafficQueue::with_telemetry`].
+    pub fn set_telemetry(&self, telemetry: Telemetry) {
+        if let Some(mut q) = self.open() {
+            q.telemetry = telemetry;
+        }
     }
 
     /// See [`TrafficQueue::try_batch`].
     pub fn try_batch(&self, now: SimTime) -> Option<TrafficBatch> {
-        self.lock().try_batch(now)
+        self.dispatch(now, None)
     }
 
     /// See [`TrafficQueue::try_batch_at`].
     pub fn try_batch_at(&self, now: SimTime, proposer: usize) -> Option<TrafficBatch> {
-        self.lock().try_batch_at(now, proposer)
+        self.dispatch(now, Some(proposer))
     }
 
-    /// See [`TrafficQueue::next_ready_at`].
+    /// See [`TrafficQueue::next_ready_at`]; the next microsecond when
+    /// saturated.
     pub fn next_ready_at(&self, now: SimTime) -> Option<SimTime> {
-        self.lock().next_ready_at(now)
+        match self.open() {
+            Some(mut q) => q.next_ready_at(now),
+            None => Some(now + Duration::from_micros(1)),
+        }
     }
 
     /// See [`TrafficQueue::commit_batch`].
     pub fn commit_batch(&self, id: u64, committed: SimTime) {
-        self.lock().commit_batch(id, committed)
+        if let Some(mut q) = self.open() {
+            q.commit_batch(id, committed)
+        }
     }
 
     /// See [`TrafficQueue::commit_batch_in`].
     pub fn commit_batch_in(&self, id: u64, committed: SimTime, view: u64) {
-        self.lock().commit_batch_in(id, committed, view)
+        if let Some(mut q) = self.open() {
+            q.commit_batch_in(id, committed, view)
+        }
     }
 
     /// See [`TrafficQueue::retry_batch`].
     pub fn retry_batch(&self, id: u64, now: SimTime) {
-        self.lock().retry_batch(id, now)
+        if let Some(mut q) = self.open() {
+            q.retry_batch(id, now)
+        }
     }
 
-    /// See [`TrafficQueue::has_flushable`].
+    /// See [`TrafficQueue::has_flushable`]; always true when saturated.
     pub fn has_flushable(&self, now: SimTime) -> bool {
-        self.lock().has_flushable(now)
+        self.open().is_none_or(|mut q| q.has_flushable(now))
     }
 
     /// See [`TrafficQueue::depth`] — the live waiting-queue depth, exposed
     /// for health derivation (depth vs the admission bound).
     pub fn depth(&self) -> usize {
-        self.lock().depth()
+        self.open().map_or(0, |q| q.depth())
     }
 
     /// The queue's admission capacity (waiting-command bound).
     pub fn capacity(&self) -> usize {
-        self.lock().capacity
+        self.open().map_or(0, |q| q.capacity)
     }
 
-    /// See [`TrafficQueue::report`].
+    /// See [`TrafficQueue::report`]; all zeros when saturated.
     pub fn report(&self, run_secs: u64) -> TrafficReport {
-        self.lock().report(run_secs)
+        self.open()
+            .map_or_else(TrafficReport::default, |mut q| q.report(run_secs))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn policy(max_batch: usize, max_delay_ms: u64) -> BatchingPolicy {
         BatchingPolicy {
@@ -1405,6 +1463,124 @@ mod tests {
         // Drained and schedule exhausted: never flushable again — the idle
         // signal the tree staleness clock keys off.
         assert!(!q.has_flushable(SimTime::from_secs(9)));
+    }
+
+    #[test]
+    fn arrivals_entering_at_the_admit_instant_are_refused_with_it() {
+        // 5 M cmd/s from one co-located client: several arrivals share each
+        // microsecond, so some enter exactly at the instant a full queue
+        // admits at, after the source's frontier has reached that instant.
+        let spec = TrafficSpec::poisson(5e6)
+            .with_batching(4, Duration::from_secs(1))
+            .with_capacity(4);
+        let (seed, horizon) = (7, SimTime::from_micros(40));
+        let mut reference = Schedule::generated(&spec, &[0.0], seed, horizon);
+        while reference.release_next() {}
+        let ingress: Vec<SimTime> = reference.ready.iter().map(|a| a.ingress).collect();
+        // The first instant, past the first batch's lookahead, that at least
+        // two arrivals enter at.
+        let due = |now: SimTime| ingress.iter().filter(|&&at| at <= now).count();
+        let now = (10..ingress.len())
+            .map(|i| ingress[i])
+            .find(|&at| due(at) - ingress.partition_point(|&i| i < at) >= 2)
+            .expect("a shared microsecond");
+        let refused = (due(now) - 4) as u64;
+
+        let mut q = TrafficQueue::generate(&spec, &[0.0], seed, horizon);
+        let first = q.try_batch(now).expect("four admitted fill a batch");
+        let seqs: Vec<u64> = first.commands.iter().map(|c| c.seq).collect();
+        assert_eq!(seqs, [0, 1, 2, 3]);
+        assert_eq!(q.rejected(), refused, "every arrival due at {now:?}");
+        // The next admitted command is the first to enter after `now`: none
+        // of the arrivals refused at `now` is admitted later.
+        let later = ingress[due(now) + 3];
+        let next = q.try_batch(later).expect("a second full batch");
+        assert_eq!(next.commands[0].seq, due(now) as u64);
+    }
+
+    #[test]
+    fn saturated_queue_produces_full_batches() {
+        let q = SharedTrafficQueue::saturated(1000);
+        let batch = q.try_batch_at(SimTime::ZERO, 0).expect("always full");
+        assert_eq!(batch.commands.len(), 1000);
+        assert!(batch
+            .commands
+            .iter()
+            .all(|c| c.payload.is_empty() && c.client == 0));
+    }
+
+    #[test]
+    fn saturated_sequence_numbers_run_on_across_batches() {
+        let q = SharedTrafficQueue::saturated(10);
+        let a = q.try_batch(SimTime::ZERO).expect("always full");
+        let b = q.try_batch(SimTime::ZERO).expect("always full");
+        assert_eq!(a.commands[9].seq, 9);
+        assert_eq!(b.commands[0].seq, 10);
+        assert_ne!(a.id, b.id);
+    }
+
+    #[test]
+    fn proposers_sharing_a_saturated_queue_draw_distinct_commands() {
+        let q = SharedTrafficQueue::saturated(7);
+        let proposers = [q.clone(), q];
+        let mut ids = BTreeSet::new();
+        let mut commands = BTreeSet::new();
+        for round in 0..10 {
+            for (p, queue) in proposers.iter().enumerate() {
+                let batch = queue
+                    .try_batch_at(SimTime::from_millis(round), p)
+                    .expect("always full");
+                assert!(ids.insert(batch.id), "batch id {} twice", batch.id);
+                for c in batch.commands {
+                    assert!(commands.insert((c.client, c.seq)), "{c:?} twice");
+                }
+            }
+        }
+        assert_eq!(commands.len(), 2 * 10 * 7);
+    }
+
+    #[test]
+    fn saturated_queue_ignores_commits_and_drops() {
+        let q = SharedTrafficQueue::saturated(5);
+        let now = SimTime::from_millis(3);
+        assert!(q.has_flushable(SimTime::ZERO));
+        let a = q.try_batch_at(now, 0).expect("always full");
+        let b = q.try_batch_at(now, 0).expect("always full");
+        q.commit_batch_in(a.id, now, 1);
+        q.commit_batch(a.id, now);
+        q.retry_batch(b.id, now);
+        // Neither re-enqueued nor accounted: the next batch follows on.
+        let c = q.try_batch_at(now, 1).expect("always full");
+        assert_eq!(c.id, b.id + 1);
+        assert_eq!(c.commands[0].seq, 10);
+        assert!(q.has_flushable(now));
+        assert!(q.has_flushable(SimTime::from_secs(3600)));
+        assert_eq!(q.next_ready_at(now), Some(now + Duration::from_micros(1)));
+        assert_eq!((q.depth(), q.capacity()), (0, 0));
+        assert_eq!(q.report(1), TrafficReport::default());
+    }
+
+    #[test]
+    fn saturated_queue_records_nothing() {
+        let tel = Telemetry::recording();
+        let q = SharedTrafficQueue::saturated(100);
+        q.set_telemetry(tel.clone());
+        for view in 0..20 {
+            let now = SimTime::from_millis(view);
+            let batch = q.try_batch_at(now, 0).expect("always full");
+            if view % 2 == 0 {
+                q.commit_batch_in(batch.id, now, view);
+            } else {
+                q.retry_batch(batch.id, now);
+            }
+            assert!(q.has_flushable(now));
+        }
+        let reg = tel.registry_snapshot();
+        assert!(reg.is_empty(), "a saturated source recorded metrics");
+        // What the audit's conservation oracle reads as "no admission queue".
+        assert_eq!(reg.counter("traffic.queue.admitted", None), 0);
+        assert_eq!(reg.gauge("traffic.queue.waiting", None), None);
+        assert_eq!(reg.gauge("traffic.queue.in_flight", None), None);
     }
 
     #[test]
