@@ -74,6 +74,7 @@ impl Cluster for HotStuffConfig {
     fn build(&self) -> Vec<HotStuffNode> {
         (0..self.system.n)
             .map(|id| {
+                // The replica's own saturated queue gives way to the run's.
                 HotStuffNode::new(id, self.system, self.pacemaker, PAPER_BATCH)
                     .with_delays(self.misbehavior.stages_for(id))
                     .with_traffic(Some(self.traffic.clone()))

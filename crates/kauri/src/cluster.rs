@@ -126,7 +126,7 @@ impl<F: Fn(usize) -> Box<dyn TreePolicy>> Cluster for KauriCluster<F> {
                     config.system,
                     tree,
                     policy,
-                    PAPER_BATCH,
+                    PAPER_BATCH, // gives way to the run's queue below
                     config.pipeline,
                     config.branch,
                     config.reconfig_delay,
