@@ -1,4 +1,5 @@
-//! Golden results: one small cell per substrate family, compared against a
+//! Golden results: one small cell per substrate family under open-loop load,
+//! plus saturated HotStuff and Kauri cells, compared against a
 //! checked-in table. `determinism.rs` only compares `--threads` values within
 //! one build; this is the check *across commits* — a refactor that claims to
 //! preserve behaviour must leave every scalar and every series here exactly
