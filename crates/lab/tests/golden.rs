@@ -213,9 +213,33 @@ fn cells_exercise_load_attack_and_roles() {
         );
         assert_eq!(v("audit.ok"), 1.0, "{family}: audit must pass");
         match family {
-            "OptiAware" | "Kauri" | "OptiTree" => assert!(
+            "OptiAware" => assert!(
                 v("reconfigurations") >= 1.0,
                 "{family}: the attack must be answered by a role change"
+            ),
+            "OptiTree" => {
+                assert!(
+                    v("reconfigurations") >= 1.0,
+                    "{family}: the attack must be answered by a role change"
+                );
+                assert_eq!(
+                    v("attacker_internal_final"),
+                    0.0,
+                    "{family}: the delaying root must end outside the internal roles"
+                );
+                assert_eq!(
+                    v("root_retained"),
+                    0.0,
+                    "{family}: the delaying root must not stay root"
+                );
+            }
+            // A role change fires, but it does not answer the attack: Kauri's
+            // reconfiguration under a delaying root keeps that root
+            // (`root_retained 1`, `attacker_internal_final 1`, no committed
+            // pairs) — Finding L of ROADMAP direction 16.
+            "Kauri" => assert!(
+                v("reconfigurations") >= 1.0,
+                "{family}: a role change fires"
             ),
             _ => {}
         }
