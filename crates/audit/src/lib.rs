@@ -8,11 +8,13 @@
 //! 1. **Prefix agreement** — any two replicas publishing a commit
 //!    fingerprint for the same ordinal (HotStuff view, PBFT seq, config
 //!    epoch) must publish the *same* fingerprint. Substrates emit
-//!    `(ordinal, fingerprint)` checkpoint gauge pairs at every commit (set
-//!    under one registry lock, so polls never see a torn pair); the auditor
-//!    accumulates checkpoints across polls and across replicas, so
-//!    divergence is caught within one poll interval rather than at
-//!    shutdown.
+//!    `(ordinal, fingerprint)` checkpoint gauge pairs at every commit
+//!    through [`Surface::publish`] (one registry lock, so polls never see a
+//!    torn pair). The surfaces ([`SURFACES`]) are named once in
+//!    `telemetry`, next to each family's commit metrics, and re-exported
+//!    here. The auditor accumulates checkpoints across polls and across
+//!    replicas, so divergence is caught within one poll interval rather
+//!    than at shutdown.
 //! 2. **Config adoption** — the `ConfigLog` adoption history is
 //!    epoch-monotone per replica and identical across replicas (equal chain
 //!    fingerprints at equal epochs).
@@ -36,51 +38,12 @@
 mod flight;
 
 pub use flight::FlightRecorder;
+pub use telemetry::{Surface, HOTSTUFF_SURFACE, KAURI_CONFIG_SURFACE, PBFT_SURFACE, SURFACES};
 
 use configlog::{ConfigCommand, SuspicionPair};
 use serde::{Number, Value};
 use std::collections::BTreeMap;
 use telemetry::{Registry, Telemetry};
-
-/// One checkpoint surface: a pair of per-replica gauges carrying the latest
-/// `(ordinal, fingerprint)` agreement checkpoint of a substrate.
-#[derive(Debug, Clone, Copy)]
-pub struct Surface {
-    /// Short name used in violation messages (`hotstuff`, `pbft`,
-    /// `kauri.config`).
-    pub name: &'static str,
-    /// Gauge holding the ordinal (view / seq / epoch), per replica.
-    pub ordinal_gauge: &'static str,
-    /// Gauge holding the 48-bit fingerprint at that ordinal, per replica.
-    pub digest_gauge: &'static str,
-    /// Whether the ordinal must be non-decreasing per replica. True for
-    /// config epochs (adoption is epoch-monotone); false for commit
-    /// ordinals (replicas may legitimately commit views out of order when
-    /// proposals arrive reordered).
-    pub monotone: bool,
-}
-
-/// The checkpoint surfaces the built-in substrates publish.
-pub const SURFACES: [Surface; 3] = [
-    Surface {
-        name: "hotstuff",
-        ordinal_gauge: "hotstuff.node.commit_seq",
-        digest_gauge: "hotstuff.node.commit_digest",
-        monotone: false,
-    },
-    Surface {
-        name: "pbft",
-        ordinal_gauge: "pbft.replica.commit_seq",
-        digest_gauge: "pbft.replica.commit_digest",
-        monotone: false,
-    },
-    Surface {
-        name: "kauri.config",
-        ordinal_gauge: "kauri.node.config_epoch",
-        digest_gauge: "kauri.node.config_digest",
-        monotone: true,
-    },
-];
 
 /// Checkpoints retained per surface; older ordinals are pruned so a
 /// long-running live auditor stays bounded. Divergence between live
@@ -650,10 +613,14 @@ mod tests {
     #[test]
     fn poll_harvests_paired_gauges_from_the_registry() {
         let mut reg = Registry::new();
-        reg.gauge_set("hotstuff.node.commit_seq", Some(0), 12.0);
-        reg.gauge_set("hotstuff.node.commit_digest", Some(0), 0xabc as f64);
-        reg.gauge_set("hotstuff.node.commit_seq", Some(1), 12.0);
-        reg.gauge_set("hotstuff.node.commit_digest", Some(1), 0xdef as f64);
+        let (seq, digest) = (
+            HOTSTUFF_SURFACE.ordinal_gauge,
+            HOTSTUFF_SURFACE.digest_gauge,
+        );
+        reg.gauge_set(seq, Some(0), 12.0);
+        reg.gauge_set(digest, Some(0), 0xabc as f64);
+        reg.gauge_set(seq, Some(1), 12.0);
+        reg.gauge_set(digest, Some(1), 0xdef as f64);
         let mut a = Auditor::new();
         a.poll(&reg);
         let report = a.into_report();

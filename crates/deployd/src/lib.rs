@@ -64,7 +64,7 @@ impl Substrate {
         }
     }
 
-    /// The substrate's name as used in flags and metric prefixes.
+    /// The substrate's name as used in flags, reports and thread names.
     pub fn name(self) -> &'static str {
         match self {
             Substrate::HotStuff => "hotstuff",
@@ -171,7 +171,7 @@ pub struct RealRunReport {
     /// vantage point and [`rsm::CommitStats`] readings a simulated run of the
     /// same configuration reports.
     pub summary: RunSummary,
-    /// Per-replica `<substrate>.node.commits` telemetry counters — the
+    /// Per-replica `telemetry::CommitMetrics::commits` counters — the
     /// agreement oracles' view of progress (all zero when telemetry is
     /// disabled).
     pub per_replica_commits: Vec<u64>,
@@ -273,7 +273,10 @@ where
     config.telemetry.install_timeseries(1_000_000);
     let mut auditor = config.auditor();
     let recorder = config.flight_recorder();
-    let commits_metric = format!("{}.node.commits", config.substrate.name());
+    let commits_metric = match config.substrate {
+        Substrate::HotStuff => telemetry::HOTSTUFF_COMMITS.commits,
+        Substrate::Kauri => telemetry::KAURI_COMMITS.commits,
+    };
     let nodes = cluster.build();
     let started = std::time::Instant::now();
     let running = RealCluster::launch(nodes)?;
@@ -281,7 +284,7 @@ where
         config,
         should_stop,
         queue.as_ref(),
-        &commits_metric,
+        commits_metric,
         &mut auditor,
         recorder.as_ref(),
     );
@@ -306,7 +309,7 @@ where
         wall_secs,
         summary: report.summary,
         per_replica_commits: (0..config.n)
-            .map(|id| snapshot.counter(&commits_metric, Some(id)))
+            .map(|id| snapshot.counter(commits_metric, Some(id)))
             .collect(),
         traffic: queue.map(|q| q.report(run_secs)),
         view_digests: view_digests(report.roles),

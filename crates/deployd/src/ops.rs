@@ -263,6 +263,7 @@ pub fn health_report(reg: &Registry) -> (bool, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use telemetry::HOTSTUFF_COMMITS;
 
     fn get(addr: SocketAddr, path: &str) -> (u16, String) {
         let mut stream = TcpStream::connect(addr).expect("connect");
@@ -286,7 +287,7 @@ mod tests {
     fn metrics_endpoint_serves_registry_and_timeseries() {
         let telemetry = Telemetry::recording();
         telemetry.install_timeseries(1_000_000);
-        telemetry.counter_add("hotstuff.node.commits", Some(0), 42);
+        telemetry.counter_add(HOTSTUFF_COMMITS.commits, Some(0), 42);
         telemetry.tick_timeseries(1_500_000);
         let server = serve("127.0.0.1:0", telemetry.clone(), AuditFeed::default()).expect("bind");
         let (status, body) = get(server.local_addr(), "/metrics");
@@ -301,7 +302,7 @@ mod tests {
         );
 
         // Scrapes see live updates, not a launch-time snapshot.
-        telemetry.counter_add("hotstuff.node.commits", Some(0), 8);
+        telemetry.counter_add(HOTSTUFF_COMMITS.commits, Some(0), 8);
         let (_, body) = get(server.local_addr(), "/metrics");
         assert!(body.contains("hotstuff_node_commits_total{replica=\"0\"} 50"));
 

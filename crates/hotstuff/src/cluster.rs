@@ -117,7 +117,7 @@ impl Cluster for HotStuffConfig {
             summary,
             latency_timeline,
             throughput_timeline,
-            oracle: "hotstuff",
+            oracle: telemetry::HOTSTUFF_SURFACE.name,
             checkpoints,
             provenance: (),
             roles: HotStuffRoles {

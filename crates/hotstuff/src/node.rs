@@ -16,19 +16,22 @@
 //! view and wakes up at the queue's next flush instant. The saturated queue,
 //! the paper's workload of 1000 empty commands per block, always has one;
 //! an open-loop admission queue has one once its size or timeout rule fires.
+//!
+//! A scripted leader withholds its proposal broadcasts through the shared
+//! [`rsm::Withhold`]. Commits and agreement checkpoints are reported under
+//! the shared names [`telemetry::HOTSTUFF_COMMITS`] and
+//! [`telemetry::HOTSTUFF_SURFACE`].
 
 use crate::pacemaker::Pacemaker;
 use crypto::{Digest, Hashable};
-use rsm::{misbehavior, Block, CommitStats, DelayStage, SystemConfig};
+use rsm::{Block, CommitStats, DelayStage, SystemConfig, Withhold};
 use runtime::{Context, Node, NodeId, SimTime, TimerId};
 use serde::{Deserialize, Serialize};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
-use telemetry::{Stage, Telemetry};
+use telemetry::{Stage, Telemetry, HOTSTUFF_COMMITS, HOTSTUFF_SURFACE};
 use traffic::{SharedTrafficQueue, WakeTimer};
 
-/// Held-proposal timers encode a release sequence number in the tag.
-const TIMER_HELD_BASE: u64 = 1_000_000;
 /// Wake-up when the traffic queue's next batch becomes flushable.
 const TIMER_TRAFFIC_READY: u64 = 2;
 
@@ -80,14 +83,11 @@ pub struct HotStuffNode {
     /// Votes for views not yet superseded by a proposal of this replica.
     votes: BTreeMap<u64, BTreeSet<usize>>,
     highest_proposed: u64,
-    /// Scripted proposal-delay attack stages for this replica (empty when
-    /// correct): while a stage is active, the leader *holds* each proposal
-    /// broadcast by the stage's delay, keeping the proposal timestamp
-    /// honest so the hold is visible as inflated consensus latency.
-    delays: Vec<DelayStage>,
-    /// Proposals held by an active delay stage, keyed by release tag.
-    held: BTreeMap<u64, HotStuffMessage>,
-    next_held: u64,
+    /// Scripted proposal-delay attack (no stages when correct): while a
+    /// stage is active, the leader *holds* each proposal broadcast by the
+    /// stage's delay, keeping the proposal timestamp honest so the hold is
+    /// visible as inflated consensus latency.
+    withhold: Withhold<HotStuffMessage>,
     /// The run's proposal source, shared by every (rotating) leader.
     traffic: SharedTrafficQueue,
     /// View whose proposal is parked until the traffic queue can flush.
@@ -115,9 +115,7 @@ impl HotStuffNode {
             uncommitted_payload: 0,
             votes: BTreeMap::new(),
             highest_proposed: 0,
-            delays: Vec::new(),
-            held: BTreeMap::new(),
-            next_held: 0,
+            withhold: Withhold::new(Vec::new()),
             traffic: SharedTrafficQueue::saturated(batch_size),
             pending_view: None,
             wake: WakeTimer::new(),
@@ -129,7 +127,7 @@ impl HotStuffNode {
 
     /// Install scripted proposal-delay stages (the protocol-level attack).
     pub fn with_delays(mut self, delays: Vec<DelayStage>) -> Self {
-        self.delays = delays;
+        self.withhold = Withhold::new(delays);
         self
     }
 
@@ -209,11 +207,6 @@ impl HotStuffNode {
             commands: block.len(),
             timestamp_us: ctx.now.as_micros(),
         };
-        // A scripted attacker holds the broadcast (not its local processing):
-        // the timestamp stays honest, so the withheld dissemination shows up
-        // as inflated consensus latency at every replica — the tree/star
-        // analogue of the PBFT Pre-Prepare delay attack.
-        let hold = misbehavior::hold_at(&self.delays, ctx.now);
         self.telemetry.instant(
             Stage::Propose,
             self.id,
@@ -221,31 +214,24 @@ impl HotStuffNode {
             ctx.now.as_micros(),
             &[("commands", block.len() as f64)],
         );
-        if hold.is_zero() {
-            ctx.multicast(&self.others, msg);
-        } else {
+        // A scripted attacker holds the broadcast (not its local processing):
+        // the timestamp stays honest, so the withheld dissemination shows up
+        // as inflated consensus latency at every replica — the tree/star
+        // analogue of the PBFT Pre-Prepare delay attack.
+        match self.withhold.hold(ctx, msg) {
+            Err(msg) => ctx.multicast(&self.others, msg),
             // The dissemination hold is visible as its own span under the
             // attacker's track — the widening bar of the Fig 7 trace.
-            self.telemetry.span(
+            Ok(hold) => self.telemetry.span(
                 Stage::Hold,
                 self.id,
                 view,
                 ctx.now.as_micros(),
                 hold.as_micros(),
                 &[],
-            );
-            let tag = self.next_held;
-            self.next_held += 1;
-            self.held.insert(tag, msg);
-            ctx.set_timer(hold, TIMER_HELD_BASE + tag);
+            ),
         }
         self.handle_proposal(ctx, view, digest, block.len(), ctx.now.as_micros());
-    }
-
-    fn release_held(&mut self, ctx: &mut Context<HotStuffMessage>, tag: u64) {
-        if let Some(msg) = self.held.remove(&tag) {
-            ctx.multicast(&self.others, msg);
-        }
     }
 
     fn handle_proposal(
@@ -277,36 +263,22 @@ impl HotStuffNode {
                 if !entry.committed {
                     entry.committed = true;
                     // Agreement checkpoint for the online auditor: this
-                    // replica's digest for the committed view, as a gauge
-                    // pair set under one registry lock so a poll never sees
-                    // a seq from one commit and a digest from another.
-                    let fp = telemetry::fingerprint48(&entry.digest.0) as f64;
-                    let id = self.id;
-                    self.telemetry.with_registry(|reg| {
-                        reg.gauge_set("hotstuff.node.commit_seq", Some(id), (view - 2) as f64);
-                        reg.gauge_set("hotstuff.node.commit_digest", Some(id), fp);
-                    });
+                    // replica's digest for the committed view.
+                    let fp = telemetry::fingerprint48(&entry.digest.0);
+                    HOTSTUFF_SURFACE.publish(&self.telemetry, self.id, view - 2, fp);
                     // Empty chain-flush blocks (open-loop idle) carry no
                     // commands and are not commits worth recording.
                     if entry.commands > 0 {
                         self.uncommitted_payload -= 1;
                         self.stats
                             .record_commit(entry.proposal_ts, ctx.now, entry.commands);
-                        let (ts, commands) = (entry.proposal_ts, entry.commands);
-                        self.telemetry.span(
-                            Stage::Commit,
+                        HOTSTUFF_COMMITS.record(
+                            &self.telemetry,
                             self.id,
                             view - 2,
-                            ts.as_micros(),
-                            ctx.now.since(ts).as_micros(),
-                            &[("commands", commands as f64)],
-                        );
-                        self.telemetry
-                            .counter_add("hotstuff.node.commits", Some(self.id), 1);
-                        self.telemetry.observe(
-                            "hotstuff.node.commit_us",
-                            Some(self.id),
-                            ctx.now.since(ts).as_micros(),
+                            entry.proposal_ts.as_micros(),
+                            ctx.now.since(entry.proposal_ts).as_micros(),
+                            entry.commands,
                         );
                     }
                     // The proposer of the committed view reports the batch
@@ -387,8 +359,8 @@ impl Node for HotStuffNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<HotStuffMessage>, timer: TimerId, tag: u64) {
-        if tag >= TIMER_HELD_BASE {
-            self.release_held(ctx, tag - TIMER_HELD_BASE);
+        if let Some(msg) = self.withhold.release(tag) {
+            ctx.multicast(&self.others, msg);
         } else if tag == TIMER_TRAFFIC_READY {
             self.wake.fired(timer);
             self.telemetry

@@ -226,7 +226,7 @@ impl<F: Fn(usize) -> Box<dyn TreePolicy>> Cluster for KauriCluster<F> {
             summary,
             latency_timeline,
             throughput_timeline,
-            oracle: "kauri.config",
+            oracle: telemetry::KAURI_CONFIG_SURFACE.name,
             checkpoints,
             provenance: log
                 .commands_from(0)

@@ -30,8 +30,8 @@
 //!
 //! Scripted misbehavior: a replica with an active [`rsm::DelayStage`] holds
 //! every payload it disseminates down the tree (its proposals as root, its
-//! forwarded proposals as intermediate) while keeping proposal timestamps
-//! honest. Replicas detect the withholding from those timestamps — a
+//! forwarded proposals as intermediate) in the shared [`rsm::Withhold`],
+//! while keeping proposal timestamps honest. Replicas detect the withholding from those timestamps — a
 //! proposal already older than the view timeout on arrival is *stale*, and
 //! repeated stale proposals fail the tree exactly like silence does. Blame
 //! is no longer pinned on the root: the striking receiver emits a reciprocal
@@ -42,17 +42,22 @@
 //! keeps reappearing across pairs — the actual delayer — out of internal
 //! positions, while an innocent root under an overtly-delaying intermediate
 //! is exonerated.
+//!
+//! The root reports commits under [`telemetry::KAURI_COMMITS`], and every
+//! replica its adoption checkpoints under
+//! [`telemetry::KAURI_CONFIG_SURFACE`].
 
 use crate::policy::TreePolicy;
 use crate::tree::Tree;
 use configlog::{ConfigCommand, ConfigLog, PhaseFilter, SuspicionPair};
 use crypto::{Digest, Hashable};
-use rsm::{misbehavior, Block, CommitStats, DelayStage, SystemConfig};
+use rsm::misbehavior::HOLD_TAGS;
+use rsm::{Block, CommitStats, DelayStage, SystemConfig, Withhold};
 use runtime::{Context, Duration, Node, NodeId, SimTime, TimerId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use telemetry::{Stage, Telemetry};
+use telemetry::{Stage, Telemetry, KAURI_COMMITS, KAURI_CONFIG_SURFACE};
 use traffic::{SharedTrafficQueue, WakeTimer};
 
 const TIMER_PROGRESS: u64 = 1;
@@ -61,10 +66,9 @@ const TIMER_RECONFIG_DONE: u64 = 2;
 const TIMER_TRAFFIC_READY: u64 = 3;
 /// Child-timeout timers encode the view in the tag as `TIMER_CHILD_BASE + view`.
 const TIMER_CHILD_BASE: u64 = 1_000;
-/// View-timeout timers encode the view as `TIMER_VIEW_BASE + view`.
+/// View-timeout timers encode the view as `TIMER_VIEW_BASE + view`; the
+/// held-payload timers of [`HOLD_TAGS`] lie above them.
 const TIMER_VIEW_BASE: u64 = 1_000_000_000;
-/// Held-payload timers (scripted delay attack) encode a release sequence.
-const TIMER_HELD_BASE: u64 = 2_000_000_000;
 /// Stale proposals tolerated before the tree is declared failed. Deliberately
 /// above the default pipeline depth (3): a delaying root's in-flight
 /// pipelined views arrive as one burst of stale proposals, and abandoning the
@@ -164,16 +168,6 @@ struct AggState {
     tree: Option<Arc<Tree>>,
 }
 
-/// A down-tree payload held back by an active delay stage. `held` is cleared
-/// eagerly on every epoch change (reconfiguration and tree adoption), so a
-/// payload that survives until its release timer is always routed on the
-/// replica's current tree.
-#[derive(Debug, Clone)]
-struct HeldPayload {
-    targets: Vec<usize>,
-    msg: KauriMessage,
-}
-
 /// One Kauri replica.
 pub struct KauriNode {
     id: usize,
@@ -236,12 +230,13 @@ pub struct KauriNode {
     // Intermediate state.
     aggregates: BTreeMap<u64, AggState>,
 
-    // Scripted delay attack: while a stage is active this replica holds
-    // every payload it disseminates down the tree (proposals as root,
-    // forwarded proposals as intermediate) by the stage's delay.
-    delays: Vec<DelayStage>,
-    held: BTreeMap<u64, HeldPayload>,
-    next_held: u64,
+    /// Scripted delay attack: while a stage is active this replica holds
+    /// every payload it disseminates down the tree (proposals as root,
+    /// forwarded proposals as intermediate), with the tree it routes on, by
+    /// the stage's delay. Cleared eagerly on every epoch change
+    /// (reconfiguration and tree adoption), so a payload that survives until
+    /// its release timer is always routed on the replica's current tree.
+    withhold: Withhold<(Arc<Tree>, KauriMessage)>,
     /// The run's proposal source. Shared by every replica: the queue
     /// logically follows whichever replica is the current root.
     traffic: SharedTrafficQueue,
@@ -305,9 +300,7 @@ impl KauriNode {
             last_wire: None,
             pair_filter: PhaseFilter::new(),
             aggregates: BTreeMap::new(),
-            delays: Vec::new(),
-            held: BTreeMap::new(),
-            next_held: 0,
+            withhold: Withhold::new(Vec::new()),
             traffic: SharedTrafficQueue::saturated(batch_size),
             stale_strikes: 0,
             last_strike_view: 0,
@@ -320,7 +313,7 @@ impl KauriNode {
 
     /// Install scripted proposal-delay stages (the protocol-level attack).
     pub fn with_delays(mut self, delays: Vec<DelayStage>) -> Self {
-        self.delays = delays;
+        self.withhold = Withhold::new(delays);
         self
     }
 
@@ -353,47 +346,30 @@ impl KauriNode {
         self.policy.as_ref()
     }
 
-    /// True while a scripted delay stage is active at `now`.
-    fn attacking(&self, now: SimTime) -> bool {
-        !misbehavior::hold_at(&self.delays, now).is_zero()
-    }
-
     /// Send a payload down the tree, holding it first if a delay stage is
     /// active: the scripted root/intermediate withholds the payloads it is
     /// supposed to disseminate while its votes and aggregates (as a
     /// follower) flow normally — the protocol-level delay attack.
-    fn send_down(&mut self, ctx: &mut Context<KauriMessage>, targets: &[usize], msg: KauriMessage) {
-        let hold = misbehavior::hold_at(&self.delays, ctx.now);
-        if hold.is_zero() {
-            ctx.multicast(targets, msg);
-            return;
-        }
-        // The dissemination hold shows up as its own span on the attacker's
-        // track — the widening "dissemination-hold" bar of a Fig 7 trace.
-        let view = match &msg {
-            KauriMessage::Proposal { view, .. } => *view,
-            _ => 0,
-        };
-        self.telemetry.span(
-            Stage::Hold,
-            self.id,
-            view,
-            ctx.now.as_micros(),
-            hold.as_micros(),
-            &[],
-        );
-        let tag = self.next_held;
-        self.next_held += 1;
-        let targets = targets.to_vec();
-        self.held.insert(tag, HeldPayload { targets, msg });
-        ctx.set_timer(hold, TIMER_HELD_BASE + tag);
-    }
-
-    fn release_held(&mut self, ctx: &mut Context<KauriMessage>, tag: u64) {
-        // Entries from a previous tree were cleared at the epoch change, so
-        // whatever is still here is routed on the current tree.
-        if let Some(held) = self.held.remove(&tag) {
-            ctx.multicast(&held.targets, held.msg);
+    fn send_down(
+        &mut self,
+        ctx: &mut Context<KauriMessage>,
+        view: u64,
+        tree: Arc<Tree>,
+        msg: KauriMessage,
+    ) {
+        match self.withhold.hold(ctx, (tree, msg)) {
+            Err((tree, msg)) => ctx.multicast(tree.children_of(self.id), msg),
+            // The dissemination hold shows up as its own span on the
+            // attacker's track — the widening "dissemination-hold" bar of a
+            // Fig 7 trace.
+            Ok(hold) => self.telemetry.span(
+                Stage::Hold,
+                self.id,
+                view,
+                ctx.now.as_micros(),
+                hold.as_micros(),
+                &[],
+            ),
         }
     }
 
@@ -470,7 +446,7 @@ impl KauriNode {
                     let behind = adopted.epoch - self.epoch;
                     self.abandon_uncommitted_views(ctx.now);
                     self.epoch = adopted.epoch;
-                    self.held.clear();
+                    self.withhold.clear();
                     self.stale_strikes = 0;
                     self.last_strike_view = 0;
                     self.reconfiguring = false;
@@ -539,8 +515,7 @@ impl KauriNode {
 
     /// Fold a committed adoption into the config chain and publish the
     /// `(epoch, chain head)` checkpoint the online auditor compares across
-    /// replicas. Both gauges are set under one registry lock so a live poll
-    /// can never pair one adoption's epoch with another's chain head.
+    /// replicas.
     fn publish_config_checkpoint(&mut self, adopted: &configlog::AdoptedConfig<Tree>) {
         let mut bytes = Vec::with_capacity(
             8 * (2 + adopted.config.intermediates.len()) + 16 * adopted.config.children.len(),
@@ -559,11 +534,7 @@ impl KauriNode {
         self.config_chain = telemetry::chain48(self.config_chain, &bytes);
         self.config_checkpoints
             .push((adopted.epoch, self.config_chain));
-        let (id, epoch, chain) = (self.id, adopted.epoch as f64, self.config_chain as f64);
-        self.telemetry.with_registry(|reg| {
-            reg.gauge_set("kauri.node.config_epoch", Some(id), epoch);
-            reg.gauge_set("kauri.node.config_digest", Some(id), chain);
-        });
+        KAURI_CONFIG_SURFACE.publish(&self.telemetry, self.id, adopted.epoch, self.config_chain);
     }
 
     /// Every `(epoch, chain head)` adoption checkpoint this replica
@@ -725,7 +696,7 @@ impl KauriNode {
                 ctx.now.as_micros(),
                 &[("commands", block.len() as f64)],
             );
-            self.send_down(ctx, tree.children_of(self.id), msg);
+            self.send_down(ctx, view, tree, msg);
             ctx.set_timer(self.policy.view_timeout(), TIMER_VIEW_BASE + view);
         }
     }
@@ -847,7 +818,7 @@ impl KauriNode {
             committed,
         };
         // A scripted intermediate holds its forwarded payloads too.
-        self.send_down(ctx, children, msg);
+        self.send_down(ctx, view, tree.clone(), msg);
         self.telemetry
             .instant(Stage::Vote, self.id, view, ctx.now.as_micros(), &[]);
         let agg = self.aggregate(view, ctx.now);
@@ -1002,20 +973,13 @@ impl KauriNode {
             let (ts, commands, batch_id) = (state.proposal_ts, state.commands, state.batch_id);
             self.commit_config_payload(ctx, state.cmds);
             self.stats.record_commit(ts, ctx.now, commands);
-            self.telemetry.span(
-                Stage::Commit,
+            KAURI_COMMITS.record(
+                &self.telemetry,
                 self.id,
                 view,
                 ts.as_micros(),
                 ctx.now.since(ts).as_micros(),
-                &[("commands", commands as f64)],
-            );
-            self.telemetry
-                .counter_add("kauri.node.commits", Some(self.id), 1);
-            self.telemetry.observe(
-                "kauri.node.commit_us",
-                Some(self.id),
-                ctx.now.since(ts).as_micros(),
+                commands,
             );
             // The proposing root reports the committed batch back to the
             // traffic queue for end-to-end accounting. Batches in views a
@@ -1073,7 +1037,7 @@ impl KauriNode {
         // sequence (its `missing` set differs from the honest replicas',
         // which all blame the root). Recovery comes from the honest side —
         // the staleness strikes in `handle_proposal`.
-        if self.attacking(ctx.now) {
+        if self.withhold.active(ctx.now) {
             return;
         }
         // A view still in flight when its timer fires has failed; a view
@@ -1118,7 +1082,7 @@ impl KauriNode {
         self.telemetry
             .counter_add("kauri.node.reconfigurations", Some(self.id), 1);
         self.aggregates.clear();
-        self.held.clear();
+        self.withhold.clear();
         self.stale_strikes = 0;
         self.last_strike_view = 0;
         // (The pair filter is NOT reset here: local reconfigures happen at
@@ -1245,7 +1209,11 @@ impl Node for KauriNode {
                     .counter_add("kauri.node.traffic_wakeups", Some(self.id), 1);
                 self.propose_next(ctx);
             }
-            t if t >= TIMER_HELD_BASE => self.release_held(ctx, t - TIMER_HELD_BASE),
+            t if HOLD_TAGS.contains(&t) => {
+                if let Some((tree, msg)) = self.withhold.release(t) {
+                    ctx.multicast(tree.children_of(self.id), msg);
+                }
+            }
             t if t >= TIMER_VIEW_BASE => self.handle_view_timeout(ctx, t - TIMER_VIEW_BASE),
             t if t >= TIMER_CHILD_BASE => {
                 self.maybe_forward_aggregate(ctx, t - TIMER_CHILD_BASE, true);

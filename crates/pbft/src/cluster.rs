@@ -119,7 +119,7 @@ impl<F: Fn(usize) -> Box<dyn ReconfigPolicy>> Cluster for PbftConfig<F> {
             summary,
             latency_timeline,
             throughput_timeline,
-            oracle: "pbft",
+            oracle: telemetry::PBFT_SURFACE.name,
             checkpoints,
             provenance: (),
             roles: PbftRoles { reconfigurations },

@@ -9,22 +9,26 @@
 //! its [`ReconfigPolicy`] in log order, so configuration decisions are
 //! identical everywhere. The proposer of a batch reports its commit back to
 //! the queue, which measures what clients see end to end (what Fig 7 plots).
+//!
+//! A scripted leader withholds its unsent Pre-Prepare through the shared
+//! [`rsm::Withhold`] and stamps it when it is released. Commits and
+//! agreement checkpoints are reported under the shared names
+//! [`telemetry::PBFT_COMMITS`] and [`telemetry::PBFT_SURFACE`].
 
 use crate::messages::{PbftMessage, Phase};
 use crate::policy::{PbftRoundRecord, ReconfigPolicy};
 use crate::weights::{VoterSet, WeightConfig};
 use crypto::Digest;
-use rsm::{misbehavior, Block, Command, CommitStats, DelayStage, SealedBlock};
+use rsm::{Block, Command, CommitStats, DelayStage, SealedBlock, Withhold};
 use runtime::{Context, Duration, Node, NodeId, SimTime, TimerId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use telemetry::{Stage, Telemetry};
+use telemetry::{Stage, Telemetry, PBFT_COMMITS, PBFT_SURFACE};
 use traffic::SharedTrafficQueue;
 
 /// Timer tags.
 const TIMER_PROBE_START: u64 = 1;
 const TIMER_PROBE_COLLECT: u64 = 2;
-const TIMER_DELAYED_PROPOSE: u64 = 4;
 
 /// One in-flight consensus instance at a replica.
 #[derive(Debug, Clone)]
@@ -86,13 +90,14 @@ pub struct ReplicaState {
     peers: Vec<NodeId>,
     probe_interval: Duration,
     probe_timeout: Duration,
-    /// Scripted Pre-Prepare delay attack stages (empty when correct):
-    /// whenever this replica is leader and a stage is active, it delays
-    /// sending each proposal by the stage's delay (keeping its proposal
-    /// timestamp honest, so the delay is visible as a widened
-    /// inter-proposal gap — exactly what suspicion condition (a) detects).
-    /// Several stages let one replica attack, go quiet, and attack again.
-    delays: Vec<DelayStage>,
+    /// Scripted Pre-Prepare delay attack (no stages when correct):
+    /// whenever this replica is leader and a stage is active, it holds each
+    /// unsent proposal `(seq, block, measurements)` for the stage's delay
+    /// and stamps it when it is released, so the delay is visible as a
+    /// widened inter-proposal gap — exactly what suspicion condition (a)
+    /// detects. Several stages let one replica attack, go quiet, and attack
+    /// again.
+    withhold: Withhold<(u64, Block, Vec<Vec<u8>>)>,
     policy: Box<dyn ReconfigPolicy>,
     config: WeightConfig,
     /// `config`'s weighted quorum threshold, derived whenever a
@@ -104,7 +109,6 @@ pub struct ReplicaState {
     last_committed_seq: u64,
     prev_proposal_ts: Option<SimTime>,
     prev_epoch: Option<u64>,
-    delayed_block: Option<(u64, Block, Vec<Vec<u8>>)>,
     /// Committed rounds whose observations are still accumulating late
     /// arrivals; they are handed to the policy two commits later so that
     /// messages from replicas outside the fastest quorum are not mistaken
@@ -151,7 +155,7 @@ impl ReplicaState {
             peers: (0..n).filter(|&r| r != id).collect(),
             probe_interval: Duration::from_secs(5),
             probe_timeout: Duration::from_millis(800),
-            delays: Vec::new(),
+            withhold: Withhold::new(Vec::new()),
             policy,
             quorum: config.quorum_threshold(f),
             config,
@@ -161,7 +165,6 @@ impl ReplicaState {
             last_committed_seq: 0,
             prev_proposal_ts: None,
             prev_epoch: None,
-            delayed_block: None,
             pending_records: Vec::new(),
             probe_nonce: 0,
             probe_rtts: vec![f64::INFINITY; n],
@@ -176,7 +179,7 @@ impl ReplicaState {
 
     /// Install scripted proposal-delay stages (the protocol-level attack).
     pub fn with_delays(mut self, delays: Vec<DelayStage>) -> Self {
-        self.delays = delays;
+        self.withhold = Withhold::new(delays);
         self
     }
 
@@ -203,7 +206,7 @@ impl ReplicaState {
     }
 
     fn try_propose(&mut self, ctx: &mut Context<PbftMessage>) {
-        if !self.is_leader() || self.delayed_block.is_some() {
+        if !self.is_leader() || self.withhold.is_holding() {
             return;
         }
         // Only one instance in flight (BFT-SMaRt's consensus-per-batch).
@@ -233,23 +236,22 @@ impl ReplicaState {
         );
         let measurements = std::mem::take(&mut self.pending_measurements);
 
-        let hold = misbehavior::hold_at(&self.delays, ctx.now);
-        if !hold.is_zero() {
+        match self
+            .withhold
+            .hold(ctx, (self.next_seq, block, measurements))
+        {
+            Err((seq, block, measurements)) => self.send_propose(ctx, seq, block, measurements),
             // The Pre-Prepare delay attack as its own span on the
             // attacker's track (the Fig 7 "dissemination-hold" bar).
-            self.telemetry.span(
+            Ok(hold) => self.telemetry.span(
                 Stage::Hold,
                 self.id,
                 self.next_seq,
                 ctx.now.as_micros(),
                 hold.as_micros(),
                 &[],
-            );
-            self.delayed_block = Some((self.next_seq, block, measurements));
-            ctx.set_timer(hold, TIMER_DELAYED_PROPOSE);
-            return;
+            ),
         }
-        self.send_propose(ctx, self.next_seq, block, measurements);
     }
 
     fn send_propose(
@@ -423,15 +425,10 @@ impl ReplicaState {
         let instance = self.instances.remove(&seq).expect("instance exists");
         self.last_committed_seq = seq;
         // Agreement checkpoint for the online auditor: any two replicas
-        // committing the same seq must publish the same digest. Set under
-        // one registry lock so seq and digest can never be read torn.
+        // committing the same seq must publish the same digest.
         let fp = telemetry::fingerprint48(&instance.digest.0);
         self.commit_checkpoints.push((seq, fp));
-        let id = self.id;
-        self.telemetry.with_registry(|reg| {
-            reg.gauge_set("pbft.replica.commit_seq", Some(id), seq as f64);
-            reg.gauge_set("pbft.replica.commit_digest", Some(id), fp as f64);
-        });
+        PBFT_SURFACE.publish(&self.telemetry, self.id, seq, fp);
         // Keep the proposal counter in sync even at replicas that never led,
         // so a replica that later gains the leader role proposes the right
         // sequence number.
@@ -440,20 +437,13 @@ impl ReplicaState {
         if !commands.is_empty() {
             self.stats
                 .record_commit(instance.proposal_ts, ctx.now, commands.len());
-            self.telemetry.span(
-                Stage::Commit,
+            PBFT_COMMITS.record(
+                &self.telemetry,
                 self.id,
                 seq,
                 instance.proposal_ts.as_micros(),
                 ctx.now.since(instance.proposal_ts).as_micros(),
-                &[("commands", commands.len() as f64)],
-            );
-            self.telemetry
-                .counter_add("pbft.replica.commits", Some(self.id), 1);
-            self.telemetry.observe(
-                "pbft.replica.commit_us",
-                Some(self.id),
-                ctx.now.since(instance.proposal_ts).as_micros(),
+                commands.len(),
             );
         }
 
@@ -614,12 +604,11 @@ impl Node for ReplicaState {
         match tag {
             TIMER_PROBE_START => self.start_probe_round(ctx),
             TIMER_PROBE_COLLECT => self.finish_probe_round(ctx),
-            TIMER_DELAYED_PROPOSE => {
-                if let Some((seq, block, measurements)) = self.delayed_block.take() {
+            _ => {
+                if let Some((seq, block, measurements)) = self.withhold.release(tag) {
                     self.send_propose(ctx, seq, block, measurements);
                 }
             }
-            _ => {}
         }
     }
 }

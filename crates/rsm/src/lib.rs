@@ -22,8 +22,8 @@
 //!   as a saturated queue.
 //! * [`MisbehaviorPlan`] — scripted protocol-level misbehavior (the
 //!   proposal-delay attack) that every substrate installs as a replica
-//!   behaviour, so the same adversary script drives PBFT, HotStuff, and the
-//!   tree overlays.
+//!   behaviour, its [`Withhold`], so the same adversary script drives PBFT,
+//!   HotStuff, and the tree overlays through one hold path.
 //! * [`Cluster`] / [`RunReport`] — the one contract between a consensus
 //!   family and its runners: build the replicas, read them back into the
 //!   same report shape in the simulator and over real sockets.
@@ -39,6 +39,6 @@ pub mod workload;
 pub use block::{Block, Command, SealedBlock};
 pub use cluster::{Cluster, RunReport};
 pub use config::SystemConfig;
-pub use misbehavior::{DelayStage, MisbehaviorPlan};
+pub use misbehavior::{DelayStage, MisbehaviorPlan, Withhold};
 pub use stats::{timeline_mean, CommitStats, RunSummary};
 pub use workload::{ArrivalProcess, BatchingPolicy, TrafficSpec};

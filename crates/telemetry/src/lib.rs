@@ -16,7 +16,9 @@
 //!
 //! Metric names follow `crate.subsystem.name` (dots, ascii); replica-scoped
 //! metrics carry the replica id as a label, and histograms are log-linear so
-//! per-replica shards merge in any order to identical quantiles.
+//! per-replica shards merge in any order to identical quantiles. The
+//! metrics every consensus family publishes alike ([`CommitMetrics`],
+//! [`Surface`]) are named once, in one table.
 
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
@@ -24,6 +26,7 @@ mod critical_path;
 mod fingerprint;
 mod hist;
 mod metrics;
+mod names;
 mod timeseries;
 mod trace;
 
@@ -31,6 +34,10 @@ pub use critical_path::{attribute, BreakdownRow, CommandPath, LatencyBreakdown, 
 pub use fingerprint::{chain48, fingerprint48, FINGERPRINT_BITS};
 pub use hist::{LogLinearHistogram, SUB_BITS};
 pub use metrics::{escape_label_value, MetricKey, Registry};
+pub use names::{
+    CommitMetrics, Surface, HOTSTUFF_COMMITS, HOTSTUFF_SURFACE, KAURI_COMMITS,
+    KAURI_CONFIG_SURFACE, PBFT_COMMITS, PBFT_SURFACE, SURFACES,
+};
 pub use timeseries::{Timeseries, TimeseriesSampler, WindowSample};
 pub use trace::{Stage, TraceEvent, TraceId, TraceSink, CLIENTS_PID};
 
