@@ -31,17 +31,17 @@
 //! Scripted misbehavior: a replica with an active [`rsm::DelayStage`] holds
 //! every payload it disseminates down the tree (its proposals as root, its
 //! forwarded proposals as intermediate) in the shared [`rsm::Withhold`],
-//! while keeping proposal timestamps honest. Replicas detect the withholding from those timestamps — a
-//! proposal already older than the view timeout on arrival is *stale*, and
-//! repeated stale proposals fail the tree exactly like silence does. Blame
-//! is no longer pinned on the root: the striking receiver emits a reciprocal
-//! suspicion *pair* `(receiver, upstream)` (§6.4) that travels to the
-//! proposer and commits through the configuration log, where every replica's
-//! policy judges the identical committed evidence. Conformity binning (and
-//! OptiTree's pair-driven candidate exclusion) then rotates the member that
-//! keeps reappearing across pairs — the actual delayer — out of internal
-//! positions, while an innocent root under an overtly-delaying intermediate
-//! is exonerated.
+//! while keeping proposal timestamps honest. Replicas detect the withholding
+//! from those timestamps — a proposal already older than the view timeout on
+//! arrival is *stale*, and repeated stale proposals fail the tree exactly
+//! like silence does. Blame is no longer pinned on the root: the striking
+//! receiver emits a reciprocal suspicion *pair* `(receiver, upstream)`
+//! (§6.4) that travels to the proposer and commits through the configuration
+//! log, where every replica's policy judges the identical committed
+//! evidence. Conformity binning (and OptiTree's pair-driven candidate
+//! exclusion) then rotates the member that keeps reappearing across pairs —
+//! the actual delayer — out of internal positions, while an innocent root
+//! under an overtly-delaying intermediate is exonerated.
 //!
 //! The root reports commits under [`telemetry::KAURI_COMMITS`], and every
 //! replica its adoption checkpoints under
