@@ -167,9 +167,10 @@ pub struct RealRunReport {
     pub n: usize,
     /// Wall-clock seconds actually elapsed between launch and shutdown.
     pub wall_secs: f64,
-    /// Throughput / latency summary from the cluster's own report — the same
-    /// vantage point and [`rsm::CommitStats`] readings a simulated run of the
-    /// same configuration reports.
+    /// Throughput / latency summary from the cluster's own report:
+    /// [`rsm::CommitStats::summary`] over the vantage point's commit records
+    /// (the merged records of every root, for the trees), derived exactly as
+    /// a simulated run of the same configuration derives it.
     pub summary: RunSummary,
     /// Per-replica `telemetry::CommitMetrics::commits` counters — the
     /// agreement oracles' view of progress (all zero when telemetry is

@@ -98,10 +98,7 @@ impl Cluster for HotStuffConfig {
         let observer = (0..nodes.len())
             .find(|&i| nodes[i].stats.blocks() > 0 && self.misbehavior.stages_for(i).is_empty())
             .unwrap_or(0);
-        let stats = &mut nodes[observer].stats;
-        let latency_timeline = stats.latency_timeline().points().to_vec();
-        let throughput_timeline = stats.throughput_buckets().to_vec();
-        let summary = stats.summary(run_secs);
+        let stats = &nodes[observer].stats;
         let view_digests: Vec<Vec<(u64, Digest)>> =
             nodes.iter().map(|nd| nd.view_digests()).collect();
         let checkpoints = view_digests
@@ -114,9 +111,9 @@ impl Cluster for HotStuffConfig {
             })
             .collect();
         RunReport {
-            summary,
-            latency_timeline,
-            throughput_timeline,
+            summary: stats.summary(run_secs),
+            latency_timeline: stats.latency_timeline(),
+            throughput_timeline: stats.throughput_buckets(),
             oracle: telemetry::HOTSTUFF_SURFACE.name,
             checkpoints,
             provenance: (),

@@ -6,8 +6,8 @@ use crate::node::{KauriNode, TreeCommand};
 use crate::policy::TreePolicy;
 use crate::tree::Tree;
 use configlog::SuspicionPair;
-use rsm::{Cluster, MisbehaviorPlan, RunReport, RunSummary, SystemConfig};
-use runtime::{Duration, Histogram};
+use rsm::{Cluster, CommitStats, MisbehaviorPlan, RunReport, SystemConfig};
+use runtime::Duration;
 use telemetry::{Instrumented, Telemetry};
 use traffic::SharedTrafficQueue;
 
@@ -149,65 +149,21 @@ impl<F: Fn(usize) -> Box<dyn TreePolicy>> Cluster for KauriCluster<F> {
         nodes: &mut [KauriNode],
         run_secs: u64,
     ) -> RunReport<KauriRoles, Vec<(u64, TreeCommand)>> {
-        // Aggregate statistics across all replicas (each commit is recorded only
-        // at the root that proposed it, so summing does not double-count).
-        let mut total_commands = 0u64;
-        let mut total_blocks = 0u64;
-        let mut latency_weighted = 0.0;
-        let mut throughput_timeline = vec![0u64; run_secs as usize + 1];
-        let mut latency_timeline = Vec::new();
-        let mut reconfigurations = 0;
-        for node in nodes.iter() {
-            let blocks = node.stats.blocks();
-            total_commands += node.stats.commands();
-            total_blocks += blocks;
-            latency_weighted += node.stats.mean_latency().as_millis_f64() * blocks as f64;
-            latency_timeline.extend_from_slice(node.stats.latency_timeline().points());
-            for (slot, &c) in throughput_timeline
-                .iter_mut()
-                .zip(node.stats.throughput_buckets())
-            {
-                *slot += c;
-            }
-            reconfigurations = reconfigurations.max(node.reconfig_times.len());
-        }
+        // Each commit is recorded once, at the root that proposed the view,
+        // so the merged records hold every commit exactly once.
+        let stats = CommitStats::merge(nodes.iter().map(|node| &node.stats));
+        // One bucket per second of the nominal run, as the tree figures plot it.
+        let mut throughput_timeline = stats.throughput_buckets();
+        throughput_timeline.resize(run_secs as usize + 1, 0);
+        let reconfigurations = nodes
+            .iter()
+            .map(|node| node.reconfig_times.len())
+            .max()
+            .unwrap_or(0);
         let checkpoints = nodes
             .iter()
             .map(|node| node.config_checkpoints().to_vec())
             .collect();
-        // Each commit is recorded once (at the root that proposed the view);
-        // merge the per-root timelines into global commit order. The sort key is
-        // total because commit times and latencies are finite by construction.
-        latency_timeline.sort_by(|a, b| a.partial_cmp(b).expect("finite timeline points"));
-        let mean_latency_ms = if total_blocks > 0 {
-            latency_weighted / total_blocks as f64
-        } else {
-            0.0
-        };
-        // Span-based throughput over the merged commit timeline (first → last
-        // commit across all roots), falling back to the nominal horizon for
-        // degenerate spans — mirroring `CommitStats::mean_throughput`.
-        let span_secs = match (latency_timeline.first(), latency_timeline.last()) {
-            (Some(&(first, _)), Some(&(last, _))) if last > first => last - first,
-            _ => run_secs as f64,
-        };
-        // Percentiles over the merged timeline, with the same
-        // rank-interpolating definition the single-root summaries use
-        // (timeline points are whole microseconds rendered as ms).
-        let mut merged = Histogram::new();
-        for &(_, ms) in &latency_timeline {
-            merged.record(Duration::from_micros((ms * 1_000.0).round() as u64));
-        }
-        let summary = RunSummary {
-            throughput_ops: total_commands as f64 / run_secs as f64,
-            sustained_ops: total_commands as f64 / span_secs,
-            mean_latency_ms,
-            p50_latency_ms: merged.median().as_millis_f64(),
-            p99_latency_ms: merged.percentile(0.99).as_millis_f64(),
-            latency_ci95_ms: 0.0,
-            committed_blocks: total_blocks,
-            committed_commands: total_commands,
-        };
         // Configuration-log diagnostics from the best-informed replica: the
         // longest committed log (lowest id on ties). A replica crashed by the
         // fault plan freezes early and must not be the vantage point, or the
@@ -223,8 +179,8 @@ impl<F: Fn(usize) -> Box<dyn TreePolicy>> Cluster for KauriCluster<F> {
             .expect("at least one replica");
         let log = observer.config_log();
         RunReport {
-            summary,
-            latency_timeline,
+            summary: stats.summary(run_secs),
+            latency_timeline: stats.latency_timeline(),
             throughput_timeline,
             oracle: telemetry::KAURI_CONFIG_SURFACE.name,
             checkpoints,

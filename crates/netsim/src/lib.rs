@@ -16,6 +16,10 @@
 //! * [`faults`] — network-level fault injection (crashes, per-link delay
 //!   inflation, partitions, message drops).
 //!
+//! The simulator profiles only its own engine ([`EngineProfile`]); what a
+//! run committed is recorded by the protocols (`rsm::CommitStats`) and the
+//! clients (`traffic::TrafficQueue`), identically under the real runtime.
+//!
 //! Determinism: given the same seed and the same node implementations, a
 //! simulation produces byte-identical traces. All randomness flows through a
 //! seeded [`rand::rngs::StdRng`].
@@ -27,7 +31,6 @@ pub mod faults;
 pub mod latency;
 pub mod sched;
 pub mod sim;
-pub mod stats;
 pub mod time;
 
 pub use cities::{City, CityDataset, Region};
@@ -36,5 +39,4 @@ pub use faults::{FaultPlan, FaultWindow, LinkFault, NodeFault};
 pub use latency::{LatencyModel, MatrixLatency, UniformLatency};
 pub use sched::{EngineProfile, EventHandle, EventScheduler, HeapScheduler, TimerWheel};
 pub use sim::{Action, Context, Node, NodeId, Simulation, SimulationConfig, TimerId};
-pub use stats::{Histogram, RateCounter, TimeSeries};
 pub use time::{Duration, SimTime};

@@ -19,7 +19,9 @@ use crate::faults::FaultPlan;
 use crate::latency::LatencyModel;
 use crate::sched::{EventHandle, EventScheduler, TimerWheel};
 use crate::time::SimTime;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 // The node-facing API — `Node`, `Context`, `Action`, `NodeId`, `TimerId`,
 // `Payload` — lives in the runtime-agnostic `runtime` crate; `Simulation` is
@@ -56,7 +58,9 @@ pub struct Simulation<N: Node, S: EventScheduler<N::Msg> = TimerWheel<<N as Node
     /// Pending timers: engine-assigned id → scheduler handle. An entry is
     /// removed when its timer fires or is cancelled, so bookkeeping is
     /// bounded by the number of *outstanding* timers, not the total ever set.
-    live_timers: HashMap<u64, EventHandle>,
+    /// The hasher's keys are fixed, so when the map grows (and allocates)
+    /// is the same in every process; it is never iterated.
+    live_timers: HashMap<u64, EventHandle, BuildHasherDefault<DefaultHasher>>,
     crashed: Vec<bool>,
     now: SimTime,
     next_timer: u64,
@@ -103,7 +107,7 @@ impl<N: Node, S: EventScheduler<N::Msg>> Simulation<N, S> {
             latency,
             faults: FaultPlan::none(),
             sched,
-            live_timers: HashMap::new(),
+            live_timers: HashMap::default(),
             now: SimTime::ZERO,
             next_timer: 0,
             actions: Vec::new(),

@@ -87,7 +87,7 @@ impl<F: Fn(usize) -> Box<dyn ReconfigPolicy>> Cluster for PbftConfig<F> {
         let mut reconfigurations = Vec::new();
         let mut observed = None;
         let mut checkpoints = Vec::new();
-        for (id, r) in nodes.iter_mut().enumerate() {
+        for (id, r) in nodes.iter().enumerate() {
             checkpoints.push(r.commit_checkpoints().to_vec());
             let correct = self.misbehavior.stages_for(id).is_empty();
             // Role history from the best-informed correct replica
@@ -105,20 +105,15 @@ impl<F: Fn(usize) -> Box<dyn ReconfigPolicy>> Cluster for PbftConfig<F> {
             // The consensus-side vantage point is the first correct
             // replica: a delaying leader's own statistics hide the
             // gap it opens for everyone else.
-            if observed.is_none() && correct {
-                observed = Some((
-                    r.stats.summary(run_secs),
-                    r.stats.latency_timeline().points().to_vec(),
-                    r.stats.throughput_buckets().to_vec(),
-                ));
+            if correct {
+                observed.get_or_insert(&r.stats);
             }
         }
-        let (summary, latency_timeline, throughput_timeline) =
-            observed.expect("at least one correct replica");
+        let stats = observed.expect("at least one correct replica");
         RunReport {
-            summary,
-            latency_timeline,
-            throughput_timeline,
+            summary: stats.summary(run_secs),
+            latency_timeline: stats.latency_timeline(),
+            throughput_timeline: stats.throughput_buckets(),
             oracle: telemetry::PBFT_SURFACE.name,
             checkpoints,
             provenance: (),

@@ -12,8 +12,10 @@
 //! * [`SealedBlock`] — a block with its digest, hashed once when sealed (or
 //!   decoded) and shared with it, so recipients never re-hash a proposal.
 //! * [`SystemConfig`] — `n`, `f` and quorum sizes.
-//! * [`CommitStats`] — throughput and consensus-latency collection used by the
-//!   experiment harnesses.
+//! * [`CommitStats`] — one record per committed block, from which the
+//!   experiment harnesses derive throughput, the consensus-latency timeline
+//!   and the [`RunSummary`]; [`latency_ms`] is the one mean/p50/p99 rule,
+//!   shared with the traffic queue's client-side report.
 //! * [`TrafficSpec`] — a declarative open-loop offered-load description
 //!   (arrival process, client population, size-or-timeout batching, bounded
 //!   queue, SLO) that the `traffic` crate compiles into the admission queue
@@ -40,5 +42,5 @@ pub use block::{Block, Command, SealedBlock};
 pub use cluster::{Cluster, RunReport};
 pub use config::SystemConfig;
 pub use misbehavior::{DelayStage, MisbehaviorPlan, Withhold};
-pub use stats::{timeline_mean, CommitStats, RunSummary};
+pub use stats::{latency_ms, per_second, timeline_mean, CommitStats, RunSummary};
 pub use workload::{ArrivalProcess, BatchingPolicy, TrafficSpec};

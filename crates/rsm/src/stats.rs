@@ -2,10 +2,13 @@
 //!
 //! The paper reports *throughput* (committed requests per second) and
 //! *consensus latency* (time from block proposal to commit), sampled every
-//! second over a 120-second run (§7.3). [`CommitStats`] records commits as
-//! they happen inside a replica and produces the same aggregates.
+//! second over a 120-second run (§7.3). [`CommitStats`] stores one record
+//! per commit and derives every aggregate from those records: the latency
+//! timeline, the per-second throughput buckets and the [`RunSummary`]. The
+//! client side (end-to-end latency, goodput) lives with the traffic queue,
+//! which summarises its replies through the same [`latency_ms`] rule.
 
-use runtime::{Duration, Histogram, RateCounter, SimTime, TimeSeries};
+use runtime::{Duration, SimTime};
 use serde::Serialize;
 
 /// Mean value of a `(time s, value)` timeline over the window `[from, to)`
@@ -28,198 +31,147 @@ pub fn timeline_mean(points: &[(f64, f64)], from: f64, to: f64) -> f64 {
     }
 }
 
-/// Per-replica commit statistics.
-///
-/// Besides the paper's consensus-side aggregates (throughput, proposal→commit
-/// latency), the collector carries the *client-side* view an open-loop
-/// traffic workload needs: end-to-end latency samples (client send → commit →
-/// reply) and goodput — the commands whose end-to-end latency met the SLO
-/// deadline.
-#[derive(Debug, Clone)]
-pub struct CommitStats {
-    throughput: RateCounter,
-    latency: Histogram,
-    latency_timeline: TimeSeries,
-    committed_blocks: u64,
-    committed_commands: u64,
-    /// First / last commit instants, for span-based throughput.
-    first_commit: Option<SimTime>,
-    last_commit: Option<SimTime>,
-    /// Goodput SLO deadline (`None` = every committed command is goodput).
-    slo: Option<Duration>,
-    e2e: Histogram,
-    e2e_timeline: TimeSeries,
-    goodput: RateCounter,
-    goodput_commands: u64,
-    client_commands: u64,
+/// The `p`-th percentile (0.0–1.0) of ascending microsecond samples, with
+/// linear interpolation between the two bracketing ranks (the R-7 / numpy
+/// `linear` definition), rounded to whole microseconds; 0 when empty.
+/// Rounding the fractional rank to a single index biased p99 low on small
+/// windows — a 100-sample p99 must land between the 99th and 100th order
+/// statistic, not on whichever is nearer.
+pub fn percentile(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = (sorted.len() as f64 - 1.0) * p.clamp(0.0, 1.0);
+    let (lo, hi) = (sorted[rank.floor() as usize], sorted[rank.ceil() as usize]);
+    let frac = rank - rank.floor();
+    (lo as f64 + frac * (hi as f64 - lo as f64)).round() as u64
 }
 
-impl Default for CommitStats {
-    fn default() -> Self {
-        Self::new()
+/// `[mean, p50, p99]` of microsecond latency samples, in milliseconds (all
+/// 0.0 when there are none). The mean truncates to whole microseconds and
+/// the percentiles are [`percentile`]'s. Sorts `samples` in place.
+pub fn latency_ms(samples: &mut [u64]) -> [f64; 3] {
+    if samples.is_empty() {
+        return [0.0; 3];
     }
+    let sum: u128 = samples.iter().map(|&s| s as u128).sum();
+    let mean = (sum / samples.len() as u128) as u64;
+    samples.sort_unstable();
+    [mean, percentile(samples, 0.5), percentile(samples, 0.99)]
+        .map(|us| Duration::from_micros(us).as_millis_f64())
+}
+
+/// Sum `(instant, count)` pairs into one-second buckets; the result ends at
+/// the last non-empty second.
+pub fn per_second(counts: impl IntoIterator<Item = (SimTime, u64)>) -> Vec<u64> {
+    let mut buckets = Vec::new();
+    for (at, count) in counts {
+        let sec = (at.as_micros() / 1_000_000) as usize;
+        if sec >= buckets.len() {
+            buckets.resize(sec + 1, 0);
+        }
+        buckets[sec] += count;
+    }
+    buckets
+}
+
+/// One committed block.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Commit {
+    at: SimTime,
+    latency_us: u64,
+    commands: u64,
+}
+
+/// Per-replica commit statistics: one record per committed block, in
+/// commit order.
+#[derive(Debug, Clone, Default)]
+pub struct CommitStats {
+    commits: Vec<Commit>,
 }
 
 impl CommitStats {
-    /// Create an empty collector with one-second throughput buckets.
+    /// Create an empty collector.
     pub fn new() -> Self {
-        CommitStats {
-            throughput: RateCounter::new(Duration::from_secs(1)),
-            latency: Histogram::new(),
-            latency_timeline: TimeSeries::new(),
-            committed_blocks: 0,
-            committed_commands: 0,
-            first_commit: None,
-            last_commit: None,
-            slo: None,
-            e2e: Histogram::new(),
-            e2e_timeline: TimeSeries::new(),
-            goodput: RateCounter::new(Duration::from_secs(1)),
-            goodput_commands: 0,
-            client_commands: 0,
-        }
+        CommitStats::default()
     }
 
-    /// Set the goodput SLO deadline for subsequent end-to-end samples.
-    pub fn with_slo(mut self, slo: Duration) -> Self {
-        self.slo = Some(slo);
-        self
+    /// Merge several replicas' records into global commit order, ties
+    /// broken by latency: the tree families record each commit once, at the
+    /// root that proposed it, so the merge counts every commit once.
+    pub fn merge<'a>(parts: impl IntoIterator<Item = &'a CommitStats>) -> CommitStats {
+        let mut commits: Vec<Commit> = parts
+            .into_iter()
+            .flat_map(|s| s.commits.iter().copied())
+            .collect();
+        commits.sort_by_key(|c| (c.at, c.latency_us));
+        CommitStats { commits }
     }
 
     /// Record that a block of `commands` commands proposed at `proposed`
     /// committed at `committed`.
     pub fn record_commit(&mut self, proposed: SimTime, committed: SimTime, commands: usize) {
-        let lat = committed.since(proposed);
-        self.latency.record(lat);
-        self.latency_timeline.push(committed, lat.as_millis_f64());
-        self.throughput.record(committed, commands as u64);
-        self.committed_blocks += 1;
-        self.committed_commands += commands as u64;
-        if self.first_commit.is_none() {
-            self.first_commit = Some(committed);
-        }
-        self.last_commit = Some(committed);
-    }
-
-    /// Record one command's end-to-end client latency (send → commit →
-    /// reply), committed at `committed`. The command counts towards goodput
-    /// iff `e2e` meets the SLO deadline.
-    pub fn record_client_commit(&mut self, e2e: Duration, committed: SimTime) {
-        self.e2e.record(e2e);
-        self.e2e_timeline.push(committed, e2e.as_millis_f64());
-        self.client_commands += 1;
-        if self.slo.is_none_or(|slo| e2e <= slo) {
-            self.goodput.record(committed, 1);
-            self.goodput_commands += 1;
-        }
+        self.commits.push(Commit {
+            at: committed,
+            latency_us: committed.since(proposed).as_micros(),
+            commands: commands as u64,
+        });
     }
 
     /// Total committed blocks.
     pub fn blocks(&self) -> u64 {
-        self.committed_blocks
+        self.commits.len() as u64
     }
 
-    /// Total committed commands.
-    pub fn commands(&self) -> u64 {
-        self.committed_commands
+    /// Latency timeline: (commit time in seconds, latency in ms), one point
+    /// per committed block.
+    pub fn latency_timeline(&self) -> Vec<(f64, f64)> {
+        self.commits
+            .iter()
+            .map(|c| {
+                let latency = Duration::from_micros(c.latency_us);
+                (c.at.as_secs_f64(), latency.as_millis_f64())
+            })
+            .collect()
     }
 
-    /// Mean consensus latency.
-    pub fn mean_latency(&self) -> Duration {
-        self.latency.mean()
-    }
-
-    /// Latency timeline: (commit time in seconds, latency in ms).
-    pub fn latency_timeline(&self) -> &TimeSeries {
-        &self.latency_timeline
-    }
-
-    /// Per-second committed command counts.
-    pub fn throughput_buckets(&self) -> &[u64] {
-        self.throughput.buckets()
-    }
-
-    /// The span of virtual time actually covered by commits (first → last),
-    /// in seconds. Zero until two distinct commit instants exist.
-    pub fn committed_span_secs(&self) -> f64 {
-        match (self.first_commit, self.last_commit) {
-            (Some(first), Some(last)) => last.since(first).as_secs_f64(),
-            _ => 0.0,
-        }
-    }
-
-    /// Mean throughput in commands per second over the *actual committed
-    /// span* (first → last commit). A run that stalls half-way reports the
-    /// rate it sustained while it was committing, not the rate diluted over
-    /// the nominal horizon. Falls back to `run_secs` when the span is
-    /// degenerate (fewer than two distinct commit instants); see
-    /// [`CommitStats::nominal_throughput`] for the paper-style figure.
-    pub fn mean_throughput(&self, run_secs: u64) -> f64 {
-        let span = self.committed_span_secs();
-        if span > 0.0 {
-            self.committed_commands as f64 / span
-        } else {
-            self.nominal_throughput(run_secs)
-        }
-    }
-
-    /// Throughput diluted over the nominal run horizon — what the paper's
-    /// throughput figures report (total committed / experiment length).
-    pub fn nominal_throughput(&self, run_secs: u64) -> f64 {
-        if run_secs == 0 {
-            return 0.0;
-        }
-        self.committed_commands as f64 / run_secs as f64
-    }
-
-    /// End-to-end latency histogram (mutable access for percentile queries).
-    pub fn e2e_histogram(&mut self) -> &mut Histogram {
-        &mut self.e2e
-    }
-
-    /// End-to-end latency timeline: (commit time s, e2e latency ms).
-    pub fn e2e_timeline(&self) -> &TimeSeries {
-        &self.e2e_timeline
-    }
-
-    /// Commands with a recorded end-to-end latency.
-    pub fn client_commands(&self) -> u64 {
-        self.client_commands
-    }
-
-    /// Commands whose end-to-end latency met the SLO.
-    pub fn goodput_commands(&self) -> u64 {
-        self.goodput_commands
-    }
-
-    /// Mean goodput in commands per second over the nominal horizon (goodput
-    /// is compared against *offered* load, which is also nominal).
-    pub fn goodput_ops(&self, run_secs: u64) -> f64 {
-        if run_secs == 0 {
-            return 0.0;
-        }
-        self.goodput_commands as f64 / run_secs as f64
-    }
-
-    /// Per-second within-SLO committed command counts.
-    pub fn goodput_buckets(&self) -> &[u64] {
-        self.goodput.buckets()
+    /// Committed commands per second of the run, up to the last second
+    /// with a commit.
+    pub fn throughput_buckets(&self) -> Vec<u64> {
+        per_second(self.commits.iter().map(|c| (c.at, c.commands)))
     }
 
     /// Summarise the run. `throughput_ops` stays the paper-style nominal
     /// figure (total committed / horizon) so degraded runs *show* their
-    /// degradation in the plots; `sustained_ops` carries the span-based rate
-    /// for capacity analysis.
-    pub fn summary(&mut self, run_secs: u64) -> RunSummary {
+    /// degradation in the plots; `sustained_ops` carries the rate over the
+    /// committed span (first → last commit) for capacity analysis, and
+    /// falls back to the nominal figure when fewer than two distinct commit
+    /// instants exist.
+    pub fn summary(&self, run_secs: u64) -> RunSummary {
+        let commands: u64 = self.commits.iter().map(|c| c.commands).sum();
+        let nominal = if run_secs == 0 {
+            0.0
+        } else {
+            commands as f64 / run_secs as f64
+        };
+        let span = match (self.commits.first(), self.commits.last()) {
+            (Some(first), Some(last)) => last.at.since(first.at).as_secs_f64(),
+            _ => 0.0,
+        };
+        let mut latencies: Vec<u64> = self.commits.iter().map(|c| c.latency_us).collect();
+        let [mean, p50, p99] = latency_ms(&mut latencies);
         RunSummary {
-            throughput_ops: self.nominal_throughput(run_secs),
-            sustained_ops: self.mean_throughput(run_secs),
-            mean_latency_ms: self.mean_latency().as_millis_f64(),
-            p50_latency_ms: self.latency.median().as_millis_f64(),
-            p99_latency_ms: self.latency.percentile(0.99).as_millis_f64(),
-            latency_ci95_ms: self.latency.ci95_ms(),
-            committed_blocks: self.committed_blocks,
-            committed_commands: self.committed_commands,
+            throughput_ops: nominal,
+            sustained_ops: if span > 0.0 {
+                commands as f64 / span
+            } else {
+                nominal
+            },
+            mean_latency_ms: mean,
+            p50_latency_ms: p50,
+            p99_latency_ms: p99,
+            committed_blocks: self.blocks(),
+            committed_commands: commands,
         }
     }
 }
@@ -232,7 +184,7 @@ pub struct RunSummary {
     pub throughput_ops: f64,
     /// Throughput over the actual committed span (first → last commit): the
     /// rate the run *sustained while it was committing*, undiluted by a
-    /// stall (see [`CommitStats::mean_throughput`]).
+    /// stall.
     pub sustained_ops: f64,
     /// Mean consensus latency in milliseconds.
     pub mean_latency_ms: f64,
@@ -240,8 +192,6 @@ pub struct RunSummary {
     pub p50_latency_ms: f64,
     /// 99th-percentile consensus latency in milliseconds.
     pub p99_latency_ms: f64,
-    /// Half-width of the 95% confidence interval of the latency mean.
-    pub latency_ci95_ms: f64,
     /// Number of committed blocks.
     pub committed_blocks: u64,
     /// Number of committed commands.
@@ -252,12 +202,11 @@ impl RunSummary {
     /// Render a one-line human-readable summary for harness output.
     pub fn render(&self, label: &str) -> String {
         format!(
-            "{label:<28} {:>10.0} op/s   latency {:>8.1} ms (p50 {:.1}, p99 {:.1}, ±{:.1})   blocks {}",
+            "{label:<28} {:>10.0} op/s   latency {:>8.1} ms (p50 {:.1}, p99 {:.1})   blocks {}",
             self.throughput_ops,
             self.mean_latency_ms,
             self.p50_latency_ms,
             self.p99_latency_ms,
-            self.latency_ci95_ms,
             self.committed_blocks
         )
     }
@@ -266,6 +215,8 @@ impl RunSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn record_commit_tracks_latency_and_throughput() {
@@ -274,19 +225,19 @@ mod tests {
         s.record_commit(SimTime::from_millis(500), SimTime::from_millis(700), 1000);
         s.record_commit(SimTime::from_millis(1200), SimTime::from_millis(1500), 1000);
 
+        let sum = s.summary(3);
         assert_eq!(s.blocks(), 3);
-        assert_eq!(s.commands(), 3000);
-        assert_eq!(s.mean_latency().as_millis(), 200);
-        assert_eq!(s.throughput_buckets(), &[2000, 1000]);
+        assert_eq!(sum.committed_commands, 3000);
+        assert_eq!(sum.mean_latency_ms, 200.0);
+        assert_eq!(s.throughput_buckets(), vec![2000, 1000]);
         // Span-based: commits cover [0.1 s, 1.5 s] → 3000 / 1.4 s.
-        assert!((s.mean_throughput(3) - 3000.0 / 1.4).abs() < 1e-9);
-        assert_eq!(s.nominal_throughput(3), 1000.0);
-        assert!((s.committed_span_secs() - 1.4).abs() < 1e-9);
+        assert!((sum.sustained_ops - 3000.0 / 1.4).abs() < 1e-9);
+        assert_eq!(sum.throughput_ops, 1000.0);
     }
 
-    /// The regression `mean_throughput` was fixed for: a run that commits at
+    /// The regression `sustained_ops` was fixed for: a run that commits at
     /// full rate for a third of the horizon and then stalls must report the
-    /// sustained rate, while the nominal accessor keeps the diluted figure.
+    /// sustained rate, while the nominal figure stays diluted.
     #[test]
     fn partially_degraded_run_reports_sustained_rate() {
         let mut s = CommitStats::new();
@@ -295,8 +246,8 @@ mod tests {
             s.record_commit(t, t + Duration::from_millis(50), 100);
         }
         // Stall: nothing commits for the remaining 20 s of a 30 s run.
-        let sustained = s.mean_throughput(30);
-        let nominal = s.nominal_throughput(30);
+        let sum = s.summary(30);
+        let (sustained, nominal) = (sum.sustained_ops, sum.throughput_ops);
         assert!((sustained - 1000.0 / 9.0).abs() < 1e-6, "{sustained}");
         assert!((nominal - 1000.0 / 30.0).abs() < 1e-9);
         assert!(sustained > nominal * 3.0);
@@ -319,56 +270,159 @@ mod tests {
 
     #[test]
     fn empty_stats_are_safe() {
-        let mut s = CommitStats::new();
+        let s = CommitStats::new();
         let sum = s.summary(120);
         assert_eq!(sum.throughput_ops, 0.0);
+        assert_eq!(sum.sustained_ops, 0.0);
         assert_eq!(sum.mean_latency_ms, 0.0);
-        assert_eq!(s.mean_throughput(0), 0.0);
-        assert_eq!(s.committed_span_secs(), 0.0);
-        assert_eq!(s.goodput_ops(120), 0.0);
-        assert_eq!(s.client_commands(), 0);
+        assert_eq!(s.summary(0).sustained_ops, 0.0);
+        assert!(s.latency_timeline().is_empty());
+        assert!(s.throughput_buckets().is_empty());
     }
 
     #[test]
-    fn end_to_end_samples_split_into_goodput_by_slo() {
-        let mut s = CommitStats::new().with_slo(Duration::from_millis(500));
-        s.record_client_commit(Duration::from_millis(200), SimTime::from_millis(1_200));
-        s.record_client_commit(Duration::from_millis(500), SimTime::from_millis(1_500));
-        s.record_client_commit(Duration::from_millis(900), SimTime::from_millis(2_100));
-        assert_eq!(s.client_commands(), 3);
-        assert_eq!(s.goodput_commands(), 2, "only within-SLO commands count");
-        assert_eq!(s.goodput_buckets(), &[0, 2]);
-        assert_eq!(s.goodput_ops(2), 1.0);
-        assert_eq!(s.e2e_timeline().len(), 3);
-        assert_eq!(s.e2e_histogram().median().as_millis(), 500);
+    fn histogram_basic_stats() {
+        let mut samples: Vec<u64> = [50u64, 10, 40, 20, 30].map(|ms| ms * 1_000).to_vec();
+        // p99: rank 4 × 0.99 = 3.96, so 40 + 0.96 × 10 ms.
+        assert_eq!(latency_ms(&mut samples), [30.0, 30.0, 49.6]);
+        assert_eq!(samples, [10_000, 20_000, 30_000, 40_000, 50_000]);
+        assert_eq!(percentile(&samples, 0.0), 10_000);
+        assert_eq!(percentile(&samples, 1.0), 50_000);
     }
 
     #[test]
-    fn without_slo_every_client_commit_is_goodput() {
-        let mut s = CommitStats::new();
-        s.record_client_commit(Duration::from_secs(30), SimTime::from_secs(31));
-        assert_eq!(s.goodput_commands(), 1);
+    fn histogram_empty_is_safe() {
+        assert_eq!(latency_ms(&mut []), [0.0; 3]);
+        assert_eq!(percentile(&[], 0.5), 0);
+    }
+
+    #[test]
+    fn rate_counter_buckets_by_time() {
+        let buckets = per_second([
+            (SimTime::from_millis(100), 5),
+            (SimTime::from_millis(900), 5),
+            (SimTime::from_millis(1100), 7),
+            (SimTime::from_millis(3000), 0),
+        ]);
+        assert_eq!(buckets, vec![10, 7, 0, 0]);
+    }
+
+    #[test]
+    fn percentile_interpolates_between_ranks() {
+        // 100 samples 1..=100 ms: the exact R-7 percentiles are known in
+        // closed form, so this pins the interpolation (the old round-to-
+        // nearest-index selection reported 99 ms for p99 and 50 ms for p50).
+        let samples: Vec<u64> = (1..=100u64).map(|ms| ms * 1_000).collect();
+        // rank = 99 * p; value = 1 + rank (samples are 1-based and linear).
+        assert_eq!(percentile(&samples, 0.99), 99_010); // 1 + 99*0.99 = 99.01 ms
+        assert_eq!(percentile(&samples, 0.5), 50_500); // 1 + 49.5 = 50.5 ms
+        assert_eq!(percentile(&samples, 0.95), 95_050); // 1 + 94.05 = 95.05 ms
+        assert_eq!(percentile(&samples, 0.0), 1_000);
+        assert_eq!(percentile(&samples, 1.0), 100_000);
+        // A single sample is every percentile.
+        assert_eq!(percentile(&[7_000], 0.99), 7_000);
     }
 
     #[test]
     fn time_series_window_mean() {
-        let mut ts = TimeSeries::new();
-        ts.push(SimTime::from_secs(1), 100.0);
-        ts.push(SimTime::from_secs(2), 200.0);
-        ts.push(SimTime::from_secs(10), 1000.0);
-        assert_eq!(ts.len(), 3);
-        assert_eq!(timeline_mean(ts.points(), 0.0, 5.0), 150.0);
-        assert_eq!(timeline_mean(ts.points(), 5.0, 20.0), 1000.0);
-        assert_eq!(timeline_mean(ts.points(), 20.0, 30.0), 0.0);
+        let points = [(1.0, 100.0), (2.0, 200.0), (10.0, 1000.0)];
+        assert_eq!(timeline_mean(&points, 0.0, 5.0), 150.0);
+        assert_eq!(timeline_mean(&points, 5.0, 20.0), 1000.0);
+        assert_eq!(timeline_mean(&points, 20.0, 30.0), 0.0);
     }
 
     #[test]
     fn latency_timeline_records_points() {
         let mut s = CommitStats::new();
         s.record_commit(SimTime::from_secs(1), SimTime::from_secs(2), 5);
-        assert_eq!(s.latency_timeline().len(), 1);
-        let (t, v) = s.latency_timeline().points()[0];
-        assert_eq!(t, 2.0);
-        assert_eq!(v, 1000.0);
+        assert_eq!(s.latency_timeline(), vec![(2.0, 1000.0)]);
+    }
+
+    /// The records of 1–3 replicas, merged, against the aggregates computed
+    /// directly from the commits: the timeline in (time, latency) order, the
+    /// buckets over a `run_secs + 1` horizon as the tree report keeps them,
+    /// and the summary's counts, rates, mean and R-7 percentiles.
+    #[test]
+    fn merged_records_match_a_direct_computation() {
+        for case in 0..256u64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let run_secs = rng.gen_range(1..20u64);
+            let replicas = rng.gen_range(1..=3usize);
+            let mut parts = vec![CommitStats::new(); replicas];
+            // (commit µs, latency µs, commands), as the test drew them.
+            let mut all: Vec<(u64, u64, u64)> = Vec::new();
+            for part in parts.iter_mut() {
+                let mut at = 0u64;
+                for _ in 0..rng.gen_range(0..40) {
+                    // Whole milliseconds now and then, so commits tie.
+                    at += if rng.gen_bool(0.3) {
+                        1_000 * rng.gen_range(0..3u64)
+                    } else {
+                        rng.gen_range(0..900_000u64)
+                    };
+                    let latency = rng.gen_range(0..2_000_000u64);
+                    let commands = rng.gen_range(0..1_000u64);
+                    let committed = SimTime::from_micros(at);
+                    let proposed = SimTime::from_micros(at.saturating_sub(latency));
+                    part.record_commit(proposed, committed, commands as usize);
+                    all.push((at, at - at.saturating_sub(latency), commands));
+                }
+            }
+            let merged = CommitStats::merge(&parts);
+            all.sort_by_key(|&(at, latency, _)| (at, latency));
+
+            let timeline: Vec<(f64, f64)> = all
+                .iter()
+                .map(|&(at, latency, _)| (at as f64 / 1e6, latency as f64 / 1e3))
+                .collect();
+            assert_eq!(merged.latency_timeline(), timeline, "case {case}");
+
+            let mut buckets = vec![0u64; run_secs as usize + 1];
+            for &(at, _, commands) in &all {
+                if let Some(slot) = buckets.get_mut((at / 1_000_000) as usize) {
+                    *slot += commands;
+                }
+            }
+            let mut derived = merged.throughput_buckets();
+            derived.resize(run_secs as usize + 1, 0);
+            assert_eq!(derived, buckets, "case {case}");
+
+            let commands: u64 = all.iter().map(|c| c.2).sum();
+            let mut latencies: Vec<u64> = all.iter().map(|c| c.1).collect();
+            latencies.sort_unstable();
+            let r7 = |p: f64| {
+                if latencies.is_empty() {
+                    return 0.0;
+                }
+                let rank = (latencies.len() - 1) as f64 * p;
+                let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
+                let v = latencies[lo] as f64
+                    + (rank - lo as f64) * (latencies[hi] as f64 - latencies[lo] as f64);
+                v.round() / 1e3
+            };
+            let mean = match latencies.len() as u64 {
+                0 => 0.0,
+                n => (latencies.iter().sum::<u64>() / n) as f64 / 1e3,
+            };
+            let nominal = commands as f64 / run_secs as f64;
+            let span = match (all.first(), all.last()) {
+                (Some(first), Some(last)) if last.0 > first.0 => (last.0 - first.0) as f64 / 1e6,
+                _ => 0.0,
+            };
+            let expected = RunSummary {
+                throughput_ops: nominal,
+                sustained_ops: if span > 0.0 {
+                    commands as f64 / span
+                } else {
+                    nominal
+                },
+                mean_latency_ms: mean,
+                p50_latency_ms: r7(0.5),
+                p99_latency_ms: r7(0.99),
+                committed_blocks: all.len() as u64,
+                committed_commands: commands,
+            };
+            assert_eq!(merged.summary(run_secs), expected, "case {case}");
+        }
     }
 }

@@ -9,12 +9,13 @@
 //! * [`Context`] — send / broadcast / multicast / set_timer / cancel_timer /
 //!   now, buffered as [`Action`]s the owning runtime drains and executes.
 //! * [`SimTime`] / [`Duration`] — microsecond time, virtual or wall-clock.
-//! * [`Histogram`] / [`RateCounter`] / [`TimeSeries`] — measurement
-//!   collection shared by the experiment harnesses.
 //! * [`wire`] — the serializable wire-message bound ([`WireMsg`]) and
 //!   length-prefixed framing used when messages cross real sockets.
 //! * [`RealCluster`] — the second runtime: OS thread per replica, full-mesh
 //!   TCP on localhost, a monotonic wall-clock timer thread.
+//!
+//! It measures nothing: a replica's commits are recorded in
+//! `rsm::CommitStats` and the clients' replies in `traffic::TrafficQueue`.
 //!
 //! The first runtime is `netsim::Simulation`, the deterministic
 //! discrete-event simulator, which depends on this crate and re-exports
@@ -26,13 +27,11 @@
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 pub mod node;
 pub mod real;
-pub mod stats;
 pub mod time;
 pub mod wire;
 
 pub use node::{Action, Context, Node, NodeId, Payload, TimerId};
 pub use real::RealCluster;
-pub use stats::{Histogram, RateCounter, TimeSeries};
 pub use time::{Duration, FaultWindow, SimTime};
 pub use wire::{
     encode_frame, encode_frame_into, read_frame, read_frame_into, WireMsg, MAX_FRAME_BYTES,

@@ -28,7 +28,7 @@
 use crate::sampler::ArrivalSampler;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rsm::{BatchingPolicy, Command, CommitStats, TrafficSpec};
+use rsm::{BatchingPolicy, Command, TrafficSpec};
 use runtime::{Duration, SimTime};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -365,7 +365,9 @@ pub struct TrafficQueue {
     /// Ingress→leader forwarding accounting; `None` charges no hop (clients
     /// co-located with the proposer, or unit tests with explicit schedules).
     forwarding: Option<ForwardingModel>,
-    stats: CommitStats,
+    /// One `(commit instant, end-to-end latency)` per committed command,
+    /// in commit order: every client-side figure is derived from these.
+    replies: Vec<(SimTime, Duration)>,
     depth_timeline: Vec<(f64, f64)>,
     max_depth: usize,
     /// Observability handle; disabled by default (zero-cost no-op).
@@ -416,7 +418,7 @@ impl TrafficQueue {
             retried: 0,
             abandoned: 0,
             forwarding: None,
-            stats: CommitStats::new().with_slo(slo),
+            replies: Vec::new(),
             depth_timeline: Vec::new(),
             max_depth: 0,
             telemetry: Telemetry::disabled(),
@@ -741,15 +743,13 @@ impl TrafficQueue {
             return;
         };
         self.in_flight_commands -= flight.commands.len() as u64;
-        let e2e_of = |a: &Arrival, forward_ms: f64| {
-            committed.since(a.send) + Duration::from_millis_f64(a.reply_ms + forward_ms)
-        };
+        let first_reply = self.replies.len();
         let tracing = self.telemetry.is_tracing();
         for (&Queued { idx: i, arrival: a }, &forward_ms) in
             flight.commands.iter().zip(&flight.forward_ms)
         {
-            self.stats
-                .record_client_commit(e2e_of(&a, forward_ms), committed);
+            let e2e = committed.since(a.send) + Duration::from_millis_f64(a.reply_ms + forward_ms);
+            self.replies.push((committed, e2e));
             if tracing {
                 let view_arg = view.map(|v| ("view", v as f64));
                 self.telemetry.span(
@@ -766,11 +766,9 @@ impl TrafficQueue {
             reg.observe_each(
                 "traffic.client.e2e_us",
                 None,
-                flight
-                    .commands
+                self.replies[first_reply..]
                     .iter()
-                    .zip(&flight.forward_ms)
-                    .map(|(q, &forward_ms)| e2e_of(&q.arrival, forward_ms).as_micros()),
+                    .map(|&(_, e2e)| e2e.as_micros()),
             );
             reg.counter_add(
                 "traffic.client.committed",
@@ -812,16 +810,17 @@ impl TrafficQueue {
         self.in_flight_commands
     }
 
-    /// The end-to-end statistics collected so far.
-    pub fn stats(&self) -> &CommitStats {
-        &self.stats
-    }
-
-    /// Summarise the run.
-    pub fn report(&mut self, run_secs: u64) -> TrafficReport {
+    /// Summarise the run. A command counts towards goodput iff its
+    /// end-to-end latency meets the SLO.
+    pub fn report(&self, run_secs: u64) -> TrafficReport {
         let offered = self.offered();
-        let committed = self.stats.client_commands();
-        let goodput = self.stats.goodput_commands();
+        let committed = self.replies.len() as u64;
+        let within_slo = || self.replies.iter().filter(|&&(_, e2e)| e2e <= self.slo);
+        let goodput = within_slo().count() as u64;
+        let mut e2e_us: Vec<u64> = self.replies.iter().map(|r| r.1.as_micros()).collect();
+        let [e2e_mean_ms, e2e_p50_ms, e2e_p99_ms] = rsm::latency_ms(&mut e2e_us);
+        // Freed before the timelines are built, to keep the report's peak low.
+        drop(e2e_us);
         let secs = run_secs.max(1) as f64;
         TrafficReport {
             offered,
@@ -834,16 +833,16 @@ impl TrafficQueue {
             offered_ops: offered as f64 / secs,
             committed_ops: committed as f64 / secs,
             goodput_ops: goodput as f64 / secs,
-            e2e_mean_ms: self.stats.e2e_histogram().mean().as_millis_f64(),
-            e2e_p50_ms: self.stats.e2e_histogram().median().as_millis_f64(),
-            e2e_p99_ms: self.stats.e2e_histogram().percentile(0.99).as_millis_f64(),
-            e2e_timeline: self.stats.e2e_timeline().points().to_vec(),
-            goodput_timeline: self
-                .stats
-                .goodput_buckets()
-                .iter()
+            e2e_mean_ms,
+            e2e_p50_ms,
+            e2e_p99_ms,
+            e2e_timeline: (self.replies.iter())
+                .map(|&(at, e2e)| (at.as_secs_f64(), e2e.as_millis_f64()))
+                .collect(),
+            goodput_timeline: rsm::per_second(within_slo().map(|&(at, _)| (at, 1)))
+                .into_iter()
                 .enumerate()
-                .map(|(sec, &ops)| (sec as f64, ops as f64))
+                .map(|(sec, ops)| (sec as f64, ops as f64))
                 .collect(),
             depth_timeline: self.depth_timeline.clone(),
             max_depth: self.max_depth,
@@ -1020,7 +1019,7 @@ impl SharedTrafficQueue {
     /// See [`TrafficQueue::report`]; all zeros when saturated.
     pub fn report(&self, run_secs: u64) -> TrafficReport {
         self.open()
-            .map_or_else(TrafficReport::default, |mut q| q.report(run_secs))
+            .map_or_else(TrafficReport::default, |q| q.report(run_secs))
     }
 }
 
@@ -1173,6 +1172,36 @@ mod tests {
         // reconfiguration report nothing).
         q.commit_batch(999, SimTime::from_secs(3));
         assert_eq!(q.report(2).committed, 4);
+    }
+
+    #[test]
+    fn end_to_end_samples_split_into_goodput_by_slo() {
+        let schedule = [(1_000, 0), (1_000, 1), (1_200, 2)]
+            .map(|(send_ms, client)| ScheduledArrival {
+                send: SimTime::from_millis(send_ms),
+                client,
+                ingress_ms: 0.0,
+            })
+            .to_vec();
+        let mut q =
+            TrafficQueue::from_schedule(policy(1, 100), 10, Duration::from_millis(500), schedule);
+        // End-to-end 200, 500 (exactly the SLO) and 900 ms.
+        for commit_ms in [1_200, 1_500, 2_100] {
+            let b = q
+                .try_batch(SimTime::from_millis(1_200))
+                .expect("one command");
+            q.commit_batch(b.id, SimTime::from_millis(commit_ms));
+        }
+        let report = q.report(2);
+        assert_eq!(report.committed, 3);
+        assert_eq!(report.goodput, 2, "only within-SLO commands count");
+        assert_eq!(report.goodput_timeline, vec![(0.0, 0.0), (1.0, 2.0)]);
+        assert_eq!(report.goodput_ops, 1.0);
+        assert_eq!(
+            report.e2e_timeline,
+            vec![(1.2, 200.0), (1.5, 500.0), (2.1, 900.0)]
+        );
+        assert_eq!(report.e2e_p50_ms, 500.0);
     }
 
     #[test]

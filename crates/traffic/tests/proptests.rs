@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
-use rsm::{ArrivalProcess, CommitStats, TrafficSpec};
+use rsm::{ArrivalProcess, TrafficSpec};
 use std::collections::VecDeque;
 use traffic::{ArrivalSampler, ScheduledArrival, TrafficQueue, TrafficReport};
 
@@ -260,7 +260,8 @@ struct Reference {
     rejected: u64,
     max_depth: usize,
     depth_timeline: Vec<(f64, f64)>,
-    stats: CommitStats,
+    /// `(commit, e2e)` of every committed command, in commit order.
+    replies: Vec<(SimTime, Duration)>,
 }
 
 impl Reference {
@@ -283,7 +284,7 @@ impl Reference {
             rejected: 0,
             max_depth: 0,
             depth_timeline: Vec::new(),
-            stats: CommitStats::new().with_slo(spec.slo),
+            replies: Vec::new(),
         }
     }
 
@@ -316,7 +317,7 @@ impl Reference {
             .map(|i| {
                 let (_, send, client, leg) = self.arrivals[i];
                 let e2e = commit.since(send) + Duration::from_millis_f64(leg);
-                self.stats.record_client_commit(e2e, commit);
+                self.replies.push((commit, e2e));
                 (i as u64, client)
             })
             .collect();
@@ -326,9 +327,41 @@ impl Reference {
         Some((self.batches - 1, commands))
     }
 
-    fn report(&mut self, run_secs: u64) -> TrafficReport {
+    fn report(&self, run_secs: u64) -> TrafficReport {
         let offered = self.arrivals.len() as u64;
-        let (committed, goodput) = (self.stats.client_commands(), self.stats.goodput_commands());
+        let committed = self.replies.len() as u64;
+        let mut goodput_timeline: Vec<(f64, f64)> = Vec::new();
+        for &(commit, e2e) in &self.replies {
+            if e2e <= self.spec.slo {
+                let sec = (commit.as_micros() / 1_000_000) as usize;
+                while goodput_timeline.len() <= sec {
+                    goodput_timeline.push((goodput_timeline.len() as f64, 0.0));
+                }
+                goodput_timeline[sec].1 += 1.0;
+            }
+        }
+        let goodput = goodput_timeline.iter().map(|&(_, ops)| ops as u64).sum();
+        let mut e2e_us: Vec<u64> = self
+            .replies
+            .iter()
+            .map(|&(_, e2e)| e2e.as_micros())
+            .collect();
+        e2e_us.sort_unstable();
+        // Mean truncated to whole µs; R-7 percentiles rounded to whole µs.
+        let ms = |us: u64| us as f64 / 1e3;
+        let mean_us = e2e_us
+            .iter()
+            .sum::<u64>()
+            .checked_div(committed)
+            .unwrap_or(0);
+        let r7 = |p: f64| match e2e_us.len() {
+            0 => 0,
+            n => {
+                let rank = (n - 1) as f64 * p;
+                let (lo, hi) = (e2e_us[rank.floor() as usize], e2e_us[rank.ceil() as usize]);
+                (lo as f64 + rank.fract() * (hi as f64 - lo as f64)).round() as u64
+            }
+        };
         let secs = run_secs.max(1) as f64;
         TrafficReport {
             offered,
@@ -341,13 +374,13 @@ impl Reference {
             offered_ops: offered as f64 / secs,
             committed_ops: committed as f64 / secs,
             goodput_ops: goodput as f64 / secs,
-            e2e_mean_ms: self.stats.e2e_histogram().mean().as_millis_f64(),
-            e2e_p50_ms: self.stats.e2e_histogram().median().as_millis_f64(),
-            e2e_p99_ms: self.stats.e2e_histogram().percentile(0.99).as_millis_f64(),
-            e2e_timeline: self.stats.e2e_timeline().points().to_vec(),
-            goodput_timeline: (self.stats.goodput_buckets().iter().enumerate())
-                .map(|(sec, &ops)| (sec as f64, ops as f64))
+            e2e_mean_ms: ms(mean_us),
+            e2e_p50_ms: ms(r7(0.5)),
+            e2e_p99_ms: ms(r7(0.99)),
+            e2e_timeline: (self.replies.iter())
+                .map(|&(commit, e2e)| (commit.as_secs_f64(), e2e.as_millis_f64()))
                 .collect(),
+            goodput_timeline,
             depth_timeline: self.depth_timeline.clone(),
             max_depth: self.max_depth,
         }
